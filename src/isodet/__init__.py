@@ -46,6 +46,7 @@ from .equations import (
     component_generators,
     evaluate,
     generic_gram_map,
+    generators_for,
     generic_matrix,
     minor_polynomial,
     poly_det,

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .equations import component_generators, rank_condition_generators
+from .equations import generators_for
 from .errors import InvalidForm, IsodetError
 from .fields import field_create
 from .forms_orbits import (
@@ -41,23 +41,45 @@ from .verify import (
 KINDS = {"sym": "symmetric", "symmetric": "symmetric", "alt": "alternating", "alternating": "alternating"}
 
 
+class UsageError(Exception):
+    """Malformed command-line text; reported as a usage error (exit 2)."""
+
+
 def parse_field_spec(spec: str):
     """p=<prime>[,ext=2] or 'rationals'/'q'."""
-    spec = spec.strip().lower()
-    if spec in ("q", "rationals", "rational"):
+    text = spec.strip().lower()
+    if text in ("q", "rationals", "rational"):
         return field_create("rationals")
-    parts = dict(item.split("=", 1) for item in spec.split(","))
-    p = int(parts["p"])
-    if parts.get("ext") == "2":
-        return field_create("quadratic-extension", p)
-    return field_create("prime", p)
+    parts = dict(item.partition("=")[::2] for item in text.split(","))
+    ext = parts.pop("ext", None)
+    try:
+        p = int(parts.pop("p"))
+    except (KeyError, ValueError):
+        p = None
+    if p is None or parts or ext not in (None, "2"):
+        raise UsageError(f"--field: expected p=<prime>[,ext=2] or 'rationals', got {spec!r}")
+    return field_create("prime" if ext is None else "quadratic-extension", p)
 
 
 def parse_params_spec(spec: str) -> OrbitParams:
+    """r1,r2[,sign]."""
     bits = [b.strip() for b in spec.split(",")]
-    r1, r2 = int(bits[0]), int(bits[1])
+    try:
+        r1, r2 = int(bits[0]), int(bits[1])
+    except (IndexError, ValueError):
+        r1 = None
+    if r1 is None or len(bits) > 3:
+        raise UsageError(f"--params: expected r1,r2[,sign], got {spec!r}")
     sign = bits[2] if len(bits) > 2 else None
     return OrbitParams(r1, r2, sign)
+
+
+def parse_primes_spec(spec: str) -> tuple:
+    """Comma-separated integers."""
+    try:
+        return tuple(int(x) for x in spec.split(","))
+    except ValueError:
+        raise UsageError(f"--primes: expected comma-separated integers, got {spec!r}") from None
 
 
 def resolve_form(args, field, f: int) -> BilinearForm:
@@ -115,11 +137,7 @@ def _flag(v) -> str:
 
 def generator_inventory(params: OrbitParams, config: SpaceConfig) -> dict:
     try:
-        gens = (
-            component_generators(params.sign, config)
-            if params.sign is not None
-            else rank_condition_generators(params, config)
-        )
+        gens = generators_for(params, config)
     except IsodetError as exc:
         return {"unavailable": type(exc).__name__}
     inv: dict = {}
@@ -215,11 +233,7 @@ def _cmd_classify(args) -> int:
 def _cmd_equations(args) -> int:
     config = resolve_config(args)
     params = parse_params_spec(args.params)
-    gens = (
-        component_generators(params.sign, config)
-        if params.sign is not None
-        else rank_condition_generators(params, config)
-    )
+    gens = generators_for(params, config)
     if args.format == "json":
         payload = {"config": config.to_json(), "params": params.to_json(), "generators": gens.to_json()}
         text = json.dumps(payload, sort_keys=True)
@@ -280,7 +294,7 @@ def _cmd_solve_congruence(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = resolve_config(args)
-    primes = tuple(int(x) for x in args.primes.split(","))
+    primes = parse_primes_spec(args.primes)
     if args.check == "all":
         reports = run_all(config, budget=args.budget, samples=args.samples, seed=args.seed, primes=primes)
     elif args.check == "census":
@@ -378,6 +392,9 @@ def dispatch(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _HANDLERS[args.command](args)
+    except UsageError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     except IsodetError as exc:
         diagnostic = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(diagnostic, sort_keys=True), file=sys.stderr)

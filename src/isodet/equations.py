@@ -1,4 +1,4 @@
-"""Sparse exact polynomials in the e*f matrix coordinates x_ij and the
+"""Exact polynomials in the e*f matrix coordinates x_ij and the
 defining-equation generators of the rank strata:
 
 * minors of the generic matrix for the rank condition,
@@ -8,8 +8,15 @@ defining-equation generators of the rank strata:
   invariants together with one eigen-half of the maximal minors under
   the half-form involution of the middle exterior power.
 
-Polynomials are stored fully expanded; at desk scale that keeps both
-generation and evaluation trivial and bit-for-bit reproducible.
+A polynomial maps packed monomials to its non-zero coefficients.  A
+packed monomial is one int: the total degree in the top byte, then one
+byte per variable with x_0 most significant.  Multiplying two monomials
+is then one int addition, and int order is graded-lex order.  Minors and
+sub-Pfaffians come from memoised Laplace tables (:class:`MinorTable`),
+one per generic grid and kept for the life of the process, so every
+k-minor of a grid shares its (k-1)-minors and every stratum of a
+configuration shares the grid's table.  Rendering and export unpack to
+dense exponent vectors, so output is bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -18,11 +25,15 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (
+    ConsistencyCheckFailed,
     DimensionMismatch,
     EigenvalueNotInField,
     ExceptionalNeedsSign,
+    ExponentOutOfRange,
+    IndexOutOfRange,
     InvalidParams,
     OddDimension,
+    SizeMismatch,
     WrongKind,
 )
 from .fields import Field
@@ -36,41 +47,102 @@ from .forms_orbits import (
 )
 from .linalg import Matrix
 
+# One byte per exponent.  Every monomial's total degree is capped at the
+# largest byte, which bounds each exponent too, so adding two monomials
+# whose degrees sum to at most MAX_DEGREE never carries between chunks.
+EXP_BITS = 8
+MAX_DEGREE = (1 << EXP_BITS) - 1
+
+
+def _pack(exps, nvars: int) -> int:
+    """Packed key of a dense exponent vector."""
+    if len(exps) != nvars:
+        raise DimensionMismatch("exponent vector length differs from the number of variables")
+    try:
+        chunks = bytes(exps)
+    except ValueError:
+        raise ExponentOutOfRange(f"exponents {tuple(exps)} do not each fit one byte") from None
+    degree = sum(chunks)
+    if degree > MAX_DEGREE:
+        raise ExponentOutOfRange(f"monomial degree {degree} exceeds {MAX_DEGREE}")
+    return (degree << (EXP_BITS * nvars)) | int.from_bytes(chunks, "big")
+
+
+def _unpack(key: int, nvars: int) -> tuple:
+    """Dense exponent vector of a packed key (its first byte is the degree)."""
+    return tuple(key.to_bytes(nvars + 1, "big")[1:])
+
+
+def _var_key(nvars: int, i: int) -> int:
+    """Packed key of the monomial x_i."""
+    return (1 << (EXP_BITS * nvars)) | (1 << (EXP_BITS * (nvars - 1 - i)))
+
+
+def _nonzero(terms: dict, zero) -> dict:
+    return {m: c for m, c in terms.items() if c != zero}
+
+
+def _add_product(field: Field, acc: dict, left: dict, right: dict) -> None:
+    """acc += left * right on packed term maps.  Cancelled terms stay in
+    acc as zeros for the caller to drop once."""
+    add, mul = field.add, field.mul
+    get = acc.get
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            m = m1 + m2
+            v = mul(c1, c2)
+            got = get(m)
+            acc[m] = v if got is None else add(got, v)
+
 
 class Polynomial:
     """Multivariate polynomial with exact coefficients, stored as a map
-    from exponent vectors (length = number of variables) to non-zero
-    coefficient payloads."""
+    from packed monomials (see the module docstring) to non-zero
+    coefficient payloads.  Treated as an immutable value: tables share
+    term maps between polynomials."""
 
     __slots__ = ("field", "nvars", "terms", "_compiled")
 
     def __init__(self, field: Field, nvars: int, terms: dict | None = None):
-        clean = {}
+        """``terms`` maps dense exponent vectors of length ``nvars`` to
+        coefficients; zero coefficients are dropped."""
+        packed = {}
         if terms:
             zero = field.zero
             for exps, c in terms.items():
+                key = _pack(exps, nvars)
                 if c != zero:
-                    clean[tuple(exps)] = c
+                    packed[key] = c
         self.field = field
         self.nvars = nvars
-        self.terms = clean
+        self.terms = packed
         self._compiled = None
+
+    @classmethod
+    def _packed(cls, field: Field, nvars: int, terms: dict) -> "Polynomial":
+        """Wrap a packed term map that holds no zero coefficients."""
+        poly = cls.__new__(cls)
+        poly.field = field
+        poly.nvars = nvars
+        poly.terms = terms
+        poly._compiled = None
+        return poly
 
     # ------------------------------------------------------------ builders
 
     @classmethod
     def zero(cls, field: Field, nvars: int) -> "Polynomial":
-        return cls(field, nvars)
+        return cls._packed(field, nvars, {})
 
     @classmethod
     def constant(cls, field: Field, nvars: int, c) -> "Polynomial":
-        return cls(field, nvars, {(0,) * nvars: c})
+        return cls._packed(field, nvars, {0: c} if c != field.zero else {})
 
     @classmethod
     def variable(cls, field: Field, nvars: int, i: int) -> "Polynomial":
-        exps = [0] * nvars
-        exps[i] = 1
-        return cls(field, nvars, {tuple(exps): field.one})
+        if not 0 <= i < nvars:
+            raise IndexOutOfRange(f"variable {i} out of range for {nvars} variables")
+        return cls._packed(field, nvars, {_var_key(nvars, i): field.one})
 
     # ------------------------------------------------------------ algebra
 
@@ -81,35 +153,42 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         F = self.field
+        add, zero = F.add, F.zero
         out = dict(self.terms)
-        for exps, c in other.terms.items():
-            got = out.get(exps)
-            out[exps] = c if got is None else F.add(got, c)
-        return Polynomial(F, self.nvars, out)
+        for m, c in other.terms.items():
+            got = out.get(m)
+            if got is None:
+                out[m] = c
+            else:
+                total = add(got, c)
+                if total == zero:
+                    del out[m]
+                else:
+                    out[m] = total
+        return Polynomial._packed(F, self.nvars, out)
 
     def __neg__(self) -> "Polynomial":
         neg = self.field.neg
-        return Polynomial(self.field, self.nvars, {e: neg(c) for e, c in self.terms.items()})
+        return Polynomial._packed(self.field, self.nvars, {m: neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
+        if self.terms and other.terms and self.degree() + other.degree() > MAX_DEGREE:
+            raise ExponentOutOfRange(f"product degree exceeds {MAX_DEGREE}")
         F = self.field
-        add, mul = F.add, F.mul
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                c = mul(c1, c2)
-                key = tuple(a + b for a, b in zip(e1, e2))
-                got = out.get(key)
-                out[key] = c if got is None else add(got, c)
-        return Polynomial(F, self.nvars, out)
+        _add_product(F, out, self.terms, other.terms)
+        return Polynomial._packed(F, self.nvars, _nonzero(out, F.zero))
 
     def scale(self, c) -> "Polynomial":
-        mul = self.field.mul
-        return Polynomial(self.field, self.nvars, {e: mul(c, v) for e, v in self.terms.items()})
+        F = self.field
+        if c == F.zero:
+            return Polynomial.zero(F, self.nvars)
+        mul = F.mul
+        return Polynomial._packed(F, self.nvars, {m: mul(c, v) for m, v in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -118,11 +197,11 @@ class Polynomial:
         """Total degree; the zero polynomial reports -1."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> (EXP_BITS * self.nvars)
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
+        shift = EXP_BITS * self.nvars
+        return len({m >> shift for m in self.terms}) <= 1
 
     def __eq__(self, other):
         return (
@@ -138,21 +217,20 @@ class Polynomial:
     # ------------------------------------------------------------ evaluation
 
     def sorted_terms(self):
-        """Terms in graded-lex descending order (the canonical order used
-        for rendering, export and compilation)."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        """(dense exponent vector, coefficient) pairs in graded-lex
+        descending order (the canonical order used for rendering, export
+        and compilation)."""
+        terms, n = self.terms, self.nvars
+        return [(_unpack(m, n), terms[m]) for m in sorted(terms, reverse=True)]
 
     def compiled(self):
         """Flattened monomials: (coefficient, variable indices with
         multiplicity), in canonical order."""
         if self._compiled is None:
-            flat = []
-            for exps, c in self.sorted_terms():
-                idxs = []
-                for i, k in enumerate(exps):
-                    idxs.extend([i] * k)
-                flat.append((c, tuple(idxs)))
-            self._compiled = tuple(flat)
+            self._compiled = tuple(
+                (c, tuple(i for i, k in enumerate(exps) for _ in range(k)))
+                for exps, c in self.sorted_terms()
+            )
         return self._compiled
 
     def evaluate(self, values):
@@ -217,7 +295,7 @@ class Polynomial:
 
 
 # --------------------------------------------------------------------------
-# generic matrices and their invariants
+# generic matrices, their invariants and the memoised minor tables
 
 def generic_matrix(field: Field, e: int, f: int):
     """e-by-f grid of coordinate variables x_ij (index i*f + j)."""
@@ -225,59 +303,90 @@ def generic_matrix(field: Field, e: int, f: int):
     return [[Polynomial.variable(field, n, i * f + j) for j in range(f)] for i in range(e)]
 
 
+class MinorTable:
+    """Minors and sub-Pfaffians of one fixed grid of polynomials.
+
+    Both expand along the first remaining row and memoise every
+    sub-minor (keyed by its row and column tuples) and every sub-Pfaffian
+    (keyed by its index tuple), so all k-minors share their (k-1)-minors.
+    Index tuples must be strictly increasing."""
+
+    def __init__(self, grid):
+        if not grid or not grid[0]:
+            raise DimensionMismatch("empty grid has no well-defined ring")
+        self.grid = grid
+        self.field = F = grid[0][0].field
+        self.nvars = grid[0][0].nvars
+        top = max(p.degree() for row in grid for p in row)
+        if min(len(grid), len(grid[0])) * top > MAX_DEGREE:
+            raise ExponentOutOfRange(f"minors of this grid exceed degree {MAX_DEGREE}")
+        neg = F.neg
+        self._entries = [[p.terms for p in row] for row in grid]
+        self._negated = [[{m: neg(c) for m, c in t.items()} for t in row] for row in self._entries]
+        self._minors: dict = {}
+        self._pfaffians: dict = {}
+
+    def _expand(self, r0: int, cols, sub) -> Polynomial:
+        """Sum over k of (-1)^k * grid[r0][cols[k]] * sub(k)."""
+        F = self.field
+        acc: dict = {}
+        for k, c in enumerate(cols):
+            entry = (self._negated if k % 2 else self._entries)[r0][c]
+            if entry:
+                rest = sub(k)
+                if rest:
+                    _add_product(F, acc, entry, rest)
+        return Polynomial._packed(F, self.nvars, _nonzero(acc, F.zero))
+
+    def minor(self, rows: tuple, cols: tuple) -> Polynomial:
+        """Determinant of the grid restricted to ``rows`` x ``cols``."""
+        key = (rows, cols)
+        poly = self._minors.get(key)
+        if poly is None:
+            if not rows:
+                poly = Polynomial.constant(self.field, self.nvars, self.field.one)
+            else:
+                rest = rows[1:]
+                poly = self._expand(
+                    rows[0], cols, lambda k: self.minor(rest, cols[:k] + cols[k + 1 :]).terms
+                )
+            self._minors[key] = poly
+        return poly
+
+    def pfaffian(self, idx: tuple) -> Polynomial:
+        """Pfaffian of the principal skew subgrid on ``idx``; the empty
+        index set gives 1."""
+        poly = self._pfaffians.get(idx)
+        if poly is None:
+            if not idx:
+                poly = Polynomial.constant(self.field, self.nvars, self.field.one)
+            else:
+                rest = idx[1:]
+                poly = self._expand(
+                    idx[0], rest, lambda k: self.pfaffian(rest[:k] + rest[k + 1 :]).terms
+                )
+            self._pfaffians[idx] = poly
+        return poly
+
+
 def poly_det(grid) -> Polynomial:
-    """Determinant of a square grid of polynomials (cofactor expansion)."""
+    """Determinant of a square grid of polynomials."""
     n = len(grid)
     if n == 0:
         raise DimensionMismatch("empty grid has no well-defined ring")
-    field = grid[0][0].field
-    nvars = grid[0][0].nvars
-
-    def rec(rows, cols):
-        if not rows:
-            return Polynomial.constant(field, nvars, field.one)
-        r0 = rows[0]
-        rest = rows[1:]
-        acc = Polynomial.zero(field, nvars)
-        for k, c in enumerate(cols):
-            entry = grid[r0][c]
-            if entry.is_zero():
-                continue
-            sub = rec(rest, cols[:k] + cols[k + 1 :])
-            term = entry * sub
-            acc = acc + (term if k % 2 == 0 else -term)
-        return acc
-
     idx = tuple(range(n))
-    return rec(idx, idx)
+    return MinorTable(grid).minor(idx, idx)
 
 
 def poly_pfaffian(grid) -> Polynomial:
     """Pfaffian of a skew grid of polynomials, expanded along the first
-    remaining row; the empty grid gives 1."""
+    remaining row."""
     n = len(grid)
     if n % 2 != 0:
         raise OddDimension("Pfaffian needs even size")
     if n == 0:
         raise DimensionMismatch("empty grid has no well-defined ring")
-    field = grid[0][0].field
-    nvars = grid[0][0].nvars
-
-    def rec(idx):
-        if not idx:
-            return Polynomial.constant(field, nvars, field.one)
-        i0 = idx[0]
-        rest = idx[1:]
-        acc = Polynomial.zero(field, nvars)
-        for k, j in enumerate(rest):
-            entry = grid[i0][j]
-            if entry.is_zero():
-                continue
-            term = entry * rec(rest[:k] + rest[k + 1 :])
-            acc = acc + (term if k % 2 == 0 else -term)
-        return acc
-
-    return rec(tuple(range(n)))
+    return MinorTable(grid).pfaffian(tuple(range(n)))
 
 
 def generic_gram_map(config: SpaceConfig):
@@ -289,7 +398,8 @@ def generic_gram_map(config: SpaceConfig):
     n = e * f
     K = config.form.gram.data
     zero = F.zero
-    add, mul = F.add, F.mul
+    add = F.add
+    var = [_var_key(n, i) for i in range(n)]
     grid = []
     for i in range(e):
         row = []
@@ -300,23 +410,43 @@ def generic_gram_map(config: SpaceConfig):
                     c = K[k][l]
                     if c == zero:
                         continue
-                    exps = [0] * n
-                    exps[i * f + k] += 1
-                    exps[j * f + l] += 1
-                    key = tuple(exps)
+                    key = var[i * f + k] + var[j * f + l]
                     got = terms.get(key)
                     terms[key] = c if got is None else add(got, c)
-            row.append(Polynomial(F, n, terms))
+            row.append(Polynomial._packed(F, n, _nonzero(terms, zero)))
         grid.append(row)
     return grid
+
+
+# Tables live for the process, like verify's classification cache: one
+# per (field, e, f) for the generic matrix, one per configuration for its
+# generic Gram map.
+_MATRIX_TABLES: dict = {}
+_GRAM_TABLES: dict = {}
+
+
+def _matrix_table(config: SpaceConfig) -> MinorTable:
+    key = (config.field, config.e, config.f)
+    table = _MATRIX_TABLES.get(key)
+    if table is None:
+        table = _MATRIX_TABLES[key] = MinorTable(generic_matrix(*key))
+    return table
+
+
+def _gram_table(config: SpaceConfig) -> MinorTable:
+    table = _GRAM_TABLES.get(config)
+    if table is None:
+        table = _GRAM_TABLES[config] = MinorTable(generic_gram_map(config))
+    return table
 
 
 def minor_polynomial(config: SpaceConfig, rowset, colset) -> Polynomial:
     """The (|rowset| x |colset|) minor of the generic matrix as a
     polynomial."""
-    X = generic_matrix(config.field, config.e, config.f)
-    sub = [[X[i][j] for j in colset] for i in rowset]
-    return poly_det(sub)
+    rowset, colset = tuple(rowset), tuple(colset)
+    if len(rowset) != len(colset):
+        raise SizeMismatch("row and column sets differ in size")
+    return _matrix_table(config).minor(rowset, colset)
 
 
 # --------------------------------------------------------------------------
@@ -404,10 +534,11 @@ def rank_condition_generators(params: OrbitParams, config: SpaceConfig) -> Gener
     gens: list[Generator] = []
     n1 = params.r1 + 1
     if n1 <= min(e, f):
+        X = _matrix_table(config)
         for T in combinations(range(e), n1):
             for S in combinations(range(f), n1):
-                gens.append(Generator(("minor", T, S), minor_polynomial(config, T, S)))
-    G = generic_gram_map(config)
+                gens.append(Generator(("minor", T, S), X.minor(T, S)))
+    G = _gram_table(config)
     if config.kind == SYMMETRIC:
         n2 = params.r2 + 1
         if n2 <= e:
@@ -415,21 +546,27 @@ def rank_condition_generators(params: OrbitParams, config: SpaceConfig) -> Gener
                 for S in combinations(range(e), n2):
                     if S < T:
                         continue  # minor(T,S) = minor(S,T) on a symmetric grid
-                    sub = [[G[i][j] for j in S] for i in T]
-                    gens.append(Generator(("gram-minor", T, S), poly_det(sub)))
+                    gens.append(Generator(("gram-minor", T, S), G.minor(T, S)))
     else:
         n2 = params.r2 + 2
         if n2 <= e:
             for S in combinations(range(e), n2):
-                sub = [[G[i][j] for j in S] for i in S]
-                gens.append(Generator(("gram-pfaffian", S), poly_pfaffian(sub)))
+                gens.append(Generator(("gram-pfaffian", S), G.pfaffian(S)))
     return GeneratorSet(config, gens)
+
+
+def generators_for(params: OrbitParams, config: SpaceConfig) -> GeneratorSet:
+    """The defining generators of a stratum closure: component generators
+    for a signed stratum, rank-condition generators otherwise."""
+    if params.sign is not None:
+        return component_generators(params.sign, config)
+    return rank_condition_generators(params, config)
 
 
 # --------------------------------------------------------------------------
 # the half-form involution and component generators
 
-@dataclass
+@dataclass(frozen=True)
 class StarOperator:
     """The involution (up to scalar) on the middle exterior power of F
     induced by the form: on the basis {e_S} of f/2-subsets it satisfies
@@ -462,10 +599,18 @@ def _shuffle_sign(field: Field, subset, f: int):
     return field.one if inversions % 2 == 0 else field.neg(field.one), tuple(comp)
 
 
+# One involution per form: both signs of a configuration share it.
+_STARS: dict = {}
+
+
 def star_operator(form: BilinearForm) -> StarOperator:
-    """Build the half-form involution for an even-dimensional symmetric
-    form.  Needs mu = sqrt((-1)^{f/2} det K) in the field; otherwise
-    raises with the remedy of passing a quadratic-extension field."""
+    """The half-form involution of an even-dimensional symmetric form,
+    built once per form.  Needs mu = sqrt((-1)^{f/2} det K) in the field;
+    otherwise raises with the remedy of passing a quadratic-extension
+    field."""
+    star = _STARS.get(form)
+    if star is not None:
+        return star
     if form.kind != SYMMETRIC:
         raise WrongKind("the half-form involution needs a symmetric form")
     f = form.f
@@ -473,6 +618,14 @@ def star_operator(form: BilinearForm) -> StarOperator:
         raise OddDimension("the half-form involution needs f even")
     F = form.field
     m = f // 2
+    detk = form.gram.det()
+    mu_sq = detk if m % 2 == 0 else F.neg(detk)
+    mu = F.sqrt(mu_sq)
+    if mu is None:
+        raise EigenvalueNotInField(
+            "the involution eigenvalue is not in this field; "
+            "retry with a quadratic-extension field descriptor"
+        )
     subsets = tuple(combinations(range(f), m))
     n = len(subsets)
     index = {S: i for i, S in enumerate(subsets)}
@@ -482,18 +635,11 @@ def star_operator(form: BilinearForm) -> StarOperator:
     for S in subsets:
         sgn, comp = _shuffle_sign(F, S, f)
         P[index[comp]][index[S]] = sgn
-    star = G.inverse() @ Matrix(F, P, n, n)
-    detk = form.gram.det()
-    mu_sq = detk if m % 2 == 0 else F.neg(detk)
-    # involution check: star^2 = mu^2 * id holds by construction
-    assert star @ star == Matrix.identity(F, n).scale(mu_sq)
-    mu = F.sqrt(mu_sq)
-    if mu is None:
-        raise EigenvalueNotInField(
-            "the involution eigenvalue is not in this field; "
-            "retry with a quadratic-extension field descriptor"
-        )
-    return StarOperator(F, f, subsets, star, mu)
+    star_matrix = G.inverse() @ Matrix(F, P, n, n)
+    if star_matrix @ star_matrix != Matrix.identity(F, n).scale(mu_sq):
+        raise ConsistencyCheckFailed("the half-form involution does not square to mu^2")
+    star = _STARS[form] = StarOperator(F, f, subsets, star_matrix, mu)
+    return star
 
 
 def _reference_eigenvalue(star: StarOperator, config: SpaceConfig):
@@ -509,8 +655,10 @@ def _reference_eigenvalue(star: StarOperator, config: SpaceConfig):
     F = config.field
     i0 = next(i for i, x in enumerate(v0) if x != F.zero)
     lam = F.div(image.data[i0][0], v0[i0])
-    assert lam in (star.mu, F.neg(star.mu))
-    assert image == col.scale(lam)
+    if lam not in (star.mu, F.neg(star.mu)):
+        raise ConsistencyCheckFailed("the reference ratio is not an involution eigenvalue")
+    if image != col.scale(lam):
+        raise ConsistencyCheckFailed("the reference maximal minors are not an eigenvector")
     return lam
 
 
@@ -540,24 +688,24 @@ def component_generators(sign: str, config: SpaceConfig) -> GeneratorSet:
     proj = star.projector(target)
 
     gens: list[Generator] = []
-    G = generic_gram_map(config)
+    G = _gram_table(config).grid
     for i in range(e):
         for j in range(i, e):
             gens.append(Generator(("quadratic-invariant", i, j), G[i][j]))
 
-    n = len(star.subsets)
+    X = _matrix_table(config)
+    zero = F.zero
     nvars = e * f
     for T in combinations(range(e), m):
-        w = [minor_polynomial(config, T, S) for S in star.subsets]
-        for u in range(n):
-            acc = Polynomial.zero(F, nvars)
-            prow = proj.data[u]
-            for s in range(n):
-                c = prow[s]
-                if c != F.zero and not w[s].is_zero():
-                    acc = acc + w[s].scale(c)
-            if not acc.is_zero():
-                gens.append(Generator(("component", sign, T, u), acc))
+        w = [X.minor(T, S).terms for S in star.subsets]
+        for u, prow in enumerate(proj.data):
+            acc: dict = {}
+            for c, ws in zip(prow, w):
+                if c != zero:
+                    _add_product(F, acc, {0: c}, ws)
+            acc = _nonzero(acc, zero)
+            if acc:
+                gens.append(Generator(("component", sign, T, u), Polynomial._packed(F, nvars, acc)))
     return GeneratorSet(config, gens)
 
 
@@ -571,18 +719,16 @@ def rebuild_generator(label: tuple, config: SpaceConfig) -> Generator:
     if tag == "minor":
         _, T, S = label
         return Generator(label, minor_polynomial(config, T, S))
-    G = generic_gram_map(config)
+    G = _gram_table(config)
     if tag == "gram-minor":
         _, T, S = label
-        sub = [[G[i][j] for j in S] for i in T]
-        return Generator(label, poly_det(sub))
+        return Generator(label, G.minor(tuple(T), tuple(S)))
     if tag == "gram-pfaffian":
         _, S = label
-        sub = [[G[i][j] for j in S] for i in S]
-        return Generator(label, poly_pfaffian(sub))
+        return Generator(label, G.pfaffian(tuple(S)))
     if tag == "quadratic-invariant":
         _, i, j = label
-        return Generator(label, G[i][j])
+        return Generator(label, G.grid[i][j])
     if tag == "component":
         _, sign, T, u = label
         for g in component_generators(sign, config):

@@ -97,6 +97,16 @@ class WrongKind(IsodetError):
     """Operation is only defined for the other kind of bilinear form."""
 
 
+class ExponentOutOfRange(IsodetError):
+    """A monomial's degree or an exponent does not fit the packed
+    monomial representation."""
+
+
+class ConsistencyCheckFailed(IsodetError):
+    """An exact identity that holds by construction came out false; this
+    marks a defect in the library, not in its input."""
+
+
 # ---------------------------------------------------------------- verify
 
 class BudgetExceeded(IsodetError):

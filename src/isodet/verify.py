@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
-from .equations import GeneratorSet, component_generators, rank_condition_generators
+from .equations import GeneratorSet, generators_for
 from .errors import BudgetExceeded, SignUndefinedForForm
 from .forms_orbits import (
     SYMMETRIC,
@@ -299,12 +299,6 @@ def exhaustive_census(
     )
 
 
-def _generators_for(params: OrbitParams, config: SpaceConfig) -> GeneratorSet:
-    if params.sign is not None:
-        return component_generators(params.sign, config)
-    return rank_condition_generators(params, config)
-
-
 def check_equation_cut(
     params: OrbitParams,
     config: SpaceConfig,
@@ -318,7 +312,7 @@ def check_equation_cut(
     to seeded sampling (uniform matrices plus points of every stratum)
     with a warning."""
     t0 = time.perf_counter()
-    gens = generators_override if generators_override is not None else _generators_for(params, config)
+    gens = generators_override if generators_override is not None else generators_for(params, config)
     warnings = []
     mismatches = 0
     witness = None
@@ -436,7 +430,7 @@ def check_closure_order(
     order_fn = order_override if order_override is not None else closure_leq
     classes = valid_params(config)
     gens = {
-        q: (generators_override(q, config) if generators_override is not None else _generators_for(q, config))
+        q: (generators_override(q, config) if generators_override is not None else generators_for(q, config))
         for q in classes
     }
     points = {

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from isodet.cli import dispatch, main, render_atlas
 from isodet.fields import field_create
@@ -208,3 +211,46 @@ def test_byte_determinism(capsys):
 
 def test_main_returns_int():
     assert main(["atlas", "--kind", "alt", "-e", "1", "-f", "4"]) == 0
+
+
+# sha256 of stdout, recorded with the cofactor-expansion polynomial layer
+# that packed monomials and memoised minor tables replaced.
+GOLDEN_STDOUT = [
+    ("atlas --kind sym -e 4 -f 8 --field p=7 --format json",
+     "8ff19385b12fb453b14bbbb56df0bd03827104d108da23dbc1ceab4842e0666d"),
+    ("atlas --kind alt -e 4 -f 10 --field p=7 --format json",
+     "523adb885f9b5131b30a58b02435a4d8992e9ecad4f711a90748a3cca3250506"),
+    ("equations --kind sym -e 3 -f 4 --field p=7,ext=2 --params 2,0,+ --format json",
+     "66e26279524ad5f7bced8045717ed809098c28ab02595927e3e45fb95e0a56ff"),
+    ("equations --kind alt -e 3 -f 6 --params 2,0 --format json",
+     "c4474dfe2f0ba4da9415d72262c337d1cd7116219dc09b702539126f84f41473"),
+    ("equations --kind sym -e 3 -f 4 --params 2,0,-",
+     "a5254fc592afff815b98cd231fc18ab5e5b1abde571249261ebbc52212d4fc1a"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT)
+def test_golden_bytes(capsys, argv, digest):
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("atlas", "--kind", "sym", "-e", "2", "-f", "4", "--field", "foo"),
+        ("atlas", "--kind", "sym", "-e", "2", "-f", "4", "--field", "p=abc"),
+        ("atlas", "--kind", "sym", "-e", "2", "-f", "4", "--field", "p=7,ext=3"),
+        ("equations", "--kind", "sym", "-e", "2", "-f", "4", "--params", "1"),
+        ("sample", "--kind", "sym", "-e", "2", "-f", "4", "--params", "2,x"),
+        ("verify", "counts", "--kind", "sym", "-e", "1", "-f", "3", "--field", "p=3",
+         "--primes", "3,x"),
+    ],
+)
+def test_malformed_text_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("isodet: error: ")

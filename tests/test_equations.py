@@ -1,10 +1,15 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from isodet import equations
 from isodet.errors import (
+    ConsistencyCheckFailed,
     EigenvalueNotInField,
     ExceptionalNeedsSign,
+    ExponentOutOfRange,
     InvalidParams,
     OddDimension,
     WrongKind,
@@ -24,12 +29,14 @@ from isodet.forms_orbits import (
 )
 from isodet.equations import (
     Polynomial,
+    StarOperator,
     component_generators,
     evaluate,
     generic_gram_map,
     generic_matrix,
     minor_polynomial,
     poly_det,
+    poly_pfaffian,
     rank_condition_generators,
     rebuild_generator,
     star_operator,
@@ -91,6 +98,115 @@ def test_minor_polynomial_cross_module_agreement():
         T, S = (0, 2), (1, 4)
         assert minor_polynomial(cfg, T, S).evaluate(phi.flat()) == phi.minor(T, S)
     assert evaluate(minor_polynomial(cfg, (0, 1), (0, 1)), phi) == phi.minor((0, 1), (0, 1))
+
+
+def _random_dense_terms(rng, nvars, field):
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        exps = [0] * nvars
+        for _ in range(rng.randint(0, 5)):
+            exps[rng.randrange(nvars)] += rng.choice((1, 1, 2, 7))
+        terms[tuple(exps)] = field.from_int(rng.randint(-3, 3))
+    return terms
+
+
+def test_packed_monomials_round_trip():
+    rng = random.Random(5)
+    for nvars in (1, 3, 12, 40):
+        for _ in range(60):
+            dense = _random_dense_terms(rng, nvars, Q)
+            poly = Polynomial(Q, nvars, dense)
+            nonzero = {k: v for k, v in dense.items() if v != Q.zero}
+            by_grlex = sorted(nonzero.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+            assert poly.sorted_terms() == by_grlex
+            assert poly.degree() == max((sum(k) for k in nonzero), default=-1)
+            assert poly.is_homogeneous() == (len({sum(k) for k in nonzero}) <= 1)
+            assert poly.to_json()["terms"] == [
+                {"exps": list(k), "coeff": Q.render(c)} for k, c in by_grlex
+            ]
+            # products add exponent vectors; no chunk carries into the next
+            other = _random_dense_terms(rng, nvars, Q)
+            product: dict = {}
+            for k1, c1 in nonzero.items():
+                for k2, c2 in other.items():
+                    k = tuple(a + b for a, b in zip(k1, k2))
+                    product[k] = product.get(k, Q.zero) + c1 * c2
+            assert poly * Polynomial(Q, nvars, other) == Polynomial(Q, nvars, product)
+
+
+def test_oversize_exponent_raises():
+    assert Polynomial(Q, 2, {(255, 0): Q.one}).degree() == 255
+    for exps in ((256, 0), (200, 100), (-1, 0)):
+        with pytest.raises(ExponentOutOfRange):
+            Polynomial(Q, 2, {exps: Q.one})
+    x = Polynomial(Q, 1, {(200,): Q.one})
+    with pytest.raises(ExponentOutOfRange):
+        x * x
+
+
+# ---------------------------------------------------------------- sympy oracle
+
+def _sympy_terms(sympy, expr, symbols, field):
+    """Coefficient map of an integer-coefficient sympy expression, expanded
+    and reduced into ``field``."""
+    out = {}
+    for monom, coeff in sympy.Poly(sympy.expand(expr), *symbols).terms():
+        num, den = int(coeff.p), int(coeff.q)
+        if field.kind == "rationals":
+            value = Fraction(num, den)
+        else:
+            value = num * pow(den, -1, field.p) % field.p
+        if value != field.zero:
+            out[monom] = value
+    return out
+
+
+def _sympy_generic(sympy, cfg):
+    """Symbols of the generic matrix X (row-major) and its Gram image
+    X K X^t, with K the split form's integer Gram matrix."""
+    e, f = cfg.e, cfg.f
+    symbols = sympy.symbols(f"x0:{e * f}")
+    X = sympy.Matrix(e, f, symbols)
+    K = sympy.Matrix(split_config(e, f, cfg.kind, Q).form.gram.data)
+    return symbols, X, X * K * X.T
+
+
+@pytest.mark.parametrize("field", [Q, F7], ids=["Q", "F7"])
+@pytest.mark.parametrize("e,f", [(3, 4), (4, 5)])
+def test_minors_match_sympy(field, e, f):
+    sympy = pytest.importorskip("sympy")
+    cfg = split_config(e, f, "symmetric", field)
+    symbols, X, _ = _sympy_generic(sympy, cfg)
+    rows = tuple(range(e))
+    for S in combinations(range(f), e):
+        expected = _sympy_terms(sympy, X[list(rows), list(S)].det(), symbols, field)
+        assert dict(minor_polynomial(cfg, rows, S).sorted_terms()) == expected
+
+
+@pytest.mark.parametrize("field", [Q, F7], ids=["Q", "F7"])
+def test_gram_minors_match_sympy(field):
+    sympy = pytest.importorskip("sympy")
+    cfg = split_config(3, 6, "symmetric", field)
+    symbols, _, G = _sympy_generic(sympy, cfg)
+    gens = rank_condition_generators(OrbitParams(3, 2), cfg)
+    assert [g.label for g in gens] == [("gram-minor", (0, 1, 2), (0, 1, 2))]
+    expected = _sympy_terms(sympy, G.det(method="berkowitz"), symbols, field)
+    assert dict(gens.generators[0].poly.sorted_terms()) == expected
+    assert poly_det(generic_gram_map(cfg)) == gens.generators[0].poly
+
+
+@pytest.mark.parametrize("field", [Q, F7], ids=["Q", "F7"])
+def test_gram_pfaffian_matches_sympy(field):
+    sympy = pytest.importorskip("sympy")
+    cfg = split_config(4, 4, "alternating", field)
+    symbols, _, G = _sympy_generic(sympy, cfg)
+    pf = G[0, 1] * G[2, 3] - G[0, 2] * G[1, 3] + G[0, 3] * G[1, 2]
+    assert sympy.expand(pf**2 - G.det(method="berkowitz")) == 0
+    gens = rank_condition_generators(OrbitParams(3, 2), cfg)
+    (pfaffian,) = [g for g in gens if g.label[0] == "gram-pfaffian"]
+    assert pfaffian.label == ("gram-pfaffian", (0, 1, 2, 3))
+    assert dict(pfaffian.poly.sorted_terms()) == _sympy_terms(sympy, pf, symbols, field)
+    assert poly_pfaffian(generic_gram_map(cfg)) == pfaffian.poly
 
 
 # ---------------------------------------------------------------- rank-condition generators
@@ -218,6 +334,25 @@ def test_star_errors():
     frm = BilinearForm("symmetric", Matrix.identity(F49, 2))
     st = star_operator(frm)
     assert F49.mul(st.mu, st.mu) == F49.neg(F49.one)
+
+
+def test_star_built_once_per_form():
+    frm = BilinearForm.split(F5, "symmetric", 4)
+    assert star_operator(frm) is star_operator(BilinearForm.split(F5, "symmetric", 4))
+
+
+def test_star_consistency_checks_raise_typed_errors(monkeypatch):
+    # a wrong shuffle sign breaks star^2 = mu^2 * id
+    monkeypatch.setattr(equations, "_STARS", {})
+    monkeypatch.setattr(equations, "_shuffle_sign", lambda F, S, f: (F.one, tuple(i for i in range(f) if i not in S)))
+    with pytest.raises(ConsistencyCheckFailed):
+        star_operator(BilinearForm("symmetric", Matrix.identity(F5, 2)))
+    # an operator whose reference ratio is not +/- mu
+    cfg = split_config(2, 4, "symmetric", F5)
+    real = star_operator(cfg.form)
+    fake = StarOperator(F5, 4, real.subsets, Matrix.identity(F5, len(real.subsets)).scale(2), F5.one)
+    with pytest.raises(ConsistencyCheckFailed):
+        equations._reference_eigenvalue(fake, cfg)
 
 
 # ---------------------------------------------------------------- component generators
