@@ -13,7 +13,7 @@ from .fields import (
     field_create,
     field_from_json,
 )
-from .linalg import Matrix, random_invertible, random_matrix
+from .linalg import Matrix, echelon, random_invertible, random_matrix
 from .forms_orbits import (
     ALTERNATING,
     SYMMETRIC,

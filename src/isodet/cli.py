@@ -13,7 +13,7 @@ import json
 import sys
 
 from .equations import generators_for
-from .errors import InvalidForm, IsodetError
+from .errors import IsodetError, MalformedInput
 from .fields import field_create
 from .forms_orbits import (
     BilinearForm,
@@ -82,21 +82,25 @@ def parse_primes_spec(spec: str) -> tuple:
         raise UsageError(f"--primes: expected comma-separated integers, got {spec!r}") from None
 
 
+def load_input(path: str, build):
+    """``build`` applied to the JSON document in ``path``; a file that is
+    not JSON, or whose content ``build`` cannot parse, raises
+    MalformedInput.  A missing file stays a FileNotFoundError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return build(json.load(fh))
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError, LookupError, TypeError, ZeroDivisionError) as exc:
+        raise MalformedInput(f"{path}: {type(exc).__name__}: {exc}") from None
+
+
 def resolve_form(args, field, f: int) -> BilinearForm:
-    kind = KINDS[args.kind]
-    gram = args.gram
-    if gram == "split":
-        return BilinearForm.split(field, kind, f)
-    if gram == "identity":
-        if kind != "symmetric":
-            raise InvalidForm("identity Gram matrix is not alternating")
-        return BilinearForm(kind, Matrix.identity(field, f))
-    if gram.startswith("file:"):
-        with open(gram[5:], encoding="utf-8") as fh:
-            obj = json.load(fh)
-        rows = [[field.parse(s) for s in row] for row in obj["rows"]]
-        return BilinearForm(kind, Matrix(field, rows))
-    raise InvalidForm(f"unknown gram choice {gram!r}")
+    """--gram split | identity | file:<path to {"rows": [...]}>."""
+    spec = {"kind": KINDS[args.kind], "gram": args.gram}
+    if args.gram.startswith("file:"):
+        return load_input(args.gram[5:], lambda gram: BilinearForm.from_json(field, {**spec, "gram": gram}, f))
+    return BilinearForm.from_json(field, spec, f)
 
 
 def resolve_config(args) -> SpaceConfig:
@@ -218,9 +222,7 @@ def _cmd_atlas(args) -> int:
 
 def _cmd_classify(args) -> int:
     config = resolve_config(args)
-    with open(args.infile, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    phi = Matrix.from_json(obj, field=config.field)
+    phi = load_input(args.infile, lambda obj: Matrix.from_json(obj, field=config.field))
     params = classify(phi, config)
     if args.format == "json":
         print(json.dumps({"config": config.to_json(), "params": params.to_json()}, sort_keys=True))
@@ -275,10 +277,9 @@ def _cmd_sample(args) -> int:
 def _cmd_solve_congruence(args) -> int:
     field = parse_field_spec(args.field)
     form = resolve_form(args, field, args.f)
-    with open(args.infile, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    S = Matrix.from_json(obj["S"], field=field)
-    A = Matrix.from_json(obj["A"], field=field)
+    S, A = load_input(
+        args.infile, lambda obj: (Matrix.from_json(obj["S"], field=field), Matrix.from_json(obj["A"], field=field))
+    )
     B = solve_congruence(S, A, form)
     residual = (A @ form.gram @ B.T) + (B @ form.gram @ A.T) - S
     residual_zero = all(field.is_zero(v) for row in residual.data for v in row)

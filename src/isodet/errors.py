@@ -111,3 +111,10 @@ class ConsistencyCheckFailed(IsodetError):
 
 class BudgetExceeded(IsodetError):
     """Enumeration would visit more matrices than the budget allows."""
+
+
+# ---------------------------------------------------------------- cli
+
+class MalformedInput(IsodetError):
+    """An input file cannot be read as the JSON document the command
+    expects (not JSON, a missing key, an entry that does not parse)."""

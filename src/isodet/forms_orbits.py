@@ -39,7 +39,7 @@ from .errors import (
     SymmetryMismatch,
 )
 from .fields import Field
-from .linalg import Matrix, random_invertible
+from .linalg import Matrix, echelon, random_invertible
 
 SYMMETRIC = "symmetric"
 ALTERNATING = "alternating"
@@ -167,7 +167,11 @@ class BilinearForm:
         if gram == "identity":
             if f is None:
                 raise InvalidForm("identity form needs the dimension f")
+            if obj["kind"] != SYMMETRIC:
+                raise InvalidForm("identity Gram matrix is not alternating")
             return cls(obj["kind"], Matrix.identity(field, f))
+        if isinstance(gram, str):
+            raise InvalidForm(f"unknown gram choice {gram!r}")
         rows = [[field.parse(s) for s in row] for row in gram["rows"]]
         return cls(obj["kind"], Matrix(field, rows))
 
@@ -235,27 +239,11 @@ def _split_hyperbolic(form: BilinearForm) -> HyperbolicBasis:
 
 
 def _independent_subset(field: Field, vectors, dim: int):
-    """First (in order) linearly independent subset of the given size."""
-    zero, mul, sub, inv = field.zero, field.mul, field.sub, field.inv
-    reduced: list[tuple[int, list]] = []
-    out = []
-    for v in vectors:
-        w = list(v)
-        for pc, prow in reduced:
-            c = w[pc]
-            if c == zero:
-                continue
-            for j in range(len(w)):
-                w[j] = sub(w[j], mul(c, prow[j]))
-        pc = next((j for j in range(len(w)) if w[j] != zero), None)
-        if pc is None:
-            continue
-        pinv = inv(w[pc])
-        reduced.append((pc, [mul(pinv, x) for x in w]))
-        out.append(v)
-        if len(out) == dim:
-            break
-    return out
+    """First (in order) linearly independent subset of the given size:
+    the vectors at the pivot columns of the matrix that has them as
+    columns."""
+    pivots = echelon(field, [list(col) for col in zip(*vectors)])[0]
+    return [vectors[i] for i in pivots[:dim]]
 
 
 def _perp_within(form: BilinearForm, span, plane):

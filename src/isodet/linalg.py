@@ -1,6 +1,10 @@
-"""Dense exact matrices and the elimination kernels every rank condition
-reduces to: rank, determinant, Pfaffian, minors, one-sided inverses and
-null spaces.
+"""Dense exact matrices and the one elimination kernel every rank
+condition reduces to.
+
+:func:`echelon` is Gauss-Jordan elimination to reduced row-echelon form;
+rank, determinant, minors, inverse, left inverse and null space are thin
+views of it.  The Pfaffian keeps its own expansion, which makes it an
+independent check on the determinant (pf^2 = det).
 
 Entries are raw field payloads (see :mod:`isodet.fields`); a matrix never
 mixes fields.  Matrices are immutable after construction and all
@@ -151,17 +155,17 @@ class Matrix:
             )
         F = self.field
         add, mul, zero = F.add, F.mul, F.zero
-        bcols = tuple(zip(*other.data)) if other.data else ()
+        # row i of the product is sum_k a_ik * (row k of other), over the
+        # non-zero a_ik and the non-zero entries of row k only
+        bsupport = [[(j, b) for j, b in enumerate(brow) if b != zero] for brow in other.data]
         out = []
         for arow in self.data:
-            orow = []
-            for bcol in bcols:
-                acc = zero
-                for a, b in zip(arow, bcol):
-                    if a != zero and b != zero:
-                        acc = add(acc, mul(a, b))
-                orow.append(acc)
-            out.append(orow)
+            acc = [zero] * other.cols
+            for a, brow in zip(arow, bsupport):
+                if a != zero:
+                    for j, b in brow:
+                        acc[j] = add(acc[j], mul(a, b))
+            out.append(acc)
         return Matrix(F, out, self.rows, other.cols)
 
     def vstack(self, other: "Matrix") -> "Matrix":
@@ -197,96 +201,23 @@ class Matrix:
         return [list(row) for row in self.data]
 
     def rank(self) -> int:
-        F = self.field
-        zero, mul, sub, inv = F.zero, F.mul, F.sub, F.inv
-        rows = self._mutable()
-        m, n = self.rows, self.cols
-        r = 0
-        for c in range(n):
-            pivot = None
-            for i in range(r, m):
-                if rows[i][c] != zero:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            prow = rows[r]
-            pinv = inv(prow[c])
-            for i in range(r + 1, m):
-                v = rows[i][c]
-                if v == zero:
-                    continue
-                factor = mul(v, pinv)
-                irow = rows[i]
-                for j in range(c, n):
-                    irow[j] = sub(irow[j], mul(factor, prow[j]))
-            r += 1
-            if r == m:
-                break
-        return r
+        return len(echelon(self.field, self._mutable())[0])
 
     def det(self):
         if self.rows != self.cols:
             raise NonSquare("determinant of a non-square matrix")
-        F = self.field
-        zero, mul, sub, inv = F.zero, F.mul, F.sub, F.inv
-        n = self.rows
-        rows = self._mutable()
-        det = F.one
-        for c in range(n):
-            pivot = None
-            for i in range(c, n):
-                if rows[i][c] != zero:
-                    pivot = i
-                    break
-            if pivot is None:
-                return zero
-            if pivot != c:
-                rows[c], rows[pivot] = rows[pivot], rows[c]
-                det = F.neg(det)
-            prow = rows[c]
-            det = mul(det, prow[c])
-            pinv = inv(prow[c])
-            for i in range(c + 1, n):
-                v = rows[i][c]
-                if v == zero:
-                    continue
-                factor = mul(v, pinv)
-                irow = rows[i]
-                for j in range(c, n):
-                    irow[j] = sub(irow[j], mul(factor, prow[j]))
-        return det
+        pivots, factor = echelon(self.field, self._mutable())
+        return factor if len(pivots) == self.rows else self.field.zero
 
     def inverse(self) -> "Matrix":
+        """Right half of the reduced row-echelon form of [A | I]."""
         if self.rows != self.cols:
             raise NonSquare("inverse of a non-square matrix")
-        F = self.field
-        zero, mul, sub, inv = F.zero, F.mul, F.sub, F.inv
-        n = self.rows
-        rows = self._mutable()
-        aug = [row + [F.one if i == j else zero for j in range(n)] for i, row in enumerate(rows)]
-        for c in range(n):
-            pivot = None
-            for i in range(c, n):
-                if aug[i][c] != zero:
-                    pivot = i
-                    break
-            if pivot is None:
-                raise RankDeficient("matrix is singular")
-            aug[c], aug[pivot] = aug[pivot], aug[c]
-            pinv = inv(aug[c][c])
-            aug[c] = [mul(pinv, v) for v in aug[c]]
-            prow = aug[c]
-            for i in range(n):
-                if i == c:
-                    continue
-                v = aug[i][c]
-                if v == zero:
-                    continue
-                irow = aug[i]
-                for j in range(c, 2 * n):
-                    irow[j] = sub(irow[j], mul(v, prow[j]))
+        F, n = self.field, self.rows
+        aug = [row + [F.one if i == j else F.zero for j in range(n)] for i, row in enumerate(self._mutable())]
+        pivots, _ = echelon(F, aug)
+        if pivots != list(range(n)):
+            raise RankDeficient("matrix is singular")
         return Matrix(F, [row[n:] for row in aug], n, n)
 
     def pfaffian(self):
@@ -343,83 +274,83 @@ class Matrix:
         """Some Y with Y @ self = identity; needs full column rank.
 
         Deterministic: the first maximal independent set of rows (in row
-        order) is inverted and embedded, so repeated calls agree.
+        order, i.e. the pivot columns of the transpose) is inverted and
+        embedded, so repeated calls agree.
         """
-        F = self.field
-        zero, mul, sub, inv = F.zero, F.mul, F.sub, F.inv
         n = self.cols
-        chosen: list[int] = []
-        reduced: list[tuple[int, list]] = []  # (pivot column, reduced row)
-        for i in range(self.rows):
-            v = list(self.data[i])
-            for pc, prow in reduced:
-                coef = v[pc]
-                if coef == zero:
-                    continue
-                for j in range(n):
-                    v[j] = sub(v[j], mul(coef, prow[j]))
-            pc = next((j for j in range(n) if v[j] != zero), None)
-            if pc is None:
-                continue
-            pinv = inv(v[pc])
-            v = [mul(pinv, x) for x in v]
-            reduced.append((pc, v))
-            chosen.append(i)
-            if len(chosen) == n:
-                break
+        chosen = echelon(self.field, [list(col) for col in zip(*self.data)])[0]
         if len(chosen) < n:
             raise RankDeficient("matrix does not have full column rank")
         block = self.submatrix(chosen, range(n)).inverse()
-        out = [[zero] * self.rows for _ in range(n)]
+        out = [[self.field.zero] * self.rows for _ in range(n)]
         for k, i in enumerate(chosen):
             for r in range(n):
                 out[r][i] = block.data[r][k]
-        return Matrix(F, out, n, self.rows)
+        return Matrix(self.field, out, n, self.rows)
 
     def kernel_basis(self) -> list[tuple]:
         """Basis of the right null space; length equals cols - rank."""
         F = self.field
-        zero, one, mul, sub, inv, neg = F.zero, F.one, F.mul, F.sub, F.inv, F.neg
         rows = self._mutable()
-        m, n = self.rows, self.cols
-        pivots: list[int] = []  # pivot column of row r
-        r = 0
-        for c in range(n):
-            pivot = None
-            for i in range(r, m):
-                if rows[i][c] != zero:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            pinv = inv(rows[r][c])
-            rows[r] = [mul(pinv, v) for v in rows[r]]
-            prow = rows[r]
-            for i in range(m):
-                if i == r:
-                    continue
-                v = rows[i][c]
-                if v == zero:
-                    continue
-                irow = rows[i]
-                for j in range(c, n):
-                    irow[j] = sub(irow[j], mul(v, prow[j]))
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
+        pivots = echelon(F, rows)[0]
+        n = self.cols
         pivot_set = set(pivots)
         basis = []
         for free in range(n):
             if free in pivot_set:
                 continue
-            vec = [zero] * n
-            vec[free] = one
+            vec = [F.zero] * n
+            vec[free] = F.one
             for rr, pc in enumerate(pivots):
-                vec[pc] = neg(rows[rr][free])
+                vec[pc] = F.neg(rows[rr][free])
             basis.append(tuple(vec))
         return basis
+
+
+def echelon(field: Field, rows: list) -> tuple[list[int], object]:
+    """Gauss-Jordan elimination of a list of equal-length mutable rows, in
+    place, to reduced row-echelon form: the first ``len(pivots)`` rows are
+    the normalised basis of the row space and the rest are zero.
+
+    The pivot of each column is its first non-zero entry at or below the
+    current row.  Returns the pivot columns and the determinant factor
+    (product of the pivots times the sign of the row swaps), which is the
+    determinant of a square input of full rank.
+    """
+    zero, one, mul, sub = field.zero, field.one, field.mul, field.sub
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots: list[int] = []
+    factor = one
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        for pivot in range(r, m):
+            if rows[pivot][c] != zero:
+                break
+        else:
+            continue
+        prow = rows[pivot]
+        if pivot != r:
+            rows[pivot] = rows[r]
+            factor = field.neg(factor)
+        lead = prow[c]
+        if lead != one:
+            factor = mul(factor, lead)
+            pinv = field.inv(lead)
+            prow = [mul(pinv, v) for v in prow]
+        rows[r] = prow
+        support = [(j, prow[j]) for j in range(c + 1, n) if prow[j] != zero]
+        for i, irow in enumerate(rows):
+            v = irow[c]
+            if v != zero and i != r:
+                irow[c] = zero
+                for j, b in support:
+                    irow[j] = sub(irow[j], mul(v, b))
+        pivots.append(c)
+        r += 1
+    return pivots, factor
 
 
 def random_matrix(field: Field, rows: int, cols: int, rng) -> Matrix:

@@ -2,12 +2,15 @@
 sampling that tie every formula in the library back to an independent
 check, emitting machine-readable reports.
 
-Sweeps enumerate matrices in odometer order over the entries (row-major,
-last entry fastest), so shards split cleanly by prefix and merges are
-deterministic.  Classification of a full enumeration space is cached per
-configuration; prime fields additionally get a flat-integer fast path
-(the same formulas on raw residues) that the test suite cross-checks
-against the generic classifier.
+Every exhaustive check walks one sweep, :func:`_sweep`: all matrices of
+the space in odometer order over the entries (row-major, last entry
+fastest), so positions, tables and witnesses agree between checks.
+
+The stratum of a matrix depends only on its row space W: r1 = dim W, r2
+is the rank of the form on W, and the sign is read off dim(W meet L0).
+The classification table therefore keys each matrix by its reduced
+row-echelon form and classifies each distinct row space once; the table
+is cached per configuration.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from .equations import GeneratorSet, generators_for
-from .errors import BudgetExceeded, SignUndefinedForForm
+from .errors import BudgetExceeded
 from .forms_orbits import (
-    SYMMETRIC,
     OrbitParams,
     SpaceConfig,
     classify,
@@ -35,7 +37,7 @@ from .forms_orbits import (
     valid_params,
 )
 from .fields import field_create
-from .linalg import Matrix
+from .linalg import Matrix, echelon, random_matrix
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -117,6 +119,11 @@ def decode_matrix(config: SpaceConfig, index: int) -> Matrix:
     return Matrix(config.field, [digits[i * f : (i + 1) * f] for i in range(config.e)])
 
 
+def _sweep(config: SpaceConfig):
+    """Flat entry tuples of every matrix of the space, in odometer order."""
+    return product(config.field.elements(), repeat=config.e * config.f)
+
+
 def classification_table(config: SpaceConfig, budget: int = DEFAULT_BUDGET):
     """(classes, codes): stratum labels and, for every matrix in odometer
     order, the index of its stratum in ``classes``."""
@@ -124,107 +131,27 @@ def classification_table(config: SpaceConfig, budget: int = DEFAULT_BUDGET):
     cached = _CLASS_CACHE.get(key)
     if cached is not None:
         return cached
-    total = enumeration_space(config, budget)
+    codes = bytearray(enumeration_space(config, budget))
     classes = list(valid_params(config))
     index = {p: i for i, p in enumerate(classes)}
-    if config.field.kind == "prime":
-        codes = _classify_space_prime(config, total, classes, index)
-    else:
-        codes = _classify_space_generic(config, total, classes, index)
-    result = (classes, codes)
+    F, e, f = config.field, config.e, config.f
+    by_space: dict = {}  # reduced row-echelon basis -> stratum code
+    for pos, entries in enumerate(_sweep(config)):
+        rows = [list(entries[i * f : (i + 1) * f]) for i in range(e)]
+        rank = len(echelon(F, rows)[0])
+        space = tuple(tuple(row) for row in rows[:rank])
+        code = by_space.get(space)
+        if code is None:
+            params = classify(Matrix(F, rows, e, f), config)
+            code = index.get(params)
+            if code is None:  # defensive: record unexpected strata
+                index[params] = code = len(classes)
+                classes.append(params)
+            by_space[space] = code
+        codes[pos] = code
+    result = (classes, bytes(codes))
     _CLASS_CACHE[key] = result
     return result
-
-
-def _classify_space_generic(config, total, classes, index):
-    codes = bytearray(total)
-    f = config.f
-    e = config.e
-    elems = list(config.field.elements())
-    for pos, entries in enumerate(product(elems, repeat=e * f)):
-        phi = Matrix(config.field, [entries[i * f : (i + 1) * f] for i in range(e)], e, f)
-        p = classify(phi, config)
-        code = index.get(p)
-        if code is None:  # defensive: record unexpected strata
-            index[p] = code = len(classes)
-            classes.append(p)
-        codes[pos] = code
-    return bytes(codes)
-
-
-def _rank_mod(rows, p, inv_table):
-    """Rank of a small list-of-lists of residues; destroys its input."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, m):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        pinv = inv_table[prow[c]]
-        for i in range(r + 1, m):
-            v = rows[i][c]
-            if v:
-                factor = v * pinv % p
-                irow = rows[i]
-                for j in range(c, n):
-                    irow[j] = (irow[j] - factor * prow[j]) % p
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def _classify_space_prime(config, total, classes, index):
-    """Flat-integer sweep: same rank / Gram-rank / sign formulas on raw
-    residues, avoiding per-matrix object overhead."""
-    p = config.field.p
-    e, f = config.e, config.f
-    K = [[int(v) for v in row] for row in config.form.gram.data]
-    inv_table = [0] + [pow(i, p - 2, p) for i in range(1, p)]
-    signed = config.kind == SYMMETRIC and f % 2 == 0 and f // 2 <= e
-    half = f // 2
-    ref_rows = None
-    if signed:
-        try:
-            ref_rows = [list(r) for r in config.form.reference_isotropic().data]
-        except SignUndefinedForForm:
-            ref_rows = None
-    codes = bytearray(total)
-    kcols = list(zip(*K))
-    for pos, entries in enumerate(product(range(p), repeat=e * f)):
-        rows = [list(entries[i * f : (i + 1) * f]) for i in range(e)]
-        # Gram image: (row_i . K) . row_j
-        kv = [
-            [sum(r[k] * col[k] for k in range(f)) % p for col in kcols]
-            for r in rows
-        ]
-        G = [[sum(kv[i][k] * rows[j][k] for k in range(f)) % p for j in range(e)] for i in range(e)]
-        r2 = _rank_mod(G, p, inv_table)
-        r1 = _rank_mod(rows, p, inv_table)
-        sign = None
-        if signed and r1 == half and r2 == 0:
-            if ref_rows is None:
-                raise SignUndefinedForForm(
-                    "form has no reference maximal isotropic subspace over this field"
-                )
-            stack = [list(entries[i * f : (i + 1) * f]) for i in range(e)]
-            stack += [list(r) for r in ref_rows]
-            inter = r1 + half - _rank_mod(stack, p, inv_table)
-            sign = "+" if (half - inter) % 2 == 0 else "-"
-        params = OrbitParams(r1, r2, sign)
-        code = index.get(params)
-        if code is None:
-            index[params] = code = len(classes)
-            classes.append(params)
-        codes[pos] = code
-    return bytes(codes)
 
 
 def _compile_for_prime(gens: GeneratorSet, p: int):
@@ -244,6 +171,12 @@ def _all_vanish_prime(compiled, vals, p) -> bool:
         if total % p:
             return False
     return True
+
+
+def _all_vanish(polys, vals, zero) -> bool:
+    """Whether every polynomial vanishes at the flat entry tuple ``vals``;
+    the same signature as the prime evaluator."""
+    return all(poly.evaluate(vals) == zero for poly in polys)
 
 
 # --------------------------------------------------------------------------
@@ -351,22 +284,15 @@ def check_equation_cut(
         member_of = [closure_leq(c, params, config) for c in classes]
         if config.field.kind == "prime":
             p = config.field.p
-            compiled = _compile_for_prime(gens, p)
-            e, f = config.e, config.f
-            for pos, entries in enumerate(product(range(p), repeat=e * f)):
-                record(pos, member_of[codes[pos]], _all_vanish_prime(compiled, entries, p))
+            vanish, polys, arg = _all_vanish_prime, _compile_for_prime(gens, p), p
         else:
-            elems = list(config.field.elements())
-            e, f = config.e, config.f
-            for pos, entries in enumerate(product(elems, repeat=e * f)):
-                phi = Matrix(config.field, [entries[i * f : (i + 1) * f] for i in range(e)], e, f)
-                record(pos, member_of[codes[pos]], gens.all_vanish(phi))
+            vanish, polys, arg = _all_vanish, [g.poly for g in gens], config.field.zero
+        for pos, entries in enumerate(_sweep(config)):
+            record(pos, member_of[codes[pos]], vanish(polys, entries, arg))
         mode = {"kind": "exhaustive", "space": len(codes)}
     else:
         rng = random.Random(seed)
         e, f = config.e, config.f
-        from .linalg import random_matrix
-
         for _ in range(samples):
             phi = random_matrix(config.field, e, f, rng)
             cls = classify(phi, config)

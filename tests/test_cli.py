@@ -254,3 +254,36 @@ def test_malformed_text_is_usage_error(capsys, argv):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("isodet: error: ")
+
+
+CLASSIFY = ("classify", "--kind", "sym", "-e", "2", "-f", "4", "--field", "p=5", "--in")
+GRAM_ATLAS = ("atlas", "--kind", "alt", "-e", "2", "-f", "4", "--field", "p=5", "--gram")
+SOLVE = ("solve-congruence", "--kind", "alt", "-f", "4", "--field", "p=5", "--in")
+
+
+@pytest.mark.parametrize(
+    "prefix,content,as_gram",
+    [
+        (CLASSIFY, "not json", False),
+        (CLASSIFY, json.dumps({"rows": [["1", "0", "0", "0"], ["0", "a", "0", "0"]]}), False),
+        (CLASSIFY, json.dumps({"field": {"kind": "prime", "p": 5}}), False),
+        (CLASSIFY, None, False),  # the path is a directory
+        (GRAM_ATLAS, "not json", True),
+        (GRAM_ATLAS, json.dumps({"gram": [["0", "1"], ["-1", "0"]]}), True),
+        (SOLVE, json.dumps({"A": {"rows": [["1", "0", "0", "0"], ["0", "0", "1", "0"]]}}), False),
+    ],
+    ids=["classify-not-json", "classify-bad-entry", "classify-no-rows", "classify-directory",
+         "gram-not-json", "gram-no-rows", "solve-no-S"],
+)
+def test_malformed_input_file_is_domain_error(tmp_path, capsys, prefix, content, as_gram):
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    arg = f"file:{path}" if as_gram else str(path)
+    code, out, err = run(capsys, *prefix, arg)
+    assert code == 1
+    assert out == ""
+    diagnostic = json.loads(err.splitlines()[-1])
+    assert diagnostic["error"] == "MalformedInput"

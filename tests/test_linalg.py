@@ -238,3 +238,89 @@ def test_zero_dimensional_edges():
     n = Matrix(F5, [[], []], 2, 0)
     assert n.rank() == 0
     assert n.left_inverse().rows == 0
+
+
+# ---------------------------------------------------------------- sympy oracle
+# rank, det, inverse, null space and left-inverse row choice of the one
+# elimination kernel against sympy's DomainMatrix over GF(7) and QQ.
+
+def _sympy_case(F):
+    sympy_matrices = pytest.importorskip("sympy.polys.matrices")
+    from fractions import Fraction
+
+    from sympy import GF, QQ
+
+    if F == Q:
+        K = QQ
+        to_dom = lambda v: QQ(v.numerator, v.denominator)
+        from_dom = lambda x: Fraction(int(x.numerator), int(x.denominator))
+    else:
+        K = GF(7)
+        to_dom = K
+        from_dom = lambda x: int(x) % 7
+
+    def dm(m: Matrix):
+        return sympy_matrices.DomainMatrix([[to_dom(v) for v in row] for row in m.data], (m.rows, m.cols), K)
+
+    def back(d) -> list:
+        return [[from_dom(x) for x in row] for row in d.to_list()]
+
+    return dm, back, from_dom
+
+
+def _oracle_matrices(F, rng):
+    """Square, wide, tall, singular (a product through a narrower
+    middle) and 0-row matrices."""
+    shapes = [(3, 3), (4, 4), (2, 5), (3, 6), (5, 2), (6, 3)]
+    out = [random_matrix(F, r, c, rng) for r, c in shapes for _ in range(3)]
+    for n, k in ((3, 1), (4, 2), (5, 3)):
+        out.append(random_matrix(F, n, k, rng) @ random_matrix(F, k, n, rng))
+        out.append(random_matrix(F, n + 1, k, rng) @ random_matrix(F, k, n, rng))
+    out += [Matrix(F, [], 0, 0), Matrix(F, [], 0, 3), Matrix.zeros(F, 3, 3)]
+    return out
+
+
+@pytest.mark.parametrize("F", [F7, Q], ids=["GF7", "QQ"])
+def test_kernel_against_sympy(F):
+    dm, back, scalar = _sympy_case(F)
+    rng = random.Random(2024)
+    for m in _oracle_matrices(F, rng):
+        d = dm(m)
+        rank = d.rank()
+        assert m.rank() == rank, m
+        if m.rows == m.cols:
+            assert m.det() == scalar(d.det()), m
+            if rank == m.rows:
+                assert m.inverse() == Matrix(F, back(d.inv()), m.rows, m.cols)
+            else:
+                with pytest.raises(RankDeficient):
+                    m.inverse()
+        basis = m.kernel_basis()
+        assert len(basis) == m.cols - rank == d.nullspace().shape[0]
+        if basis:
+            b = dm(Matrix(F, basis))
+            assert b.rank() == len(basis)  # independent
+            assert (d * b.transpose()).is_zero_matrix  # in the null space
+
+
+@pytest.mark.parametrize("F", [F7, Q], ids=["GF7", "QQ"])
+def test_left_inverse_rows_against_sympy(F):
+    dm, back, _ = _sympy_case(F)
+    rng = random.Random(7)
+    tall = [random_matrix(F, r, c, rng) for r, c in ((3, 3), (5, 2), (6, 3), (4, 4)) for _ in range(3)]
+    # rows 0 and 1 are dependent, so the first independent set skips row 1
+    first = random_matrix(F, 1, 3, rng)
+    tall.append(first.vstack(first.scale(F.from_int(2))).vstack(random_matrix(F, 3, 3, rng)))
+    tall.append(random_matrix(F, 5, 2, rng) @ random_matrix(F, 2, 3, rng))  # rank 2 < 3 columns
+    for m in tall:
+        d = dm(m)
+        if d.rank() < m.cols:
+            with pytest.raises(RankDeficient):
+                m.left_inverse()
+            continue
+        chosen = list(d.transpose().rref()[1])[: m.cols]
+        y = m.left_inverse()
+        used = sorted({i for row in y.data for i, v in enumerate(row) if v != F.zero})
+        assert set(used) <= set(chosen)
+        block = dm(m.submatrix(chosen, range(m.cols))).inv()
+        assert y.submatrix(range(m.cols), chosen) == Matrix(F, back(block))

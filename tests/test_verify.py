@@ -1,11 +1,14 @@
 import json
+from itertools import product
 
 import pytest
 
 from isodet.errors import BudgetExceeded
 from isodet.fields import field_create
 from isodet.forms_orbits import (
+    BilinearForm,
     OrbitParams,
+    SpaceConfig,
     classify,
     closure_leq,
     codimension,
@@ -76,6 +79,24 @@ def test_prime_fast_path_agrees_with_generic_classifier():
     for pos, entries in enumerate(product(elems, repeat=6)):
         phi = Matrix(F3, [entries[0:3], entries[3:6]], 2, 3)
         assert classes[codes[pos]] == classify(phi, cfg)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        split_config(1, 4, "symmetric", field_create("quadratic-extension", 3)),
+        SpaceConfig(2, 3, F5, BilinearForm("symmetric", Matrix.identity(F5, 3))),
+    ],
+    ids=["sym-e1f4-F9", "sym-e2f3-F5-identity"],
+)
+def test_row_space_table_agrees_with_classify(config):
+    # every matrix of the space, on a non-prime field and on a non-split form
+    classes, codes = classification_table(config)
+    assert len(codes) == config.field.order ** (config.e * config.f)
+    e, f = config.e, config.f
+    for pos, entries in enumerate(product(config.field.elements(), repeat=e * f)):
+        phi = Matrix(config.field, [entries[i * f : (i + 1) * f] for i in range(e)], e, f)
+        assert classes[codes[pos]] == classify(phi, config), phi
 
 
 def test_decode_matrix_roundtrip():
