@@ -570,7 +570,7 @@ def generators_for(params: OrbitParams, config: SpaceConfig) -> GeneratorSet:
 class StarOperator:
     """The involution (up to scalar) on the middle exterior power of F
     induced by the form: on the basis {e_S} of f/2-subsets it satisfies
-    matrix^2 = (-1)^{f/2} det(K) * identity = mu^2 * identity, and its two
+    matrix^2 = (-1)^{f/2} / det(K) * identity = mu^2 * identity, and its two
     eigenspaces are the halves that split the maximal minors."""
 
     field: Field
@@ -605,9 +605,9 @@ _STARS: dict = {}
 
 def star_operator(form: BilinearForm) -> StarOperator:
     """The half-form involution of an even-dimensional symmetric form,
-    built once per form.  Needs mu = sqrt((-1)^{f/2} det K) in the field;
-    otherwise raises with the remedy of passing a quadratic-extension
-    field."""
+    built once per form.  Needs mu = sqrt((-1)^{f/2} / det K) in the
+    field; otherwise raises with the remedy of passing a
+    quadratic-extension field."""
     star = _STARS.get(form)
     if star is not None:
         return star
@@ -618,8 +618,8 @@ def star_operator(form: BilinearForm) -> StarOperator:
         raise OddDimension("the half-form involution needs f even")
     F = form.field
     m = f // 2
-    detk = form.gram.det()
-    mu_sq = detk if m % 2 == 0 else F.neg(detk)
+    inv_det = F.inv(form.gram.det())
+    mu_sq = inv_det if m % 2 == 0 else F.neg(inv_det)
     mu = F.sqrt(mu_sq)
     if mu is None:
         raise EigenvalueNotInField(
@@ -628,14 +628,13 @@ def star_operator(form: BilinearForm) -> StarOperator:
         )
     subsets = tuple(combinations(range(f), m))
     n = len(subsets)
-    index = {S: i for i, S in enumerate(subsets)}
-    # Gram matrix of the induced pairing on the middle exterior power
-    G = Matrix(F, [[form.gram.minor(U, T) for T in subsets] for U in subsets], n, n)
-    P = [[F.zero] * n for _ in range(n)]
-    for S in subsets:
-        sgn, comp = _shuffle_sign(F, S, f)
-        P[index[comp]][index[S]] = sgn
-    star_matrix = G.inverse() @ Matrix(F, P, n, n)
+    # star = Lambda^m(K)^{-1} P for the wedge pairing P[S^c][S] = sgn(S, S^c),
+    # and Lambda^m(K)^{-1} = Lambda^m(K^{-1}) by Cauchy-Binet
+    kinv = form.gram.inverse()
+    shuffles = [_shuffle_sign(F, S, f) for S in subsets]
+    star_matrix = Matrix(
+        F, [[F.mul(sgn, kinv.submatrix(U, comp).det()) for sgn, comp in shuffles] for U in subsets], n, n
+    )
     if star_matrix @ star_matrix != Matrix.identity(F, n).scale(mu_sq):
         raise ConsistencyCheckFailed("the half-form involution does not square to mu^2")
     star = _STARS[form] = StarOperator(F, f, subsets, star_matrix, mu)

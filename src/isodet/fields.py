@@ -25,11 +25,6 @@ from math import isqrt
 
 from .errors import CharTwoUnsupported, CompositeModulus, ResidueIsSquare
 
-# Below this field order square roots are found by exhaustive scan (which
-# also yields the canonical root directly); above it a subgroup-descent
-# ladder is used.
-SQRT_SCAN_LIMIT = 10**6
-
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -138,9 +133,6 @@ class PrimeField(Field):
     def random(self, rng):
         return rng.randrange(self.p)
 
-    def is_square(self, a) -> bool:
-        return a == 0 or pow(a, (self.p - 1) // 2, self.p) == 1
-
     def sqrt(self, x):
         """Canonical square root of x, or None when x is a non-residue.
 
@@ -148,11 +140,6 @@ class PrimeField(Field):
         """
         if x == 0:
             return 0
-        if self.order <= SQRT_SCAN_LIMIT:
-            for r in range(self.p):
-                if r * r % self.p == x:
-                    return r
-            return None
         r = _sqrt_ladder(self, x)
         if r is None:
             return None
@@ -224,19 +211,11 @@ class QuadraticExtensionField(Field):
     def random(self, rng):
         return (rng.randrange(self.p), rng.randrange(self.p))
 
-    def is_square(self, a) -> bool:
-        return a == self.zero or self.pow(a, (self.order - 1) // 2) == self.one
-
     def sqrt(self, x):
         """Canonical square root, or None; picks the lexicographically
         smaller of the pair of roots."""
         if x == self.zero:
             return self.zero
-        if self.order <= SQRT_SCAN_LIMIT:
-            for r in self.elements():
-                if self.mul(r, r) == x:
-                    return r
-            return None
         r = _sqrt_ladder(self, x)
         if r is None:
             return None
@@ -320,7 +299,7 @@ class RationalField(Field):
 
 
 def _sqrt_ladder(field: Field, x):
-    """Square root in a finite field of odd order via subgroup descent.
+    """Square root in a finite field of odd order (Tonelli-Shanks).
 
     Returns one root of x (not canonicalized) or None for non-residues.
     """

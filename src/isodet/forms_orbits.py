@@ -30,6 +30,7 @@ from math import comb
 
 from .errors import (
     ConfigMismatch,
+    ConsistencyCheckFailed,
     DimensionMismatch,
     InsufficientWittIndex,
     InvalidForm,
@@ -39,7 +40,7 @@ from .errors import (
     SymmetryMismatch,
 )
 from .fields import Field
-from .linalg import Matrix, echelon, random_invertible
+from .linalg import Matrix, random_invertible
 
 SYMMETRIC = "symmetric"
 ALTERNATING = "alternating"
@@ -204,10 +205,8 @@ class BilinearForm:
         if self._hyperbolic is None:
             if self.is_split_standard():
                 self._hyperbolic = _split_hyperbolic(self)
-            elif self.kind == ALTERNATING:
-                self._hyperbolic = _alternating_hyperbolic(self)
             else:
-                self._hyperbolic = _symmetric_hyperbolic(self)
+                self._hyperbolic = _witt_hyperbolic(self)
         return self._hyperbolic
 
     def reference_isotropic(self) -> Matrix:
@@ -238,17 +237,9 @@ def _split_hyperbolic(form: BilinearForm) -> HyperbolicBasis:
     return HyperbolicBasis(pairs, anis)
 
 
-def _independent_subset(field: Field, vectors, dim: int):
-    """First (in order) linearly independent subset of the given size:
-    the vectors at the pivot columns of the matrix that has them as
-    columns."""
-    pivots = echelon(field, [list(col) for col in zip(*vectors)])[0]
-    return [vectors[i] for i in pivots[:dim]]
-
-
 def _perp_within(form: BilinearForm, span, plane):
-    """Basis of the subspace of ``span`` orthogonal to every vector in
-    ``plane`` (computed inside the span's coordinates)."""
+    """Basis of the subspace of the independent ``span`` orthogonal to
+    every vector in ``plane`` (computed inside the span's coordinates)."""
     F = form.field
     rows = [[form.beta(p, s) for s in span] for p in plane]
     coeffs = Matrix(F, rows, len(plane), len(span)).kernel_basis()
@@ -259,7 +250,7 @@ def _perp_within(form: BilinearForm, span, plane):
             if c != F.zero:
                 vec = _vec_add(F, vec, _vec_scale(F, c, s))
         out.append(vec)
-    return _independent_subset(F, out, len(span) - len(plane))
+    return out
 
 
 def _diagonalize_restriction(form: BilinearForm, span):
@@ -270,27 +261,25 @@ def _diagonalize_restriction(form: BilinearForm, span):
     vs = list(span)
     out = []
     while vs:
-        v = next((x for x in vs if not F.is_zero(form.beta(x, x))), None)
-        if v is None:
+        n = len(vs)
+        k = next((i for i in range(n) if not F.is_zero(form.beta(vs[i], vs[i]))), None)
+        if k is None:
             # all basis norms vanish; some cross pairing is non-zero by
-            # non-degeneracy, and v_i + v_j then has norm 2*beta != 0
-            found = None
-            for i in range(len(vs)):
-                for j in range(i + 1, len(vs)):
-                    if not F.is_zero(form.beta(vs[i], vs[j])):
-                        found = _vec_add(F, vs[i], vs[j])
-                        break
-                if found is not None:
-                    break
-            if found is None:
-                raise AssertionError("degenerate restriction in diagonalization")
-            v = found
+            # non-degeneracy, and v_i + v_k then has norm 2*beta != 0
+            i, k = next(
+                ((i, k) for i in range(n) for k in range(i + 1, n) if not F.is_zero(form.beta(vs[i], vs[k]))),
+                (None, None),
+            )
+            if k is None:
+                raise ConsistencyCheckFailed("degenerate restriction in diagonalization")
+            v = _vec_add(F, vs[i], vs[k])
+        else:
+            v = vs[k]
         out.append(v)
+        # the projection of v_k is zero (or minus that of v_i); those of the
+        # other vectors are a basis of the complement of v
         nv = form.beta(v, v)
-        projected = [
-            _vec_sub(F, w, _vec_scale(F, F.div(form.beta(w, v), nv), v)) for w in vs
-        ]
-        vs = _independent_subset(F, projected, len(vs) - 1)
+        vs = [_vec_sub(F, w, _vec_scale(F, F.div(form.beta(w, v), nv), v)) for i, w in enumerate(vs) if i != k]
     return out
 
 
@@ -324,16 +313,21 @@ def _find_isotropic(form: BilinearForm, diag):
     return None
 
 
-def _symmetric_hyperbolic(form: BilinearForm) -> HyperbolicBasis:
+def _witt_hyperbolic(form: BilinearForm) -> HyperbolicBasis:
+    """Split off pairs (v, u - beta(u, u)/2 v) with v isotropic (any vector
+    of an alternating form) and beta(v, u) = 1, then pass to their
+    orthogonal complement, until the span left over is anisotropic."""
     F = form.field
     two = F.add(F.one, F.one)
     span = [_unit(F, form.f, i) for i in range(form.f)]
     pairs = []
     while len(span) >= 2:
-        diag = _diagonalize_restriction(form, span)
-        v = _find_isotropic(form, diag)
-        if v is None:
-            break
+        if form.kind == ALTERNATING:
+            v = span[0]
+        else:
+            v = _find_isotropic(form, _diagonalize_restriction(form, span))
+            if v is None:
+                break
         u = next(w for w in span if not F.is_zero(form.beta(v, w)))
         u = _vec_scale(F, F.inv(form.beta(v, u)), u)
         u = _vec_sub(F, u, _vec_scale(F, F.div(form.beta(u, u), two), v))
@@ -341,19 +335,6 @@ def _symmetric_hyperbolic(form: BilinearForm) -> HyperbolicBasis:
         span = _perp_within(form, span, (v, u))
     anis = tuple(_diagonalize_restriction(form, span)) if span else ()
     return HyperbolicBasis(tuple(pairs), anis)
-
-
-def _alternating_hyperbolic(form: BilinearForm) -> HyperbolicBasis:
-    F = form.field
-    span = [_unit(F, form.f, i) for i in range(form.f)]
-    pairs = []
-    while span:
-        v = span[0]
-        u = next(w for w in span if not F.is_zero(form.beta(v, w)))
-        u = _vec_scale(F, F.inv(form.beta(v, u)), u)
-        pairs.append((v, u))
-        span = _perp_within(form, span, (v, u))
-    return HyperbolicBasis(tuple(pairs), ())
 
 
 def _lie_basis(form: BilinearForm) -> list[Matrix]:
@@ -607,48 +588,27 @@ def facts(params: OrbitParams, config: SpaceConfig) -> OrbitFacts:
         # the closure is the whole matrix space, which is smooth
         return OrbitFacts(e * f, 0, True, YES, True, YES, YES)
 
-    if alternating:
-        normal = True
-    else:
-        normal = (r2 != 2 * r1 - f) or r2 == 0 or r2 == r1
-
-    sfr = UNKNOWN
-    if r2 == 0 or (alternating and r1 == e and f >= 2 * e):
-        sfr = YES
+    normal = alternating or not (0 < r2 < r1 and r2 == 2 * r1 - f)
+    sfr = YES if r2 == 0 or (alternating and r1 == e and f >= 2 * e) else UNKNOWN
 
     # r1 = e (and then necessarily e < f here): the full-rank closures are
     # Cohen-Macaulay in every characteristic; for alternating forms they
     # are Gorenstein, for symmetric ones Gorenstein iff e - r2 is odd or
     # r2 in {0, e}.  The two-component stratum is excluded from the
     # Gorenstein table.
-    if alternating:
-        if r1 == e:
-            cm = YES
-            gor = YES
-        else:
-            cm = YES if sfr == YES else YES_CHAR0
-            gor = UNKNOWN
-        rs = True
+    if r1 == e:
+        cm = YES
+    elif not normal:
+        cm = NO
     else:
-        if not normal:
-            cm = YES if r1 == e else NO
-            rs = False
-            gor = UNKNOWN
-            if r1 == e and params.sign is None:
-                gor = YES if ((e - r2) % 2 == 1 or r2 in (0, e)) else NO
-        else:
-            rs = True
-            if r1 == e:
-                cm = YES
-                if params.sign is None:
-                    gor = YES if ((e - r2) % 2 == 1 or r2 in (0, e)) else NO
-                else:
-                    gor = UNKNOWN
-            else:
-                cm = YES if sfr == YES else YES_CHAR0
-                gor = UNKNOWN
+        cm = YES if sfr == YES else YES_CHAR0
+    gor = UNKNOWN
+    if r1 == e and alternating:
+        gor = YES
+    elif r1 == e and params.sign is None:
+        gor = YES if ((e - r2) % 2 == 1 or r2 in (0, e)) else NO
 
-    return OrbitFacts(e * f - cd, cd, normal, cm, rs, gor, sfr)
+    return OrbitFacts(e * f - cd, cd, normal, cm, normal, gor, sfr)
 
 
 # --------------------------------------------------------------------------
@@ -752,27 +712,21 @@ def random_isometry(form: BilinearForm, seed=None, *, rng=None, stats: dict | No
 def hyperbolic_swap(form: BilinearForm) -> Matrix:
     """The improper isometry exchanging the first hyperbolic pair
     (a1 <-> b1) and fixing its orthogonal complement; determinant -1.
-    Only symmetric forms admit improper isometries."""
+    Only symmetric forms admit improper isometries.
+
+    It is the reflection x |-> x - c beta(x, v) v in v = a1 - b1 with
+    c = 2/beta(v, v), so entry (i, j) is delta_ij - c v_i beta(v, e_j)."""
     if form.kind != SYMMETRIC:
         raise InvalidForm("only symmetric forms have improper isometries")
     F, f = form.field, form.f
     hb = form.hyperbolic_basis()
     if not hb.pairs:
         raise InsufficientWittIndex("form has no hyperbolic pair to swap")
-    basis_vecs = []
-    images = []
     a1, b1 = hb.pairs[0]
-    basis_vecs += [a1, b1]
-    images += [b1, a1]
-    for a, b in hb.pairs[1:]:
-        basis_vecs += [a, b]
-        images += [a, b]
-    for c in hb.anisotropic:
-        basis_vecs.append(c)
-        images.append(c)
-    Q = Matrix(F, basis_vecs, f, f).T        # columns are basis vectors
-    Tc = Matrix(F, images, f, f).T           # columns are their images
-    return Tc @ Q.inverse()
+    v = _vec_sub(F, a1, b1)
+    c = F.div(F.from_int(2), form.beta(v, v))
+    cvk = [F.mul(c, form.beta(v, _unit(F, f, j))) for j in range(f)]
+    return Matrix(F, [_vec_sub(F, _unit(F, f, i), _vec_scale(F, v[i], cvk)) for i in range(f)], f, f)
 
 
 def random_orbit_point(params: OrbitParams, config: SpaceConfig, seed=None) -> Matrix:

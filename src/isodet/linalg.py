@@ -85,9 +85,6 @@ class Matrix:
         i, j = ij
         return self.data[i][j]
 
-    def row(self, i: int):
-        return self.data[i]
-
     def flat(self):
         """Entries in row-major order (the variable order of the
         polynomial module)."""
@@ -117,9 +114,10 @@ class Matrix:
 
     @property
     def T(self) -> "Matrix":
+        # a 0-row matrix has no rows to zip: its transpose is cols empty rows
         return Matrix(
             self.field,
-            tuple(zip(*self.data)) if self.data else (),
+            tuple(zip(*self.data)) if self.rows else ((),) * self.cols,
             self.cols,
             self.rows,
         )

@@ -15,10 +15,10 @@ is cached per configuration.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from itertools import product
 
 from .equations import GeneratorSet, generators_for
@@ -80,24 +80,10 @@ class VerificationReport:
 _CLASS_CACHE: dict = {}
 
 
-def _config_key(config: SpaceConfig):
-    return (
-        config.kind,
-        config.e,
-        config.f,
-        tuple(sorted(config.field.descriptor().items())),
-        config.form.gram.data,
-    )
-
-
-def _space_size(config: SpaceConfig) -> int:
+def enumeration_space(config: SpaceConfig, budget: int = DEFAULT_BUDGET) -> int:
     if config.field.order is None:
         raise BudgetExceeded("exhaustive enumeration needs a finite field")
-    return config.field.order ** (config.e * config.f)
-
-
-def enumeration_space(config: SpaceConfig, budget: int = DEFAULT_BUDGET) -> int:
-    total = _space_size(config)
+    total = config.field.order ** (config.e * config.f)
     if total > budget:
         raise BudgetExceeded(
             f"{total} matrices exceed the budget of {budget}; raise --budget to override"
@@ -127,8 +113,7 @@ def _sweep(config: SpaceConfig):
 def classification_table(config: SpaceConfig, budget: int = DEFAULT_BUDGET):
     """(classes, codes): stratum labels and, for every matrix in odometer
     order, the index of its stratum in ``classes``."""
-    key = _config_key(config)
-    cached = _CLASS_CACHE.get(key)
+    cached = _CLASS_CACHE.get(config)
     if cached is not None:
         return cached
     codes = bytearray(enumeration_space(config, budget))
@@ -150,7 +135,7 @@ def classification_table(config: SpaceConfig, budget: int = DEFAULT_BUDGET):
             by_space[space] = code
         codes[pos] = code
     result = (classes, bytes(codes))
-    _CLASS_CACHE[key] = result
+    _CLASS_CACHE[config] = result
     return result
 
 
@@ -391,6 +376,22 @@ def check_closure_order(
     )
 
 
+def _growth_exponent(n1: int, n2: int, q1: int, q2: int) -> int:
+    """The integer nearest log(n2/n1) / log(q2/q1), exactly: the k with
+    b^(2k-1) <= r^2 < b^(2k+1) for r = n2/n1, b = q2/q1 (both inverted
+    when b < 1).  Distinct primes never make r^2 an odd power of b."""
+    r, b = Fraction(n2, n1), Fraction(q2, q1)
+    if b < 1:
+        r, b = 1 / r, 1 / b
+    r2 = r * r
+    k = 0
+    while r2 >= b ** (2 * k + 1):
+        k += 1
+    while r2 < b ** (2 * k - 1):
+        k -= 1
+    return k
+
+
 def point_count_dimension_estimate(
     params: OrbitParams,
     config: SpaceConfig,
@@ -401,10 +402,10 @@ def point_count_dimension_estimate(
     """Heuristic dimension cross-check: the locus point count over F_q
     should grow like q^dim.  Deviations beyond 1 are WARN only; the hard
     dimension check is the tangent-space one.  Counts always use the
-    split form over each prime."""
+    split form over each prime; repeated primes count once."""
     t0 = time.perf_counter()
     admissible = []
-    for q in primes:
+    for q in dict.fromkeys(primes):
         try:
             cfg_q = split_config(config.e, config.f, config.kind, field_create("prime", q))
             enumeration_space(cfg_q, budget)
@@ -424,8 +425,7 @@ def point_count_dimension_estimate(
     estimates = []
     for (q1, q2) in zip(qs, qs[1:]):
         n1, n2 = counts[q1], counts[q2]
-        est = round(math.log(n2 / n1) / math.log(q2 / q1)) if n1 and n2 else 0
-        estimates.append(est)
+        estimates.append(_growth_exponent(n1, n2, q1, q2) if n1 and n2 else 0)
     deviates = any(abs(est - dim) > 1 for est in estimates)
     status = "warn" if deviates else "pass"
     witness = None

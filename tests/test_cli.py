@@ -226,12 +226,26 @@ GOLDEN_STDOUT = [
      "c4474dfe2f0ba4da9415d72262c337d1cd7116219dc09b702539126f84f41473"),
     ("equations --kind sym -e 3 -f 4 --params 2,0,-",
      "a5254fc592afff815b98cd231fc18ab5e5b1abde571249261ebbc52212d4fc1a"),
+    # non-split forms, through representatives, samples and signs; recorded
+    # with the two Witt loops that one loop replaced
+    ("sample --kind sym -e 2 -f 4 --field p=7 --gram identity --params 2,0,+ --count 5 --seed 1",
+     "43ccce1e6d62f9dd382767d5e0aea96d1a4ffcd0507a25c5d301372833dd4242"),
+    ("verify all --kind sym -e 2 -f 3 --field p=5 --gram identity --format json",
+     "f5f27b6d76411a65e6598d385ce308f2ab877eaaad7c79ee54c2161293fb0a87"),
+    ("classify --kind sym -e 2 -f 4 --field p=5 --gram identity --in {phi}",
+     "b111cb69022665023db668ddc72f729ac10b77f12845bdae9598e1c08c6ff159"),
 ]
+
+# the --in matrix of the classify golden: an isotropic plane of the
+# identity form over F_5, so its sign depends on the reference family
+GOLDEN_PHI = {"field": {"kind": "prime", "p": 5}, "rows": [["1", "2", "0", "0"], ["0", "0", "1", "2"]]}
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT)
-def test_golden_bytes(capsys, argv, digest):
-    assert main(argv.split()) == 0
+def test_golden_bytes(tmp_path, capsys, argv, digest):
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps(GOLDEN_PHI))
+    assert main(argv.format(phi=phi).split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -254,6 +268,14 @@ def test_malformed_text_is_usage_error(capsys, argv):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("isodet: error: ")
+
+
+def test_repeated_primes_are_a_domain_error(capsys):
+    code, out, err = run(capsys, "verify", "counts", "--kind", "sym", "-e", "1", "-f", "3",
+                         "--field", "p=3", "--primes", "3,3")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "BudgetExceeded"
 
 
 CLASSIFY = ("classify", "--kind", "sym", "-e", "2", "-f", "4", "--field", "p=5", "--in")

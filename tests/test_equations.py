@@ -309,6 +309,66 @@ def test_star_squares_to_scalar():
             assert F5.mul(st.mu, st.mu) == scalar
 
 
+def _random_symmetric_grams(F, f, count, rng):
+    out = []
+    while len(out) < count:
+        grid = [[F.zero] * f for _ in range(f)]
+        for i in range(f):
+            for j in range(i, f):
+                grid[i][j] = grid[j][i] = F.random(rng)
+        gram = Matrix(F, grid, f, f)
+        if not F.is_zero(gram.det()):
+            out.append(gram)
+    return out
+
+
+def test_star_inverts_the_compound_gram():
+    # oracle: Lambda^m(K) star = P, with Lambda^m(K) built from the minors
+    # of K and P the wedge pairing e_S ^ e_T = sgn(S, T) when T = S^c
+    F49 = field_create("quadratic-extension", 7)
+    rng = random.Random(17)
+    grams = [Matrix.identity(F5, f) for f in (2, 4, 6)]
+    grams += [g for f in (2, 4, 6) for g in _random_symmetric_grams(F49, f, 4, rng)]
+    built = 0
+    for gram in grams:
+        F, f = gram.field, gram.rows
+        m = f // 2
+        try:
+            st = star_operator(BilinearForm("symmetric", gram))
+        except EigenvalueNotInField:
+            continue
+        built += 1
+        subsets = list(combinations(range(f), m))
+        compound = Matrix(F, [[gram.minor(U, T) for T in subsets] for U in subsets])
+        wedge = []
+        for T in subsets:
+            row = []
+            for S in subsets:
+                seq = list(S) + list(T)
+                inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1 :])
+                sgn = F.one if inversions % 2 == 0 else F.neg(F.one)
+                row.append(sgn if set(T).isdisjoint(S) else F.zero)
+            wedge.append(row)
+        assert compound @ st.matrix == Matrix(F, wedge)
+        mu_sq = F.inv(gram.det()) if m % 2 == 0 else F.neg(F.inv(gram.det()))
+        assert F.mul(st.mu, st.mu) == mu_sq
+    assert built >= 9
+
+
+def test_components_of_a_non_unimodular_gram():
+    # det K = 2 over F_7, so star^2 = 1/det K differs from det K
+    gram = Matrix.from_ints(F7, [[2, 1, 0, 0], [1, 3, 0, 1], [0, 0, 1, 0], [0, 1, 0, 5]])
+    cfg = SpaceConfig(2, 4, F7, BilinearForm("symmetric", gram))
+    assert gram.det() == 2
+    for sign in "+-":
+        gens = component_generators(sign, cfg)
+        for other in "+-":
+            for i in range(10):
+                pt = random_orbit_point(OrbitParams(2, 0, other), cfg, seed=i)
+                assert classify(pt, cfg) == OrbitParams(2, 0, other)
+                assert gens.all_vanish(pt) == (sign == other)
+
+
 def test_star_projector_algebra():
     frm = BilinearForm.split(F5, "symmetric", 4)
     st = star_operator(frm)

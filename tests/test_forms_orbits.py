@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import product
 
@@ -5,6 +7,7 @@ import pytest
 
 from isodet.errors import (
     ConfigMismatch,
+    ConsistencyCheckFailed,
     InvalidForm,
     InvalidParams,
     SignUndefinedForForm,
@@ -12,6 +15,7 @@ from isodet.errors import (
 )
 from isodet.fields import field_create
 from isodet.forms_orbits import (
+    _diagonalize_restriction,
     BilinearForm,
     OrbitParams,
     SpaceConfig,
@@ -36,6 +40,7 @@ from isodet.linalg import Matrix, random_matrix
 F5 = field_create("prime", 5)
 F7 = field_create("prime", 7)
 F11 = field_create("prime", 11)
+F25 = field_create("quadratic-extension", 5)
 Q = field_create("rationals")
 
 
@@ -111,6 +116,58 @@ def test_hyperbolic_basis_custom_gram():
     assert hbq.witt == 0 and len(hbq.anisotropic) == 3
     with pytest.raises(SignUndefinedForForm):
         BilinearForm("symmetric", Matrix.identity(Q, 4)).reference_isotropic()
+
+
+def random_forms(F, kind, count, rng, dims=(3, 4, 5, 6)):
+    """Non-degenerate, non-split forms with random Gram entries (small
+    integers over Q), about half of them with a zero diagonal."""
+    out = []
+    while len(out) < count:
+        f = rng.choice([d for d in dims if kind == "symmetric" or d % 2 == 0])
+        zero_diag = kind == "alternating" or rng.random() < 0.5
+        grid = [[F.zero] * f for _ in range(f)]
+        for i in range(f):
+            for j in range(i, f):
+                if i == j and zero_diag:
+                    continue
+                v = F.random(rng) if F.order else F.from_int(rng.randint(-3, 3))
+                grid[i][j], grid[j][i] = v, (v if kind == "symmetric" else F.neg(v))
+        gram = Matrix(F, grid, f, f)
+        if F.is_zero(gram.det()):
+            continue
+        form = BilinearForm(kind, gram)
+        if not form.is_split_standard():
+            out.append(form)
+    return out
+
+
+@pytest.mark.parametrize("F", [F7, F25, Q], ids=["F7", "F25", "Q"])
+@pytest.mark.parametrize("kind", ["symmetric", "alternating"])
+def test_hyperbolic_basis_valid_on_random_grams(F, kind):
+    rng = random.Random(11)
+    for frm in random_forms(F, kind, 12, rng):
+        hb = frm.hyperbolic_basis()
+        assert 2 * hb.witt + len(hb.anisotropic) == frm.f
+        vecs = [v for pair in hb.pairs for v in pair] + list(hb.anisotropic)
+        assert Matrix(F, vecs, frm.f, frm.f).rank() == frm.f
+        for i, (a, b) in enumerate(hb.pairs):
+            assert frm.beta(a, a) == frm.beta(b, b) == F.zero
+            for j, (c, d) in enumerate(hb.pairs):
+                assert frm.beta(a, d) == (F.one if i == j else F.zero)
+                if i != j:
+                    assert frm.beta(a, c) == frm.beta(b, d) == F.zero
+        for k, c in enumerate(hb.anisotropic):
+            assert frm.beta(c, c) != F.zero
+            others = [v for pair in hb.pairs for v in pair] + list(hb.anisotropic[k + 1 :])
+            assert all(frm.beta(c, v) == F.zero for v in others)
+        if kind == "alternating":
+            assert hb.witt == frm.f // 2
+
+
+def test_diagonalization_of_a_degenerate_span_is_a_typed_error():
+    frm = BilinearForm.split(F5, "symmetric", 4)
+    with pytest.raises(ConsistencyCheckFailed):
+        _diagonalize_restriction(frm, [(1, 0, 0, 0)])
 
 
 def test_form_json_roundtrip():
@@ -347,6 +404,25 @@ def test_facts_consistency():
                 assert fx.normal
 
 
+# sha256 of facts(...).to_json() for every admissible stratum of the split
+# forms with e <= 7 and f <= 14 over F_7 (1473 strata), recorded with the
+# nested-branch facts rule that the flat one replaced.
+FACTS_TABLE_SHA256 = "b5e3fdfb7a5c87c1bbbb4f5db631ee8639134b3e07e342c4210f92c13824323d"
+
+
+def test_facts_table_digest():
+    rows = []
+    for kind in ("symmetric", "alternating"):
+        for e in range(1, 8):
+            for f in range(3, 15):
+                if kind == "alternating" and f % 2:
+                    continue
+                cfg = split_config(e, f, kind, F7)
+                rows += [json.dumps(facts(p, cfg).to_json(), sort_keys=True) for p in valid_params(cfg)]
+    assert len(rows) == 1473
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == FACTS_TABLE_SHA256
+
+
 # ---------------------------------------------------------------- congruence
 
 def test_solve_congruence_zero():
@@ -455,3 +531,24 @@ def test_sign_flips_under_improper_swap():
             flipped = classify(pt @ swap.T, cfg)
             assert flipped.r1 == 2 and flipped.r2 == 0
             assert flipped.sign != sign
+
+
+def test_hyperbolic_swap_exchanges_the_first_pair_on_random_grams():
+    # oracle: the swap's action on the hyperbolic basis itself
+    rng = random.Random(13)
+    for F in (F7, F25, Q):
+        for frm in random_forms(F, "symmetric", 8, rng):
+            hb = frm.hyperbolic_basis()
+            if not hb.pairs:
+                continue
+            swap = hyperbolic_swap(frm)
+
+            def image(v):
+                return tuple(row[0] for row in (swap @ Matrix(F, [[x] for x in v], frm.f, 1)).data)
+
+            (a1, b1), rest = hb.pairs[0], hb.pairs[1:]
+            assert image(a1) == b1 and image(b1) == a1
+            for v in [x for pair in rest for x in pair] + list(hb.anisotropic):
+                assert image(v) == v
+            assert swap.det() == F.neg(F.one)
+            assert swap.T @ frm.gram @ swap == frm.gram

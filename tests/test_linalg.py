@@ -240,6 +240,16 @@ def test_zero_dimensional_edges():
     assert n.left_inverse().rows == 0
 
 
+def test_transpose_of_empty_shapes():
+    # the transpose of a 0-row matrix is cols empty rows, and back
+    m = Matrix.zeros(F5, 0, 3)
+    assert m.T == Matrix(F5, [[], [], []], 3, 0)
+    assert m.T.T == m
+    n = Matrix.zeros(F5, 2, 0)
+    assert n.T == Matrix(F5, [], 0, 2)
+    assert n.T.T == n
+
+
 # ---------------------------------------------------------------- sympy oracle
 # rank, det, inverse, null space and left-inverse row choice of the one
 # elimination kernel against sympy's DomainMatrix over GF(7) and QQ.

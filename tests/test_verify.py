@@ -1,4 +1,6 @@
 import json
+import math
+import random
 from itertools import product
 
 import pytest
@@ -18,6 +20,7 @@ from isodet.forms_orbits import (
 from isodet.equations import GeneratorSet, rank_condition_generators
 from isodet.linalg import Matrix
 from isodet.verify import (
+    _growth_exponent,
     check_closure_order,
     check_dimensions,
     check_equation_cut,
@@ -215,6 +218,38 @@ def test_point_count_needs_two_primes():
     alt = split_config(2, 4, "alternating", F3)
     with pytest.raises(BudgetExceeded):
         point_count_dimension_estimate(OrbitParams(2, 0), alt, primes=(3, 5), budget=10000)
+
+
+def test_point_count_prime_order_and_repeats():
+    sym = split_config(1, 3, "symmetric", F3)
+    alt = split_config(1, 4, "alternating", F3)
+    for cfg in (sym, alt):
+        for params in valid_params(cfg):
+            forward = point_count_dimension_estimate(params, cfg, primes=(3, 5))
+            backward = point_count_dimension_estimate(params, cfg, primes=(5, 3))
+            assert forward.tallies["estimates"] == backward.tallies["estimates"]
+            assert forward.status == backward.status
+    # a repeated prime counts once, leaving a single admissible prime
+    with pytest.raises(BudgetExceeded):
+        point_count_dimension_estimate(OrbitParams(1, 0), sym, primes=(3, 3))
+    assert point_count_dimension_estimate(OrbitParams(1, 0), sym, primes=(3, 3, 5)).mode["primes"] == [3, 5]
+
+
+def test_growth_exponent_matches_float_rounding():
+    # oracle: the float log-ratio it replaced, away from half-integers
+    rng = random.Random(4)
+    primes = [3, 5, 7, 11, 13]
+    for _ in range(2000):
+        q1, q2 = rng.sample(primes, 2)
+        n1, n2 = rng.randint(1, 10**6), rng.randint(1, 10**9)
+        x = math.log(n2 / n1) / math.log(q2 / q1)
+        if abs(x - math.floor(x) - 0.5) > 1e-6:
+            assert _growth_exponent(n1, n2, q1, q2) == round(x)
+
+
+def test_class_cache_is_keyed_by_config():
+    table = classification_table(split_config(1, 3, "symmetric", F3))
+    assert classification_table(split_config(1, 3, "symmetric", field_create("prime", 3))) is table
 
 
 def test_reports_serializable_and_deterministic():
