@@ -156,17 +156,10 @@ def generator_inventory(params: OrbitParams, config: SpaceConfig) -> dict:
 def render_atlas(config: SpaceConfig) -> dict:
     rows = []
     for params in valid_params(config):
-        fx = facts(params, config)
         rows.append(
             {
                 "params": params.to_json(),
-                "dim": fx.dim,
-                "codim": fx.codim,
-                "normal": fx.normal,
-                "cohen_macaulay": fx.cohen_macaulay,
-                "rational_singularities_char0": fx.rational_singularities_char0,
-                "gorenstein": fx.gorenstein,
-                "strongly_f_regular": fx.strongly_f_regular,
+                **facts(params, config).to_json(),
                 "generators": generator_inventory(params, config),
             }
         )
@@ -296,26 +289,21 @@ def _cmd_solve_congruence(args) -> int:
 def _cmd_verify(args) -> int:
     config = resolve_config(args)
     primes = parse_primes_spec(args.primes)
-    if args.check == "all":
-        reports = run_all(config, budget=args.budget, samples=args.samples, seed=args.seed, primes=primes)
-    elif args.check == "census":
-        reports = [exhaustive_census(config, budget=args.budget)]
-    elif args.check == "dims":
-        reports = [check_dimensions(config)]
-    elif args.check == "closure":
-        reports = [check_closure_order(config, samples=args.samples, seed=args.seed)]
-    elif args.check == "cut":
-        targets = [parse_params_spec(args.params)] if args.params else valid_params(config)
-        reports = [
-            check_equation_cut(p, config, budget=args.budget, seed=args.seed) for p in targets
-        ]
-    elif args.check == "counts":
-        targets = [parse_params_spec(args.params)] if args.params else valid_params(config)
-        reports = [
-            point_count_dimension_estimate(p, config, primes, budget=args.budget) for p in targets
-        ]
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError(args.check)
+
+    def targets():
+        return [parse_params_spec(args.params)] if args.params else valid_params(config)
+
+    checks = {
+        "all": lambda: run_all(config, budget=args.budget, samples=args.samples, seed=args.seed, primes=primes),
+        "census": lambda: [exhaustive_census(config, budget=args.budget)],
+        "dims": lambda: [check_dimensions(config)],
+        "closure": lambda: [check_closure_order(config, samples=args.samples, seed=args.seed)],
+        "cut": lambda: [check_equation_cut(p, config, budget=args.budget, seed=args.seed) for p in targets()],
+        "counts": lambda: [
+            point_count_dimension_estimate(p, config, primes, budget=args.budget) for p in targets()
+        ],
+    }
+    reports = checks[args.check]()
     if args.format == "json":
         for r in reports:
             print(json.dumps(r.to_json(include_timing=args.timing), sort_keys=True))

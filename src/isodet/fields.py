@@ -23,7 +23,7 @@ import re
 from fractions import Fraction
 from math import isqrt
 
-from .errors import CharTwoUnsupported, CompositeModulus, ResidueIsSquare
+from .errors import CharTwoUnsupported, CompositeModulus, ConsistencyCheckFailed, ResidueIsSquare
 
 
 def _is_prime(n: int) -> bool:
@@ -343,7 +343,7 @@ def smallest_nonresidue(p: int) -> int:
     for d in range(2, p):
         if pow(d, (p - 1) // 2, p) == p - 1:
             return d
-    raise AssertionError(f"no non-residue below {p}")  # impossible for p >= 3
+    raise ConsistencyCheckFailed(f"no non-residue below {p}")  # impossible for odd primes p
 
 
 def field_create(kind: str, p: int | None = None, nonresidue: int | None = None) -> Field:

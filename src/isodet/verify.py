@@ -10,7 +10,14 @@ The stratum of a matrix depends only on its row space W: r1 = dim W, r2
 is the rank of the form on W, and the sign is read off dim(W meet L0).
 The classification table therefore keys each matrix by its reduced
 row-echelon form and classifies each distinct row space once; the table
-is cached per configuration.
+is cached per configuration, and the budget gates every read of it.
+
+The point-wise checks (equation cut, closure order) ask one question of
+a stream of points, given as flat entry tuples: do these generators
+vanish here, and should they?  :func:`_evaluator` makes the one choice
+of evaluator per field kind, the equation cut runs one loop over
+``(entries, in locus)`` pairs, seeded orbit points come from
+:func:`_orbit_points` and witnesses are rendered by :func:`_rows`.
 """
 
 from __future__ import annotations
@@ -19,10 +26,10 @@ import random
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 from .equations import GeneratorSet, generators_for
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, EigenvalueNotInField, InsufficientWittIndex
 from .forms_orbits import (
     OrbitParams,
     SpaceConfig,
@@ -91,32 +98,26 @@ def enumeration_space(config: SpaceConfig, budget: int = DEFAULT_BUDGET) -> int:
     return total
 
 
-def decode_matrix(config: SpaceConfig, index: int) -> Matrix:
-    """Matrix at a given odometer position (mixed-radix decode)."""
-    elems = list(config.field.elements())
-    q = len(elems)
-    n = config.e * config.f
-    digits = []
-    for _ in range(n):
-        digits.append(elems[index % q])
-        index //= q
-    digits.reverse()
-    f = config.f
-    return Matrix(config.field, [digits[i * f : (i + 1) * f] for i in range(config.e)])
-
-
 def _sweep(config: SpaceConfig):
     """Flat entry tuples of every matrix of the space, in odometer order."""
     return product(config.field.elements(), repeat=config.e * config.f)
 
 
+def _rows(config: SpaceConfig, entries) -> list:
+    """A flat entry tuple as the rendered rows of its e x f matrix."""
+    render, f = config.field.render, config.f
+    return [[render(v) for v in entries[i * f : (i + 1) * f]] for i in range(config.e)]
+
+
 def classification_table(config: SpaceConfig, budget: int = DEFAULT_BUDGET):
     """(classes, codes): stratum labels and, for every matrix in odometer
-    order, the index of its stratum in ``classes``."""
+    order, the index of its stratum in ``classes``.  Raises
+    BudgetExceeded when the space exceeds the budget, cached or not."""
+    total = enumeration_space(config, budget)
     cached = _CLASS_CACHE.get(config)
     if cached is not None:
         return cached
-    codes = bytearray(enumeration_space(config, budget))
+    codes = bytearray(total)
     classes = list(valid_params(config))
     index = {p: i for i, p in enumerate(classes)}
     F, e, f = config.field, config.e, config.f
@@ -140,9 +141,7 @@ def classification_table(config: SpaceConfig, budget: int = DEFAULT_BUDGET):
 
 
 def _compile_for_prime(gens: GeneratorSet, p: int):
-    return [
-        [(int(c), idxs) for c, idxs in g.poly.compiled()] for g in gens
-    ]
+    return [g.poly.compiled() for g in gens]
 
 
 def _all_vanish_prime(compiled, vals, p) -> bool:
@@ -162,6 +161,24 @@ def _all_vanish(polys, vals, zero) -> bool:
     """Whether every polynomial vanishes at the flat entry tuple ``vals``;
     the same signature as the prime evaluator."""
     return all(poly.evaluate(vals) == zero for poly in polys)
+
+
+def _evaluator(gens: GeneratorSet, field):
+    """(vanish, polys, arg): ``vanish(polys, vals, arg)`` says whether every
+    generator vanishes at the flat entry tuple ``vals``.  Prime fields
+    evaluate compiled integer terms mod p; other fields evaluate exactly."""
+    if field.kind == "prime":
+        return _all_vanish_prime, _compile_for_prime(gens, field.p), field.p
+    return _all_vanish, [g.poly for g in gens], field.zero
+
+
+def _orbit_points(config: SpaceConfig, per_class: int, seed) -> dict:
+    """Stratum -> ``per_class`` seeded orbit points (flat entry tuples),
+    for every stratum in order."""
+    return {
+        cls: [random_orbit_point(cls, config, seed=f"{seed}:{cls}:{i}").flat() for i in range(per_class)]
+        for cls in valid_params(config)
+    }
 
 
 # --------------------------------------------------------------------------
@@ -189,31 +206,25 @@ def exhaustive_census(
     matrix must land in an admissible stratum and tallies must sum to the
     space size."""
     t0 = time.perf_counter()
-    total = enumeration_space(config, budget)
     classes, codes = classification_table(config, budget)
-    counts = [0] * len(classes)
-    for code in codes:
-        counts[code] += 1
+    counts = [codes.count(i) for i in range(len(classes))]
     expected = set(valid_params_override if valid_params_override is not None else valid_params(config))
     tallies = {str(classes[i]): counts[i] for i in range(len(classes)) if counts[i]}
     witness = None
-    status = "pass"
-    for i, cnt in enumerate(counts):
-        if cnt and classes[i] not in expected:
-            first = codes.index(i)
-            witness = {
-                "reason": "matrix classified outside the admissible strata",
-                "params": str(classes[i]),
-                "matrix": decode_matrix(config, first).to_json()["rows"],
-            }
-            status = "fail"
-            break
-    if status == "pass" and sum(counts) != total:
-        status = "fail"
+    stray = next((i for i, cnt in enumerate(counts) if cnt and classes[i] not in expected), None)
+    if stray is not None:
+        first = next(islice(_sweep(config), codes.index(stray), None))
+        witness = {
+            "reason": "matrix classified outside the admissible strata",
+            "params": str(classes[stray]),
+            "matrix": _rows(config, first),
+        }
+    elif sum(counts) != len(codes):
         witness = {"reason": "tallies do not sum to the space size", "sum": sum(counts)}
+    status = "pass" if witness is None else "fail"
     tallies["total"] = sum(counts)
     return _report(
-        "census", config, {"kind": "exhaustive", "space": total}, status, witness, tallies, [], t0
+        "census", config, {"kind": "exhaustive", "space": len(codes)}, status, witness, tallies, [], t0
     )
 
 
@@ -232,63 +243,36 @@ def check_equation_cut(
     t0 = time.perf_counter()
     gens = generators_override if generators_override is not None else generators_for(params, config)
     warnings = []
-    mismatches = 0
-    witness = None
-    n_locus = n_vanish = n_seen = 0
-
-    def record(phi_or_index, member, vanish):
-        nonlocal mismatches, witness, n_locus, n_vanish, n_seen
-        n_seen += 1
-        if member:
-            n_locus += 1
-        if vanish:
-            n_vanish += 1
-        if member != vanish and witness is None:
-            if isinstance(phi_or_index, int):
-                rows = decode_matrix(config, phi_or_index).to_json()["rows"]
-            else:
-                rows = phi_or_index.to_json()["rows"]
-            witness = {
-                "reason": "zero set disagrees with the rank-condition locus",
-                "in_locus": member,
-                "generators_vanish": vanish,
-                "matrix": rows,
-            }
-        if member != vanish:
-            mismatches += 1
-
-    exhaustive = True
     try:
-        enumeration_space(config, budget)
-    except BudgetExceeded as exc:
-        exhaustive = False
-        warnings.append(f"{exc}; falling back to sampled mode")
-
-    if exhaustive:
         classes, codes = classification_table(config, budget)
-        member_of = [closure_leq(c, params, config) for c in classes]
-        if config.field.kind == "prime":
-            p = config.field.p
-            vanish, polys, arg = _all_vanish_prime, _compile_for_prime(gens, p), p
-        else:
-            vanish, polys, arg = _all_vanish, [g.poly for g in gens], config.field.zero
-        for pos, entries in enumerate(_sweep(config)):
-            record(pos, member_of[codes[pos]], vanish(polys, entries, arg))
-        mode = {"kind": "exhaustive", "space": len(codes)}
-    else:
+    except BudgetExceeded as exc:
+        warnings.append(f"{exc}; falling back to sampled mode")
+        orbit = _orbit_points(config, max(1, samples // 20), seed)
         rng = random.Random(seed)
-        e, f = config.e, config.f
-        for _ in range(samples):
-            phi = random_matrix(config.field, e, f, rng)
-            cls = classify(phi, config)
-            record(phi, closure_leq(cls, params, config), gens.all_vanish(phi))
-        per_class = max(1, samples // 20)
-        for cls in valid_params(config):
-            for i in range(per_class):
-                phi = random_orbit_point(cls, config, seed=f"{seed}:{cls}:{i}")
-                record(phi, closure_leq(cls, params, config), gens.all_vanish(phi))
-        mode = {"kind": "sampled", "n": n_seen, "seed": seed}
-
+        uniform = (random_matrix(config.field, config.e, config.f, rng) for _ in range(samples))
+        points = [(phi.flat(), closure_leq(classify(phi, config), params, config)) for phi in uniform]
+        points += [(x, closure_leq(cls, params, config)) for cls, xs in orbit.items() for x in xs]
+        mode = {"kind": "sampled", "n": len(points), "seed": seed}
+    else:
+        member_of = [closure_leq(c, params, config) for c in classes]
+        points = zip(_sweep(config), map(member_of.__getitem__, codes))
+        mode = {"kind": "exhaustive", "space": len(codes)}
+    vanish, polys, arg = _evaluator(gens, config.field)
+    witness = None
+    n_locus = n_vanish = mismatches = 0
+    for entries, member in points:
+        vanishes = vanish(polys, entries, arg)
+        n_locus += member
+        n_vanish += vanishes
+        if member != vanishes:
+            mismatches += 1
+            if witness is None:
+                witness = {
+                    "reason": "zero set disagrees with the rank-condition locus",
+                    "in_locus": member,
+                    "generators_vanish": vanishes,
+                    "matrix": _rows(config, entries),
+                }
     status = "pass" if mismatches == 0 else "fail"
     tallies = {
         "params": str(params),
@@ -339,34 +323,25 @@ def check_closure_order(
     generators exactly when the closure order says they should."""
     t0 = time.perf_counter()
     order_fn = order_override if order_override is not None else closure_leq
+    build = generators_override if generators_override is not None else generators_for
     classes = valid_params(config)
-    gens = {
-        q: (generators_override(q, config) if generators_override is not None else generators_for(q, config))
-        for q in classes
-    }
-    points = {
-        p: [random_orbit_point(p, config, seed=f"{seed}:{p}:{i}") for i in range(samples)]
-        for p in classes
-    }
+    evaluators = {q: _evaluator(build(q, config), config.field) for q in classes}
+    points = _orbit_points(config, samples, seed)
     witness = None
     pairs = 0
-    for p in classes:
-        for q in classes:
-            pairs += 1
-            expected = order_fn(p, q, config)
-            for phi in points[p]:
-                if gens[q].all_vanish(phi) != expected:
-                    witness = {
-                        "reason": "sampled vanishing disagrees with the closure order",
-                        "lower": str(p),
-                        "upper": str(q),
-                        "expected": expected,
-                        "matrix": phi.to_json()["rows"],
-                    }
-                    break
-            if witness:
-                break
-        if witness:
+    for p, q in product(classes, classes):
+        pairs += 1
+        expected = order_fn(p, q, config)
+        vanish, polys, arg = evaluators[q]
+        bad = next((x for x in points[p] if vanish(polys, x, arg) != expected), None)
+        if bad is not None:
+            witness = {
+                "reason": "sampled vanishing disagrees with the closure order",
+                "lower": str(p),
+                "upper": str(q),
+                "expected": expected,
+                "matrix": _rows(config, bad),
+            }
             break
     status = "pass" if witness is None else "fail"
     return _report(
@@ -417,8 +392,7 @@ def point_count_dimension_estimate(
     counts = {}
     for q, cfg_q in admissible:
         classes, codes = classification_table(cfg_q, budget)
-        member_of = [closure_leq(c, params, cfg_q) for c in classes]
-        counts[q] = sum(1 for code in codes if member_of[code])
+        counts[q] = sum(codes.count(i) for i, c in enumerate(classes) if closure_leq(c, params, cfg_q))
     dim_fn = dim_override if dim_override is not None else dimension
     dim = dim_fn(params, config)
     qs = [q for q, _ in admissible]
@@ -455,26 +429,25 @@ def run_all(
     primes=(3, 5),
 ) -> list[VerificationReport]:
     """Census, dimension, closure, per-stratum equation cuts and
-    per-stratum point counts; checks that cannot run (budget, infinite
-    field) degrade to warnings instead of aborting the batch."""
-    reports: list[VerificationReport] = []
-    t0 = time.perf_counter()
-    try:
-        reports.append(exhaustive_census(config, budget))
-    except BudgetExceeded as exc:
-        reports.append(
-            _report("census", config, {"kind": "skipped"}, "warn", None, {}, [str(exc)], t0)
-        )
-    reports.append(check_dimensions(config))
-    reports.append(check_closure_order(config, samples=samples, seed=seed))
-    for params in valid_params(config):
-        reports.append(check_equation_cut(params, config, budget=budget, seed=seed))
-    for params in valid_params(config):
+    per-stratum point counts.  A check that cannot run on this space (over
+    budget, an infinite field, too small a Witt index, an involution
+    eigenvalue outside the field) degrades to a skipped warning carrying
+    the error's message instead of aborting the batch."""
+
+    def guarded(name, tallies, check, *args, **kwargs):
+        t0 = time.perf_counter()
         try:
-            reports.append(point_count_dimension_estimate(params, config, primes, budget))
-        except BudgetExceeded as exc:
-            reports.append(
-                _report("point-count", config, {"kind": "skipped"}, "warn", None,
-                        {"params": str(params)}, [str(exc)], time.perf_counter())
-            )
-    return reports
+            return check(*args, **kwargs)
+        except (BudgetExceeded, InsufficientWittIndex, EigenvalueNotInField) as exc:
+            return _report(name, config, {"kind": "skipped"}, "warn", None, tallies, [str(exc)], t0)
+
+    strata = valid_params(config)
+    return [
+        guarded("census", {}, exhaustive_census, config, budget),
+        guarded("dimensions", {}, check_dimensions, config),
+        guarded("closure-order", {}, check_closure_order, config, samples=samples, seed=seed),
+        *(guarded("equation-cut", {"params": str(p)}, check_equation_cut, p, config, budget=budget, seed=seed)
+          for p in strata),
+        *(guarded("point-count", {"params": str(p)}, point_count_dimension_estimate, p, config, primes, budget)
+          for p in strata),
+    ]

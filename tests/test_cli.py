@@ -168,6 +168,25 @@ def test_verify_all_symmetric_F5(capsys):
     assert len(cuts) == 7 and all(r["status"] == "pass" for r in cuts)
 
 
+def test_verify_all_skips_checks_the_form_cannot_run(capsys):
+    # the anisotropic identity form over Q has Witt index 0, so no stratum
+    # needing an isotropic vector has a representative or orbit points
+    form = ("--kind", "sym", "-e", "2", "-f", "3", "--field", "rationals", "--gram", "identity")
+    code, out, _ = run(capsys, "verify", "all", *form, "--samples", "5", "--format", "json")
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    skipped = [r for r in reports if r["mode"] == {"kind": "skipped"}]
+    assert {r["check"] for r in skipped} == {"census", "dimensions", "closure-order", "equation-cut"}
+    assert all(r["status"] == "warn" and r["warnings"] for r in skipped)
+    assert any("hyperbolic pairs" in r["warnings"][0] for r in skipped)
+    counts = [r for r in reports if r["check"] == "point-count"]
+    assert counts and all(r["status"] == "pass" for r in counts)
+    # a single check still reports the error itself
+    code, _, err = run(capsys, "verify", "dims", *form)
+    assert code == 1
+    assert json.loads(err)["error"] == "InsufficientWittIndex"
+
+
 def test_verify_cut_signed_params(capsys):
     code, _, _ = run(capsys, "verify", "cut", "--kind", "sym", "-e", "2", "-f", "4",
                      "--field", "p=3", "--params", "2,0,+")

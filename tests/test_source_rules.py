@@ -1,0 +1,53 @@
+"""Rules on the library source, read with ``ast``: runtime checks raise
+typed errors (an ``assert`` vanishes under ``-O``), and arithmetic stays
+exact (``math`` is used only for its integer functions)."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "isodet"
+INTEGER_MATH = {"comb", "isqrt"}
+
+
+def _nodes():
+    """(file name, node) for every AST node of every library module."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            yield path.name, node
+
+
+def test_sources_found():
+    assert {"verify.py", "cli.py", "fields.py"} <= {p.name for p in SRC.glob("*.py")}
+
+
+def test_no_assert_statements():
+    found = [f"{name}:{node.lineno}" for name, node in _nodes() if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_raise_assertion_error():
+    def raises_assertion_error(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _nodes()
+        if isinstance(node, ast.Raise) and node.exc is not None and raises_assertion_error(node)
+    ]
+    assert found == []
+
+
+def test_math_imports_are_integer_only():
+    found = []
+    for name, node in _nodes():
+        if isinstance(node, ast.Import):
+            found += [f"{name}:{node.lineno}" for alias in node.names if alias.name == "math"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [
+                f"{name}:{node.lineno}: {alias.name}"
+                for alias in node.names
+                if alias.name not in INTEGER_MATH
+            ]
+    assert found == []

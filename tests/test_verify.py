@@ -14,18 +14,19 @@ from isodet.forms_orbits import (
     classify,
     closure_leq,
     codimension,
+    random_orbit_point,
     split_config,
     valid_params,
 )
-from isodet.equations import GeneratorSet, rank_condition_generators
-from isodet.linalg import Matrix
+from isodet.equations import GeneratorSet, generators_for, rank_condition_generators
+from isodet.linalg import Matrix, random_matrix
 from isodet.verify import (
+    _evaluator,
     _growth_exponent,
     check_closure_order,
     check_dimensions,
     check_equation_cut,
     classification_table,
-    decode_matrix,
     exhaustive_census,
     point_count_dimension_estimate,
     run_all,
@@ -33,6 +34,8 @@ from isodet.verify import (
 
 F3 = field_create("prime", 3)
 F5 = field_create("prime", 5)
+F7 = field_create("prime", 7)
+F49 = field_create("quadratic-extension", 7)
 Q = field_create("rationals")
 
 
@@ -70,6 +73,8 @@ def test_census_mutation_detects_missing_class():
     # the witness matrix really classifies to the reported stratum
     phi = Matrix(cfg.field, [[cfg.field.parse(s) for s in row] for row in rep.witness["matrix"]])
     assert classify(phi, cfg) == OrbitParams(2, 0)
+    # the first such matrix in odometer order
+    assert rep.witness["matrix"] == [["0", "0", "0", "1"], ["0", "1", "0", "0"]]
 
 
 def test_prime_fast_path_agrees_with_generic_classifier():
@@ -102,14 +107,23 @@ def test_row_space_table_agrees_with_classify(config):
         assert classes[codes[pos]] == classify(phi, config), phi
 
 
-def test_decode_matrix_roundtrip():
-    cfg = split_config(2, 3, "symmetric", F3)
-    from itertools import product
-
-    elems = list(F3.elements())
-    seen = list(product(elems, repeat=6))
-    for idx in (0, 1, 100, 728):
-        assert decode_matrix(cfg, idx).flat() == seen[idx]
+@pytest.mark.parametrize("kind", ["symmetric", "alternating"])
+@pytest.mark.parametrize("field", [F7, F49, Q], ids=["F7", "F49", "Q"])
+def test_evaluator_agrees_with_generator_set(kind, field):
+    # the checks' evaluator against GeneratorSet.all_vanish, on uniform
+    # points and on points of every stratum, for every stratum's generators
+    cfg = split_config(2, 4, kind, field)
+    rng = random.Random(11)
+    points = [random_matrix(field, 2, 4, rng) for _ in range(10)]
+    points += [random_orbit_point(p, cfg, seed=f"ev:{p}:{i}") for p in valid_params(cfg) for i in range(3)]
+    seen = set()
+    for params in valid_params(cfg):
+        gens = generators_for(params, cfg)
+        vanish, polys, arg = _evaluator(gens, field)
+        answers = [vanish(polys, phi.flat(), arg) for phi in points]
+        assert answers == [gens.all_vanish(phi) for phi in points], str(params)
+        seen.update(answers)
+    assert seen == {True, False}
 
 
 def test_equation_cut_exhaustive_small():
@@ -135,6 +149,8 @@ def test_equation_cut_mutation_fails_with_witness():
     assert rep.status == "fail"
     assert rep.witness is not None
     assert rep.tallies["mismatches"] > 0
+    assert rep.witness["matrix"] == [["0", "0", "1", "0"], ["1", "0", "0", "0"]]
+    assert (rep.witness["in_locus"], rep.witness["generators_vanish"]) == (False, True)
     # dropping the lone Pfaffian of the nullcone stratum also trips the check
     nc = OrbitParams(2, 0)
     empty = GeneratorSet(cfg, [])
@@ -177,6 +193,8 @@ def test_check_closure_order_pass_and_mutation():
 
     bad = check_closure_order(cfg, samples=5, seed=1, order_override=flipped)
     assert bad.status == "fail" and bad.witness is not None
+    assert (bad.witness["lower"], bad.witness["upper"]) == ("(0,0)", "(0,0)")
+    assert bad.witness["matrix"] == [["0", "0", "0", "0"], ["0", "0", "0", "0"]]
 
 
 def test_closure_order_exceptional_components():
@@ -250,6 +268,13 @@ def test_growth_exponent_matches_float_rounding():
 def test_class_cache_is_keyed_by_config():
     table = classification_table(split_config(1, 3, "symmetric", F3))
     assert classification_table(split_config(1, 3, "symmetric", field_create("prime", 3))) is table
+
+
+def test_budget_gate_applies_to_cached_tables():
+    cfg = split_config(1, 3, "symmetric", F3)
+    classification_table(cfg)  # 27 matrices, now cached
+    with pytest.raises(BudgetExceeded):
+        classification_table(cfg, budget=10)
 
 
 def test_reports_serializable_and_deterministic():
