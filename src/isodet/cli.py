@@ -1,15 +1,17 @@
 """Command line: atlas tables, classification, equation export, orbit
 sampling, congruence solving and the verification harness.
 
-Exit codes: 0 success, 1 domain error, 2 usage error, 3 verification
-failure.  Output is deterministic for a fixed argv and seed (timings are
-only included on request).
+Exit codes: 0 success, 1 domain error or stdout closed before the output
+was complete (both with a JSON diagnostic on stderr), 2 usage error, 3
+verification failure.  Output is deterministic for a fixed argv and seed
+(timings are only included on request).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .equations import generators_for
@@ -373,6 +375,12 @@ _HANDLERS = {
 }
 
 
+def _diagnose(error: str, message: str) -> int:
+    """Print the JSON diagnostic of an exit 1 on stderr; returns 1."""
+    print(json.dumps({"error": error, "message": message}, sort_keys=True), file=sys.stderr)
+    return 1
+
+
 def dispatch(argv=None) -> int:
     parser = build_parser()
     try:
@@ -380,17 +388,23 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     except IsodetError as exc:
-        diagnostic = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(diagnostic, sort_keys=True), file=sys.stderr)
-        return 1
+        return _diagnose(type(exc).__name__, str(exc))
     except FileNotFoundError as exc:
-        print(json.dumps({"error": "FileNotFound", "message": str(exc)}, sort_keys=True), file=sys.stderr)
-        return 1
+        return _diagnose("FileNotFound", str(exc))
+    except BrokenPipeError:
+        # the reader left early (``| head``): the unwritten rest, and the
+        # flush at interpreter exit, go to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _diagnose("BrokenPipe", "stdout was closed before the output was complete")
 
 
 def main(argv=None) -> int:

@@ -8,8 +8,12 @@ fastest), so positions, tables and witnesses agree between checks.
 
 The stratum of a matrix depends only on its row space W: r1 = dim W, r2
 is the rank of the form on W, and the sign is read off dim(W meet L0).
-The classification table therefore keys each matrix by its reduced
-row-echelon form and classifies each distinct row space once; the table
+The classification table therefore never reduces a matrix: it is
+composed one row at a time, since the row space of (v_1, ..., v_e) is
+the join of span(v_1..v_(e-1)) with v_e.  Every subspace met as a prefix
+gets one cached row of joins over all vectors, the last level of joins
+becomes rows of stratum codes, and the table is those byte rows joined in
+odometer order; each distinct row space is classified once.  The table
 is cached per configuration, and the budget gates every read of it.
 
 The point-wise checks (equation cut, closure order) ask one question of
@@ -26,7 +30,7 @@ import random
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 
 from .equations import GeneratorSet, generators_for
 from .errors import BudgetExceeded, EigenvalueNotInField, InsufficientWittIndex
@@ -112,30 +116,70 @@ def _rows(config: SpaceConfig, entries) -> list:
 def classification_table(config: SpaceConfig, budget: int = DEFAULT_BUDGET):
     """(classes, codes): stratum labels and, for every matrix in odometer
     order, the index of its stratum in ``classes``.  Raises
-    BudgetExceeded when the space exceeds the budget, cached or not."""
-    total = enumeration_space(config, budget)
+    BudgetExceeded when the space exceeds the budget, cached or not.
+
+    The matrix with rows (v_1, ..., v_e) sits at position
+    sum idx(v_i) q^(f(e-i)), and its row space is span(v_1..v_(e-1)) + v_e.
+    So each prefix subspace S (a reduced row-echelon basis) gets one cached
+    row v -> S + v over the q^f vectors, keyed on the residual of v modulo
+    S so that :func:`echelon` runs only on a new residual; prefixes are
+    composed level by level, and each distinct last-level row becomes
+    bytes of stratum codes.  ``classify`` runs on the padded basis of each
+    row space the first time it is met in odometer order, so unexpected
+    strata are appended in that order.
+    """
+    enumeration_space(config, budget)
     cached = _CLASS_CACHE.get(config)
     if cached is not None:
         return cached
-    codes = bytearray(total)
+    F, e, f = config.field, config.e, config.f
+    zero, mul, sub = F.zero, F.mul, F.sub
+    vectors = list(product(F.elements(), repeat=f))
+    joins: dict = {}  # basis of S -> [basis of S + v for v in vectors]
+    spaces: dict = {}  # one shared tuple per row space
+
+    def join_row(basis):
+        row = joins.get(basis)
+        if row is None:
+            pivots = [next(j for j, x in enumerate(b) if x != zero) for b in basis]
+            by_residual = {(zero,) * f: basis}
+            row = joins[basis] = []
+            for v in vectors:
+                for c, b in zip(pivots, basis):
+                    if v[c] != zero:
+                        v = tuple([sub(x, mul(v[c], y)) for x, y in zip(v, b)])
+                space = by_residual.get(v)
+                if space is None:
+                    rows = [*map(list, basis), list(v)]
+                    echelon(F, rows)
+                    space = tuple(map(tuple, rows))
+                    space = by_residual[v] = spaces.setdefault(space, space)
+                row.append(space)
+        return row
+
+    prefixes = [()]
+    for _ in range(e - 1):
+        level: list = []
+        for basis in prefixes:
+            level += join_row(basis)
+        prefixes = level
     classes = list(valid_params(config))
     index = {p: i for i, p in enumerate(classes)}
-    F, e, f = config.field, config.e, config.f
-    by_space: dict = {}  # reduced row-echelon basis -> stratum code
-    for pos, entries in enumerate(_sweep(config)):
-        rows = [list(entries[i * f : (i + 1) * f]) for i in range(e)]
-        rank = len(echelon(F, rows)[0])
-        space = tuple(tuple(row) for row in rows[:rank])
-        code = by_space.get(space)
-        if code is None:
-            params = classify(Matrix(F, rows, e, f), config)
-            code = index.get(params)
-            if code is None:  # defensive: record unexpected strata
-                index[params] = code = len(classes)
-                classes.append(params)
-            by_space[space] = code
-        codes[pos] = code
-    result = (classes, bytes(codes))
+    code_of: dict = {}    # basis of a row space -> stratum code
+    last_rows: dict = {}  # basis of a prefix -> bytes of stratum codes
+    for prefix in dict.fromkeys(prefixes):  # distinct, by first occurrence
+        row = join_row(prefix)
+        for space in row:
+            if space not in code_of:
+                padded = [*space, *[(zero,) * f] * (e - len(space))]
+                params = classify(Matrix(F, padded, e, f), config)
+                code = index.get(params)
+                if code is None:  # defensive: record unexpected strata
+                    index[params] = code = len(classes)
+                    classes.append(params)
+                code_of[space] = code
+        last_rows[prefix] = bytes(map(code_of.__getitem__, row))
+    result = (classes, b"".join(map(last_rows.__getitem__, prefixes)))
     _CLASS_CACHE[config] = result
     return result
 
@@ -213,11 +257,15 @@ def exhaustive_census(
     witness = None
     stray = next((i for i, cnt in enumerate(counts) if cnt and classes[i] not in expected), None)
     if stray is not None:
-        first = next(islice(_sweep(config), codes.index(stray), None))
+        elements = list(config.field.elements())
+        pos, first = codes.index(stray), []
+        for _ in range(config.e * config.f):  # base-q digits of the position
+            pos, digit = divmod(pos, len(elements))
+            first.append(elements[digit])
         witness = {
             "reason": "matrix classified outside the admissible strata",
             "params": str(classes[stray]),
-            "matrix": _rows(config, first),
+            "matrix": _rows(config, first[::-1]),
         }
     elif sum(counts) != len(codes):
         witness = {"reason": "tallies do not sum to the space size", "sum": sum(counts)}

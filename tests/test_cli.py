@@ -1,7 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isodet.cli import dispatch, main, render_atlas
 from isodet.fields import field_create
@@ -328,3 +335,90 @@ def test_malformed_input_file_is_domain_error(tmp_path, capsys, prefix, content,
     assert out == ""
     diagnostic = json.loads(err.splitlines()[-1])
     assert diagnostic["error"] == "MalformedInput"
+
+
+def test_closed_stdout_exits_quietly():
+    # one 528 kB write, more than a pipe holds, so the writer is still
+    # blocked when the reader closes after the first line
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = ["equations", "--kind", "sym", "-e", "4", "-f", "8", "--field", "p=7", "--params", "3,3"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "isodet.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert first.startswith(b"# isodet equations")
+    assert "Traceback" not in err
+    assert code == 1
+    assert json.loads(err)["error"] == "BrokenPipe"
+
+
+_FUZZ_DIR = Path(__file__).resolve().parent  # a directory, not a JSON file
+# option kind -> (valid values, malformed or out-of-range values)
+_SPEC = {
+    "int": (["1", "2", "3"], ["-1", "0", "x"]),
+    "f": (["3"], ["2", "0", "x"]),  # f >= 3 is a valid space
+    "field": (["p=3", "p=5", "p=3,ext=2"],
+              ["p=2", "p=4", "p=1", "p=0", "p=-3", "p=", "p=3,ext=3", "p=3,q=1", "foo", "", "rationals"]),
+    "params": (["0,0", "1,0", "1,1", "2,0", "2,0,+", "2,0,-", "2,1", "2,2", "3,3"],
+               ["-1,0", "1", "1,x", "1,0,?", "1,0,+,+", "9,9", ""]),
+    "primes": (["3,5", "3,7", "5,3"], ["3", "3,3", "2,3", "4,9", "1,3", "0,3", "-3,5", "3,x", "", ","]),
+    "budget": (["1000", "30000"], ["-1", "0", "1", "x"]),
+    "kind": (["sym", "alt", "symmetric"], ["bogus"]),
+    "gram": (["split", "identity"], ["bogus", "file:missing.json"]),
+    "format": (["text", "json"], ["yaml"]),
+    "in": (["{phi}"], [str(_FUZZ_DIR / "missing.json"), str(_FUZZ_DIR)]),
+}
+
+
+@st.composite
+def _argv(draw):
+    """A small CLI invocation: a command, its own options and the common
+    ones, each option mostly present and valid, sometimes missing or
+    malformed."""
+    command = draw(st.sampled_from(["atlas", "classify", "equations", "sample", "verify"]))
+    argv = [command]
+    if command == "verify":
+        argv.append(draw(st.sampled_from(["census", "cut", "dims", "closure", "counts", "all"])))
+    options = {
+        "--kind": "kind", "-e": "int", "-f": "f", "--field": "field", "--gram": "gram",
+        "--seed": "int", "--budget": "budget", "--format": "format",
+    }
+    options.update({
+        "classify": {"--in": "in"},
+        "equations": {"--params": "params"},
+        "sample": {"--params": "params", "--count": "int"},
+        "verify": {"--params": "params", "--primes": "primes", "--samples": "int"},
+    }.get(command, {}))
+    for flag, spec in options.items():
+        roll = draw(st.integers(0, 39))
+        if roll == 0:
+            continue
+        valid, malformed = _SPEC[spec]
+        argv += [flag, draw(st.sampled_from(malformed if roll == 1 else valid))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_phi(tmp_path_factory):
+    """A 2 x 3 matrix file for ``classify --in``; it fits only e = 2."""
+    path = tmp_path_factory.mktemp("fuzz") / "phi.json"
+    path.write_text(json.dumps({"rows": [["1", "0", "0"], ["0", "1", "1"]]}))
+    return str(path)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(argv=_argv())
+def test_exit_code_contract(fuzz_phi, argv):
+    # every run ends in a documented code; an exit 1 explains itself in JSON
+    argv = [fuzz_phi if a == "{phi}" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    if code == 1:
+        assert "error" in json.loads(err.getvalue()), argv

@@ -19,7 +19,8 @@ from isodet.forms_orbits import (
     valid_params,
 )
 from isodet.equations import GeneratorSet, generators_for, rank_condition_generators
-from isodet.linalg import Matrix, random_matrix
+from isodet import verify
+from isodet.linalg import Matrix, echelon, random_matrix
 from isodet.verify import (
     _evaluator,
     _growth_exponent,
@@ -35,6 +36,7 @@ from isodet.verify import (
 F3 = field_create("prime", 3)
 F5 = field_create("prime", 5)
 F7 = field_create("prime", 7)
+F9 = field_create("quadratic-extension", 3)
 F49 = field_create("quadratic-extension", 7)
 Q = field_create("rationals")
 
@@ -105,6 +107,86 @@ def test_row_space_table_agrees_with_classify(config):
     for pos, entries in enumerate(product(config.field.elements(), repeat=e * f)):
         phi = Matrix(config.field, [entries[i * f : (i + 1) * f] for i in range(e)], e, f)
         assert classes[codes[pos]] == classify(phi, config), phi
+
+
+def _per_matrix_table(config, positions=None):
+    """Oracle: the per-matrix build the composed table replaced.  Reduce
+    each matrix (every one, or those at ``positions``) to row-echelon form
+    and classify each distinct row space once, appending unexpected
+    strata in odometer order."""
+    F, e, f = config.field, config.e, config.f
+    classes = list(verify.valid_params(config))
+    index = {p: i for i, p in enumerate(classes)}
+    elements = list(F.elements())
+    if positions is None:
+        positions = range(len(elements) ** (e * f))
+    by_space, codes = {}, bytearray()
+    for pos in positions:
+        entries = []
+        for _ in range(e * f):
+            pos, digit = divmod(pos, len(elements))
+            entries.append(elements[digit])
+        entries.reverse()
+        rows = [entries[i * f : (i + 1) * f] for i in range(e)]
+        echelon(F, rows)
+        space = tuple(map(tuple, rows))
+        if space not in by_space:
+            params = classify(Matrix(F, rows, e, f), config)
+            if params not in index:
+                index[params] = len(classes)
+                classes.append(params)
+            by_space[space] = index[params]
+        codes.append(by_space[space])
+    return classes, bytes(codes)
+
+
+ORACLE_CONFIGS = [
+    split_config(3, 3, "symmetric", F3),  # two join levels
+    split_config(2, 4, "alternating", F3),
+    split_config(2, 4, "symmetric", F3),  # the (2,0,+/-) split
+    split_config(1, 3, "symmetric", F3),
+    split_config(1, 4, "alternating", F5),
+    split_config(1, 4, "symmetric", F9),
+    SpaceConfig(2, 4, F3, BilinearForm("symmetric", Matrix.identity(F3, 4))),
+]
+
+
+@pytest.mark.parametrize(
+    "config", ORACLE_CONFIGS,
+    ids=["sym-e3f3-F3", "alt-e2f4-F3", "sym-e2f4-F3", "sym-e1f3-F3", "alt-e1f4-F5", "sym-e1f4-F9",
+         "sym-e2f4-F3-identity"],
+)
+def test_composed_table_matches_per_matrix_oracle(config, monkeypatch):
+    monkeypatch.setattr(verify, "_CLASS_CACHE", {})
+    assert classification_table(config) == _per_matrix_table(config)
+
+
+def test_composed_table_matches_oracle_on_sampled_positions():
+    # sym e2f3 over F_9: one join level on an extension field; 9^6
+    # matrices are too many for the oracle, so it checks seeded positions
+    cfg = split_config(2, 3, "symmetric", F9)
+    classes, codes = classification_table(cfg)
+    positions = sorted(random.Random(6).sample(range(len(codes)), 3000))
+    oracle_classes, oracle_codes = _per_matrix_table(cfg, positions)
+    assert classes == oracle_classes
+    assert bytes(codes[i] for i in positions) == oracle_codes
+
+
+@pytest.mark.parametrize(
+    "dropped",
+    [[OrbitParams(1, 0)], [OrbitParams(2, 0, "-")], [OrbitParams(2, 2), OrbitParams(1, 1)]],
+    ids=["(1,0)", "(2,0,-)", "(2,2)+(1,1)"],
+)
+def test_unexpected_strata_appended_as_the_oracle_does(dropped, monkeypatch):
+    # strata missing from valid_params are appended in order of first
+    # odometer occurrence, with the same codes as the per-matrix build
+    monkeypatch.setattr(verify, "_CLASS_CACHE", {})
+    full = verify.valid_params
+    monkeypatch.setattr(verify, "valid_params", lambda config: [p for p in full(config) if p not in dropped])
+    cfg = split_config(2, 4, "symmetric", F3)
+    classes, codes = classification_table(cfg)
+    assert sorted(classes[-len(dropped):], key=str) == sorted(dropped, key=str)
+    assert (classes, codes) == _per_matrix_table(cfg)
 
 
 @pytest.mark.parametrize("kind", ["symmetric", "alternating"])
