@@ -156,15 +156,10 @@ def generator_inventory(params: OrbitParams, config: SpaceConfig) -> dict:
 
 
 def render_atlas(config: SpaceConfig) -> dict:
-    rows = []
-    for params in valid_params(config):
-        rows.append(
-            {
-                "params": params.to_json(),
-                **facts(params, config).to_json(),
-                "generators": generator_inventory(params, config),
-            }
-        )
+    rows = [
+        {"params": p.to_json(), **facts(p, config).to_json(), "generators": generator_inventory(p, config)}
+        for p in valid_params(config)
+    ]
     return {"config": config.to_json(), "rows": rows, "footnotes": FOOTNOTES}
 
 
@@ -180,19 +175,8 @@ def atlas_text(atlas: dict) -> str:
             if inv and "unavailable" not in inv
             else (inv.get("unavailable", "-") if inv else "-")
         )
-        table.append(
-            [
-                str(p),
-                str(row["dim"]),
-                str(row["codim"]),
-                _flag(row["normal"]),
-                _flag(row["cohen_macaulay"]),
-                _flag(row["rational_singularities_char0"]),
-                _flag(row["gorenstein"]),
-                _flag(row["strongly_f_regular"]),
-                inv_text,
-            ]
-        )
+        flags = ("normal", "cohen_macaulay", "rational_singularities_char0", "gorenstein", "strongly_f_regular")
+        table.append([str(p), str(row["dim"]), str(row["codim"]), *(_flag(row[k]) for k in flags), inv_text])
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
     for r in table:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
@@ -245,23 +229,14 @@ def _cmd_equations(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 1:
+        raise UsageError(f"--count: expected a positive integer, got {args.count}")
     config = resolve_config(args)
     params = parse_params_spec(args.params)
-    points = [
-        random_orbit_point(params, config, seed=f"{args.seed}:{i}") for i in range(args.count)
-    ]
+    points = [random_orbit_point(params, config, seed=f"{args.seed}:{i}") for i in range(args.count)]
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "config": config.to_json(),
-                    "params": params.to_json(),
-                    "seed": args.seed,
-                    "points": [m.to_json() for m in points],
-                },
-                sort_keys=True,
-            )
-        )
+        payload = {"config": config.to_json(), "params": params.to_json(), "seed": args.seed}
+        print(json.dumps({**payload, "points": [m.to_json() for m in points]}, sort_keys=True))
     else:
         print(echo_config(args, config))
         for m in points:
@@ -289,6 +264,8 @@ def _cmd_solve_congruence(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise UsageError(f"--samples: expected a positive integer, got {args.samples}")
     config = resolve_config(args)
     primes = parse_primes_spec(args.primes)
 

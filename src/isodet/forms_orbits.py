@@ -25,7 +25,8 @@ improper ones swap it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import reduce
 from math import comb
 
 from .errors import (
@@ -35,7 +36,6 @@ from .errors import (
     InsufficientWittIndex,
     InvalidForm,
     InvalidParams,
-    RankDeficient,
     SignUndefinedForForm,
     SymmetryMismatch,
 )
@@ -566,15 +566,7 @@ class OrbitFacts:
     strongly_f_regular: str      # yes | unknown
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "codim": self.codim,
-            "normal": self.normal,
-            "cohen_macaulay": self.cohen_macaulay,
-            "rational_singularities_char0": self.rational_singularities_char0,
-            "gorenstein": self.gorenstein,
-            "strongly_f_regular": self.strongly_f_regular,
-        }
+        return asdict(self)
 
 
 def facts(params: OrbitParams, config: SpaceConfig) -> OrbitFacts:
@@ -676,62 +668,75 @@ def tangent_dimension(phi: Matrix, config: SpaceConfig) -> int:
     return Matrix(F, rows, n, e * f).rank()
 
 
+def _reflections(form: BilinearForm, pairs) -> Matrix:
+    """The product over (v, c) in ``pairs`` of I + c v (v K), the matrix of
+    x |-> x + c beta(v, x) v: the reflection in v when c = -2/beta(v, v)
+    (determinant -1), a symplectic transvection for any c when the form
+    is alternating."""
+    F = form.field
+    add, mul, zero = F.add, F.mul, F.zero
+    rows = list(map(list, Matrix.identity(F, form.f).data))
+    for v, c in pairs:
+        w = (Matrix(F, [v], 1, form.f) @ form.gram).data[0]
+        for row in rows:  # row += c (row . v) w
+            t = mul(c, reduce(add, map(mul, row, v)))
+            if t != zero:
+                row[:] = [add(x, mul(t, y)) for x, y in zip(row, w)]
+    return Matrix(F, rows, form.f, form.f)
+
+
 def random_isometry(form: BilinearForm, seed=None, *, rng=None, stats: dict | None = None) -> Matrix:
-    """Random special isometry B (B^t K B = K, det B = 1) via the Cayley
-    transform B = (I - M)(I + M)^{-1} of a random infinitesimal isometry
-    M, retrying while I + M is singular.  Falls back to the identity
-    after 64 failed draws; ``stats`` (when given) records the attempt
-    count and whether the fallback fired."""
+    """Random special isometry B (B^t K B = K, det B = 1), a product of
+    2 ceil(f/2) reflections in uniform anisotropic vectors (symmetric) or
+    of f + 1 transvections with uniform vectors and non-zero scalars
+    (alternating).  These reach all of SO (Cartan-Dieudonne, padded by
+    s_v s_v = 1) and of Sp.  ``stats`` records the number of vector
+    draws as ``attempts``; ``fallback`` is always False."""
     if rng is None:
         rng = random.Random(seed)
-    F = form.field
-    basis = form.lie_basis()
-    ident = Matrix.identity(F, form.f)
-    attempts = 0
-    for _ in range(64):
-        attempts += 1
-        M = Matrix.zeros(F, form.f, form.f)
-        for b in basis:
+    F, f = form.field, form.f
+    symmetric = form.kind == SYMMETRIC
+    minus_two = F.from_int(-2)
+    count = f + f % 2 if symmetric else f + 1
+    pairs = []
+    draws = 0
+    while len(pairs) < count:
+        draws += 1
+        v = tuple(F.random(rng) for _ in range(f))
+        if symmetric:
+            norm = form.beta(v, v)
+            c = F.zero if F.is_zero(norm) else F.div(minus_two, norm)
+        else:
             c = F.random(rng)
-            if not F.is_zero(c):
-                M = M + b.scale(c)
-        try:
-            inv = (ident + M).inverse()
-        except RankDeficient:
-            continue
-        if stats is not None:
-            stats["attempts"] = attempts
-            stats["fallback"] = False
-        return (ident - M) @ inv
+        if not F.is_zero(c):
+            pairs.append((v, c))
     if stats is not None:
-        stats["attempts"] = attempts
-        stats["fallback"] = True
-    return ident
+        stats["attempts"] = draws
+        stats["fallback"] = False
+    return _reflections(form, pairs)
 
 
 def hyperbolic_swap(form: BilinearForm) -> Matrix:
     """The improper isometry exchanging the first hyperbolic pair
     (a1 <-> b1) and fixing its orthogonal complement; determinant -1.
-    Only symmetric forms admit improper isometries.
-
-    It is the reflection x |-> x - c beta(x, v) v in v = a1 - b1 with
-    c = 2/beta(v, v), so entry (i, j) is delta_ij - c v_i beta(v, e_j)."""
+    Only symmetric forms admit improper isometries.  It is the reflection
+    in v = a1 - b1."""
     if form.kind != SYMMETRIC:
         raise InvalidForm("only symmetric forms have improper isometries")
-    F, f = form.field, form.f
+    F = form.field
     hb = form.hyperbolic_basis()
     if not hb.pairs:
         raise InsufficientWittIndex("form has no hyperbolic pair to swap")
     a1, b1 = hb.pairs[0]
     v = _vec_sub(F, a1, b1)
-    c = F.div(F.from_int(2), form.beta(v, v))
-    cvk = [F.mul(c, form.beta(v, _unit(F, f, j))) for j in range(f)]
-    return Matrix(F, [_vec_sub(F, _unit(F, f, i), _vec_scale(F, v[i], cvk)) for i in range(f)], f, f)
+    return _reflections(form, [(v, F.div(F.from_int(-2), form.beta(v, v)))])
 
 
 def random_orbit_point(params: OrbitParams, config: SpaceConfig, seed=None) -> Matrix:
     """A Phi B^t for the stratum representative Phi, random invertible A
-    and random special isometry B; deterministic per seed."""
+    and a special isometry B from :func:`random_isometry`, which reaches
+    the whole group, so the points reach the whole stratum over a finite
+    field; deterministic per seed."""
     _require_valid(params, config)
     rng = random.Random(seed)
     rep = representative(params, config)

@@ -21,7 +21,10 @@ a stream of points, given as flat entry tuples: do these generators
 vanish here, and should they?  :func:`_evaluator` makes the one choice
 of evaluator per field kind, the equation cut runs one loop over
 ``(entries, in locus)`` pairs, seeded orbit points come from
-:func:`_orbit_points` and witnesses are rendered by :func:`_rows`.
+:func:`_orbit_points` and witnesses are rendered by :func:`_rows`.  Each
+seeded orbit point is built once per process and cached per
+configuration, so the closure check and the sampled cuts of one
+``run_all`` share their points.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from fractions import Fraction
 from itertools import product
 
 from .equations import GeneratorSet, generators_for
-from .errors import BudgetExceeded, EigenvalueNotInField, InsufficientWittIndex
+from .errors import BudgetExceeded, EigenvalueNotInField, InsufficientWittIndex, InvalidParams
 from .forms_orbits import (
     OrbitParams,
     SpaceConfig,
@@ -89,6 +92,7 @@ class VerificationReport:
 # exhaustive classification of a full matrix space, cached per config
 
 _CLASS_CACHE: dict = {}
+_POINT_CACHE: dict = {}  # config -> {seed string: flat entries of an orbit point}
 
 
 def enumeration_space(config: SpaceConfig, budget: int = DEFAULT_BUDGET) -> int:
@@ -218,11 +222,17 @@ def _evaluator(gens: GeneratorSet, field):
 
 def _orbit_points(config: SpaceConfig, per_class: int, seed) -> dict:
     """Stratum -> ``per_class`` seeded orbit points (flat entry tuples),
-    for every stratum in order."""
-    return {
-        cls: [random_orbit_point(cls, config, seed=f"{seed}:{cls}:{i}").flat() for i in range(per_class)]
-        for cls in valid_params(config)
-    }
+    for every stratum in order.  Point i of a stratum is drawn from the
+    seed ``f"{seed}:{cls}:{i}"`` once per process, so the closure check
+    and every sampled cut read the same points."""
+    built = _POINT_CACHE.setdefault(config, {})
+
+    def point(cls, key):
+        if key not in built:
+            built[key] = random_orbit_point(cls, config, seed=key).flat()
+        return built[key]
+
+    return {cls: [point(cls, f"{seed}:{cls}:{i}") for i in range(per_class)] for cls in valid_params(config)}
 
 
 # --------------------------------------------------------------------------
@@ -369,6 +379,8 @@ def check_closure_order(
 ) -> VerificationReport:
     """Sampled points of each stratum vanish on another stratum's
     generators exactly when the closure order says they should."""
+    if samples < 1:
+        raise InvalidParams(f"closure order needs at least one sample per stratum, got {samples}")
     t0 = time.perf_counter()
     order_fn = order_override if order_override is not None else closure_leq
     build = generators_override if generators_override is not None else generators_for

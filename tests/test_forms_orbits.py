@@ -484,15 +484,47 @@ def test_lie_basis_dimensions_and_property():
 
 
 def test_random_isometry_properties():
-    for field in (F5, F7, Q):
-        for kind, f in (("alternating", 4), ("symmetric", 4), ("symmetric", 5)):
-            frm = BilinearForm.split(field, kind, f)
-            for seed in range(10):
-                stats = {}
-                B = random_isometry(frm, seed=seed, stats=stats)
-                assert B.T @ frm.gram @ B == frm.gram
-                assert B.det() == field.one
-                assert not stats["fallback"]
+    rng = random.Random(29)
+    forms = [BilinearForm.split(field, kind, f)
+             for field in (F5, F7, Q)
+             for kind, f in (("alternating", 4), ("symmetric", 4), ("symmetric", 5))]
+    forms += [BilinearForm("symmetric", Matrix.identity(field, f)) for field in (F5, F7) for f in (3, 4)]
+    forms += [frm for field in (F7, Q) for frm in random_forms(field, "alternating", 2, rng)]
+    for frm in forms:
+        field = frm.field
+        for seed in range(10):
+            stats = {}
+            B = random_isometry(frm, seed=seed, stats=stats)
+            assert B.T @ frm.gram @ B == frm.gram
+            assert B.det() == field.one
+            assert not stats["fallback"]
+
+
+@pytest.mark.parametrize(
+    "kind,f,p,order",
+    [
+        ("symmetric", 3, 3, 24),     # |SO(3, q)| = q (q^2 - 1)
+        ("symmetric", 3, 5, 120),
+        ("symmetric", 3, 7, 336),
+        ("alternating", 2, 5, 120),  # |Sp(2, q)| = |SL(2, q)| = q (q^2 - 1)
+        ("symmetric", 4, 3, 576),    # split |SO+(4, q)| = q^2 (q^2 - 1)^2
+    ],
+)
+def test_random_isometry_reaches_the_whole_group(kind, f, p, order):
+    # oracle: the closed-form group order; every distinct draw is checked
+    # to be a special isometry, so reaching the order means every element
+    F = field_create("prime", p)
+    frm = BilinearForm.split(F, kind, f)
+    rng = random.Random(order)
+    seen = set()
+    for _ in range(8000):
+        B = random_isometry(frm, rng=rng)
+        if B.data not in seen:
+            assert B.T @ frm.gram @ B == frm.gram and B.det() == F.one
+            seen.add(B.data)
+            if len(seen) == order:
+                break
+    assert len(seen) == order
 
 
 def test_random_orbit_point_classifier_sweeps():

@@ -1,6 +1,8 @@
 """Rules on the library source, read with ``ast``: runtime checks raise
-typed errors (an ``assert`` vanishes under ``-O``), and arithmetic stays
-exact (``math`` is used only for its integer functions)."""
+typed errors (an ``assert`` vanishes under ``-O``), arithmetic stays
+exact (``math`` is used only for its integer functions), and randomness
+comes only from seeded ``random.Random`` instances, so output is
+reproducible per seed."""
 
 import ast
 from pathlib import Path
@@ -50,4 +52,20 @@ def test_math_imports_are_integer_only():
                 for alias in node.names
                 if alias.name not in INTEGER_MATH
             ]
+    assert found == []
+
+
+def test_randomness_only_through_seeded_instances():
+    # random.random(), random.shuffle(...) and the like draw from the
+    # module's hidden global generator, which no --seed reaches; with no
+    # ``from random import``, random.Random(...) is the one spelling to check
+    found = []
+    for name, node in _nodes():
+        if isinstance(node, ast.ImportFrom) and node.module == "random":
+            found += [f"{name}:{node.lineno}: {alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "random":
+            if node.attr != "Random":
+                found.append(f"{name}:{node.lineno}: random.{node.attr}")
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "random.Random" and not node.args:
+            found.append(f"{name}:{node.lineno}: unseeded random.Random()")
     assert found == []

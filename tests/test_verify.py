@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from isodet.errors import BudgetExceeded
+from isodet.errors import BudgetExceeded, InvalidParams
 from isodet.fields import field_create
 from isodet.forms_orbits import (
     BilinearForm,
@@ -279,6 +279,13 @@ def test_check_closure_order_pass_and_mutation():
     assert bad.witness["matrix"] == [["0", "0", "0", "0"], ["0", "0", "0", "0"]]
 
 
+def test_closure_order_needs_a_sample():
+    cfg = split_config(2, 3, "symmetric", F3)
+    for samples in (0, -1):
+        with pytest.raises(InvalidParams):
+            check_closure_order(cfg, samples=samples)
+
+
 def test_closure_order_exceptional_components():
     cfg = split_config(2, 4, "symmetric", F3)
     rep = check_closure_order(cfg, samples=25, seed=3)
@@ -378,3 +385,22 @@ def test_run_all_small():
     assert all(r.ok for r in reports)
     names = {r.name for r in reports}
     assert names == {"census", "dimensions", "closure-order", "equation-cut", "point-count"}
+
+
+def test_run_all_builds_each_orbit_point_once(monkeypatch):
+    # the closure check's seeds are a prefix of each sampled cut's, and
+    # every cut draws the same 100 points per stratum
+    cfg = split_config(2, 3, "symmetric", F3)
+    seeds = []
+
+    def counted(params, config, seed=None):
+        seeds.append(seed)
+        return random_orbit_point(params, config, seed=seed)
+
+    monkeypatch.setattr(verify, "_POINT_CACHE", {}, raising=False)
+    monkeypatch.setattr(verify, "random_orbit_point", counted)
+    reports = run_all(cfg, budget=100, samples=3, seed=1, primes=(3,))
+    assert all(r.ok for r in reports)
+    strata = valid_params(cfg)
+    assert [r.mode["kind"] for r in reports if r.name == "equation-cut"] == ["sampled"] * len(strata)
+    assert len(seeds) == len(set(seeds)) == 100 * len(strata)
