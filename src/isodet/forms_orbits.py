@@ -112,15 +112,15 @@ class BilinearForm:
             raise InvalidForm(f"unknown form kind {kind!r}")
         if gram.rows != gram.cols:
             raise InvalidForm("Gram matrix must be square")
+        # before the determinant: every odd skew matrix is degenerate
+        if kind == ALTERNATING and gram.rows % 2 != 0:
+            raise InvalidForm("alternating form needs even dimension")
         if gram.field.is_zero(gram.det()):
             raise InvalidForm("Gram matrix is degenerate")
         if kind == SYMMETRIC and not gram.is_symmetric():
             raise InvalidForm("symmetric form needs a symmetric Gram matrix")
-        if kind == ALTERNATING:
-            if gram.rows % 2 != 0:
-                raise InvalidForm("alternating form needs even dimension")
-            if not gram.is_skew():
-                raise InvalidForm("alternating form needs a skew Gram matrix with zero diagonal")
+        if kind == ALTERNATING and not gram.is_skew():
+            raise InvalidForm("alternating form needs a skew Gram matrix with zero diagonal")
         self.kind = kind
         self.gram = gram
         self._hyperbolic: HyperbolicBasis | None = None

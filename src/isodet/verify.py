@@ -2,9 +2,9 @@
 sampling that tie every formula in the library back to an independent
 check, emitting machine-readable reports.
 
-Every exhaustive check walks one sweep, :func:`_sweep`: all matrices of
-the space in odometer order over the entries (row-major, last entry
-fastest), so positions, tables and witnesses agree between checks.
+Every exhaustive check reads the space in one odometer order over the
+entries (row-major, last entry fastest), so positions, tables and
+witnesses agree between checks; :func:`_entries_at` decodes a position.
 
 The stratum of a matrix depends only on its row space W: r1 = dim W, r2
 is the rank of the form on W, and the sign is read off dim(W meet L0).
@@ -16,15 +16,15 @@ becomes rows of stratum codes, and the table is those byte rows joined in
 odometer order; each distinct row space is classified once.  The table
 is cached per configuration, and the budget gates every read of it.
 
-The point-wise checks (equation cut, closure order) ask one question of
-a stream of points, given as flat entry tuples: do these generators
-vanish here, and should they?  :func:`_evaluator` makes the one choice
-of evaluator per field kind, the equation cut runs one loop over
-``(entries, in locus)`` pairs, seeded orbit points come from
-:func:`_orbit_points` and witnesses are rendered by :func:`_rows`.  Each
-seeded orbit point is built once per process and cached per
-configuration, so the closure check and the sampled cuts of one
-``run_all`` share their points.
+The exhaustive equation cut is composed row by row as well
+(:func:`_vanish_rows`): each generator, restricted to the last row, has one
+cached zero row per scaled coefficient vector, so no generator is
+evaluated per matrix, yet every matrix gets its own verdict.  Sampled
+points (sampled cuts, closure order) are flat entry tuples:
+:func:`_evaluator` makes the one choice of evaluator per field kind and
+witnesses are rendered by :func:`_rows`.  Each seeded orbit point is
+built once per process and cached per configuration, so the closure
+check and the sampled cuts of one ``run_all`` share their points.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import random
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 
 from .equations import GeneratorSet, generators_for
 from .errors import BudgetExceeded, EigenvalueNotInField, InsufficientWittIndex, InvalidParams
@@ -106,9 +106,12 @@ def enumeration_space(config: SpaceConfig, budget: int = DEFAULT_BUDGET) -> int:
     return total
 
 
-def _sweep(config: SpaceConfig):
-    """Flat entry tuples of every matrix of the space, in odometer order."""
-    return product(config.field.elements(), repeat=config.e * config.f)
+def _entries_at(config: SpaceConfig, pos: int) -> list:
+    """Flat entries of the matrix at odometer position ``pos``: its base-q
+    digits over ``field.elements()``, most significant first."""
+    elements = list(config.field.elements())
+    q, n = len(elements), config.e * config.f
+    return [elements[pos // q ** (n - 1 - i) % q] for i in range(n)]
 
 
 def _rows(config: SpaceConfig, entries) -> list:
@@ -213,11 +216,55 @@ def _all_vanish(polys, vals, zero) -> bool:
 
 def _evaluator(gens: GeneratorSet, field):
     """(vanish, polys, arg): ``vanish(polys, vals, arg)`` says whether every
-    generator vanishes at the flat entry tuple ``vals``.  Prime fields
-    evaluate compiled integer terms mod p; other fields evaluate exactly."""
+    generator vanishes at the flat entry tuple ``vals``, for sampled
+    points.  Prime fields evaluate compiled integer terms mod p; other
+    fields evaluate exactly."""
     if field.kind == "prime":
         return _all_vanish_prime, _compile_for_prime(gens, field.p), field.p
     return _all_vanish, [g.poly for g in gens], field.zero
+
+
+def _vanish_rows(gens: GeneratorSet, config: SpaceConfig):
+    """For each prefix u of the first e-1 rows, in odometer order, the
+    vanishing row of the generators over the q^f last rows v: an int with
+    one 0/1 byte per v, big-endian.  A generator is g = sum_m c_m(u) v^m,
+    so at u it vanishes on the whole row when every c_m(u) is zero, and
+    otherwise its zero row depends only on its non-zero terms up to a
+    scalar: the cache key, scaled to a leading one."""
+    F, f, cut = config.field, config.f, (config.e - 1) * config.f  # the prefix's entries come first
+    zero, add, mul = F.zero, F.add, F.mul
+    elements = list(F.elements())
+    q, width = len(elements), len(elements) ** f
+    # per generator, per term: (last-row monomial, coefficient, prefix variables)
+    split = [[(tuple(i - cut for i in idxs if i >= cut), c, [i for i in idxs if i < cut])
+              for c, idxs in g.poly.compiled()] for g in gens]
+    # last-row monomial -> its value at every v; entry i of v is digit i of its position
+    columns = {(i,): [x for x in elements for _ in range(q ** (f - 1 - i))] * q ** i for i in range(f)}
+    columns[()] = [F.one] * width
+    for m in sorted({m[:j] for terms in split for m, _, _ in terms for j in range(2, len(m) + 1)}, key=len):
+        columns[m] = list(map(mul, columns[m[:-1]], columns[m[-1:]]))
+    rows: dict = {}  # scaled non-zero terms -> zero row
+    for u in product(elements, repeat=cut):
+        vanish = int.from_bytes(b"\1" * width, "big")
+        for terms in split:
+            coeffs: dict = {}
+            for m, c, idxs in terms:
+                for i in idxs:
+                    c = mul(c, u[i])
+                coeffs[m] = add(coeffs[m], c) if m in coeffs else c
+            live = [(m, c) for m, c in coeffs.items() if c != zero]
+            if not live:
+                continue  # g vanishes on the whole row
+            key = tuple([(m, F.div(c, live[0][1])) for m, c in live])
+            if key not in rows:
+                acc = columns[key[0][0]]
+                for m, c in key[1:]:
+                    acc = map(add, acc, columns[m] if c == F.one else map(mul, repeat(c, width), columns[m]))
+                rows[key] = int.from_bytes(bytes(map(zero.__eq__, acc)), "big")
+            vanish &= rows[key]
+            if not vanish:
+                break
+        yield vanish
 
 
 def _orbit_points(config: SpaceConfig, per_class: int, seed) -> dict:
@@ -267,15 +314,10 @@ def exhaustive_census(
     witness = None
     stray = next((i for i, cnt in enumerate(counts) if cnt and classes[i] not in expected), None)
     if stray is not None:
-        elements = list(config.field.elements())
-        pos, first = codes.index(stray), []
-        for _ in range(config.e * config.f):  # base-q digits of the position
-            pos, digit = divmod(pos, len(elements))
-            first.append(elements[digit])
         witness = {
             "reason": "matrix classified outside the admissible strata",
             "params": str(classes[stray]),
-            "matrix": _rows(config, first[::-1]),
+            "matrix": _rows(config, _entries_at(config, codes.index(stray))),
         }
     elif sum(counts) != len(codes):
         witness = {"reason": "tallies do not sum to the space size", "sum": sum(counts)}
@@ -311,34 +353,32 @@ def check_equation_cut(
         points = [(phi.flat(), closure_leq(classify(phi, config), params, config)) for phi in uniform]
         points += [(x, closure_leq(cls, params, config)) for cls, xs in orbit.items() for x in xs]
         mode = {"kind": "sampled", "n": len(points), "seed": seed}
+        vanish, polys, arg = _evaluator(gens, config.field)
+        verdicts = [(x, member, vanish(polys, x, arg)) for x, member in points]
+        n_locus, n_vanish = sum(m for _, m, _ in verdicts), sum(v for _, _, v in verdicts)
+        misses = [(x, m) for x, m, v in verdicts if m != v]  # (entries, in locus)
+        mismatches, first = len(misses), (misses[0] if misses else None)
     else:
-        member_of = [closure_leq(c, params, config) for c in classes]
-        points = zip(_sweep(config), map(member_of.__getitem__, codes))
+        member = bytes(closure_leq(c, params, config) for c in classes).ljust(256, b"\0")
+        width, pos = config.field.order ** config.f, None
+        n_locus = n_vanish = mismatches = 0
+        for k, vanish in enumerate(_vanish_rows(gens, config)):
+            locus = codes[k * width : (k + 1) * width].translate(member)  # same layout as vanish
+            diff = vanish ^ int.from_bytes(locus, "big")
+            n_locus += locus.count(1)
+            n_vanish += vanish.bit_count()
+            mismatches += diff.bit_count()
+            if diff and pos is None:  # the first mismatch is the highest set byte
+                pos = (k + 1) * width - 1 - (diff.bit_length() - 1) // 8
+        first = None if pos is None else (_entries_at(config, pos), bool(member[codes[pos]]))
         mode = {"kind": "exhaustive", "space": len(codes)}
-    vanish, polys, arg = _evaluator(gens, config.field)
-    witness = None
-    n_locus = n_vanish = mismatches = 0
-    for entries, member in points:
-        vanishes = vanish(polys, entries, arg)
-        n_locus += member
-        n_vanish += vanishes
-        if member != vanishes:
-            mismatches += 1
-            if witness is None:
-                witness = {
-                    "reason": "zero set disagrees with the rank-condition locus",
-                    "in_locus": member,
-                    "generators_vanish": vanishes,
-                    "matrix": _rows(config, entries),
-                }
-    status = "pass" if mismatches == 0 else "fail"
-    tallies = {
-        "params": str(params),
-        "generators": len(gens),
-        "locus": n_locus,
-        "vanishing": n_vanish,
-        "mismatches": mismatches,
+    witness = None if first is None else {
+        "reason": "zero set disagrees with the rank-condition locus", "in_locus": first[1],
+        "generators_vanish": not first[1], "matrix": _rows(config, first[0]),
     }
+    status = "pass" if mismatches == 0 else "fail"
+    tallies = {"params": str(params), "generators": len(gens), "locus": n_locus, "vanishing": n_vanish,
+               "mismatches": mismatches}
     return _report("equation-cut", config, mode, status, witness, tallies, warnings, t0)
 
 

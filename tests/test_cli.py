@@ -157,6 +157,10 @@ def test_domain_error_exit_1(capsys):
     assert code == 1
     assert json.loads(err)["error"] == "InvalidForm"
 
+    code, _, err = run(capsys, "atlas", "--kind", "alt", "-e", "2", "-f", "3", "--field", "p=3")
+    assert code == 1
+    assert json.loads(err) == {"error": "InvalidForm", "message": "alternating form needs even dimension"}
+
 
 def test_atlas_unknown_flags_and_footnotes(capsys):
     code, out, _ = run(capsys, "atlas", "--kind", "sym", "-e", "3", "-f", "4")
@@ -262,6 +266,12 @@ GOLDEN_STDOUT = [
      "f5f27b6d76411a65e6598d385ce308f2ab877eaaad7c79ee54c2161293fb0a87"),
     ("classify --kind sym -e 2 -f 4 --field p=5 --gram identity --in {phi}",
      "b111cb69022665023db668ddc72f729ac10b77f12845bdae9598e1c08c6ff159"),
+    # exhaustive cuts, recorded with the point-by-point cut loop: the first
+    # exhaustive-f7 invocation, and every stratum's cut over F_9
+    ("verify all --kind sym -e 2 -f 3 --field p=7 --primes 3,7 --format json",
+     "f85390c810436c677f065419673b84de864dc42927d96bbacdc64d7ca8d7b2b2"),
+    ("verify cut --kind sym -e 2 -f 3 --field p=3,ext=2 --format json",
+     "c5c1ffeb787c2230a32901fb2242a55d57cb72e503534289619ca305afd6dbd5"),
 ]
 
 # the --in matrix of the classify golden: an isotropic plane of the

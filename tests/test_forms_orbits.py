@@ -70,6 +70,14 @@ def test_form_validation():
         SpaceConfig(2, 2, F5, BilinearForm.split(F5, "symmetric", 2))
 
 
+@pytest.mark.parametrize("f", [1, 3, 5])
+def test_odd_alternating_form_names_the_dimension(f):
+    # an odd skew matrix is always degenerate, so the dimension is checked first
+    skew = BilinearForm.split(F5, "alternating", f + 1).gram.submatrix(list(range(f)), list(range(f)))
+    with pytest.raises(InvalidForm, match="alternating form needs even dimension"):
+        BilinearForm("alternating", skew)
+
+
 def test_split_form_shapes():
     sym = BilinearForm.split(F5, "symmetric", 5)
     assert sym.gram.is_symmetric()

@@ -18,7 +18,7 @@ from isodet.forms_orbits import (
     split_config,
     valid_params,
 )
-from isodet.equations import GeneratorSet, generators_for, rank_condition_generators
+from isodet.equations import Generator, GeneratorSet, Polynomial, generators_for, rank_condition_generators
 from isodet import verify
 from isodet.linalg import Matrix, echelon, random_matrix
 from isodet.verify import (
@@ -109,6 +109,15 @@ def test_row_space_table_agrees_with_classify(config):
         assert classes[codes[pos]] == classify(phi, config), phi
 
 
+def _oracle_entries(elements, n, pos):
+    """The n entries at odometer position ``pos``, decoded digit by digit."""
+    entries = []
+    for _ in range(n):
+        pos, digit = divmod(pos, len(elements))
+        entries.append(elements[digit])
+    return entries[::-1]
+
+
 def _per_matrix_table(config, positions=None):
     """Oracle: the per-matrix build the composed table replaced.  Reduce
     each matrix (every one, or those at ``positions``) to row-echelon form
@@ -122,11 +131,7 @@ def _per_matrix_table(config, positions=None):
         positions = range(len(elements) ** (e * f))
     by_space, codes = {}, bytearray()
     for pos in positions:
-        entries = []
-        for _ in range(e * f):
-            pos, digit = divmod(pos, len(elements))
-            entries.append(elements[digit])
-        entries.reverse()
+        entries = _oracle_entries(elements, e * f, pos)
         rows = [entries[i * f : (i + 1) * f] for i in range(e)]
         echelon(F, rows)
         space = tuple(map(tuple, rows))
@@ -250,6 +255,130 @@ def test_equation_cut_sampled_fallback():
     cfgq = split_config(2, 4, "alternating", Q)
     repq = check_equation_cut(OrbitParams(2, 0), cfgq, samples=100, seed=4)
     assert repq.mode["kind"] == "sampled" and repq.status == "pass"
+
+
+def _per_point_cut(params, config, gens, positions=None):
+    """Oracle: the point-by-point exhaustive cut the row-by-row cut
+    replaced.  Evaluate the generators at every matrix in odometer order
+    (or at the sorted ``positions`` only), tally against the closure
+    order and keep the first mismatch as the witness.  Returns (tallies,
+    witness, verdicts) with the per-position vanishing verdicts."""
+    F, e, f = config.field, config.e, config.f
+    classes, codes = classification_table(config)
+    member_of = [closure_leq(c, params, config) for c in classes]
+    vanish, polys, arg = _evaluator(gens, F)
+    elements = list(F.elements())
+    if positions is None:
+        positions = range(len(codes))
+    n_locus = n_vanish = mismatches = 0
+    witness, verdicts = None, []
+    for pos in positions:
+        entries = _oracle_entries(elements, e * f, pos)
+        member, vanishes = member_of[codes[pos]], vanish(polys, entries, arg)
+        verdicts.append(vanishes)
+        n_locus += member
+        n_vanish += vanishes
+        if member != vanishes:
+            mismatches += 1
+            if witness is None:
+                witness = {
+                    "reason": "zero set disagrees with the rank-condition locus",
+                    "in_locus": member,
+                    "generators_vanish": vanishes,
+                    "matrix": [[F.render(x) for x in entries[i * f : (i + 1) * f]] for i in range(e)],
+                }
+    tallies = {"params": str(params), "generators": len(gens), "locus": n_locus, "vanishing": n_vanish,
+               "mismatches": mismatches}
+    return tallies, witness, verdicts
+
+
+def _assert_cut_matches_oracle(params, config, gens=None):
+    rep = check_equation_cut(params, config, generators_override=gens)
+    gens = generators_for(params, config) if gens is None else gens
+    tallies, witness, _ = _per_point_cut(params, config, gens)
+    assert rep.mode["kind"] == "exhaustive"
+    assert (rep.tallies, rep.witness) == (tallies, witness), str(params)
+    assert rep.status == ("pass" if witness is None else "fail")
+    return rep
+
+
+CUT_ORACLE_CONFIGS = [
+    split_config(2, 3, "symmetric", F7),
+    split_config(2, 4, "symmetric", F3),  # the (2,0,+/-) components
+    split_config(2, 4, "alternating", F3),
+    split_config(3, 3, "symmetric", F3),  # two prefix rows
+    split_config(1, 4, "symmetric", F5),  # no prefix
+    SpaceConfig(2, 4, F3, BilinearForm("symmetric", Matrix.identity(F3, 4))),
+    split_config(1, 4, "alternating", F9),
+]
+
+
+@pytest.mark.parametrize(
+    "config", CUT_ORACLE_CONFIGS,
+    ids=["sym-e2f3-F7", "sym-e2f4-F3", "alt-e2f4-F3", "sym-e3f3-F3", "sym-e1f4-F5",
+         "sym-e2f4-F3-identity", "alt-e1f4-F9"],
+)
+def test_row_cut_matches_per_point_oracle(config):
+    for params in valid_params(config):
+        _assert_cut_matches_oracle(params, config)
+
+
+def test_row_cut_matches_oracle_on_sampled_positions():
+    # sym e2f3 over F_9: 9^6 matrices are too many for the per-point
+    # oracle, so it checks the vanishing verdict at seeded positions
+    cfg = split_config(2, 3, "symmetric", F9)
+    width = 9**3
+    positions = sorted(random.Random(8).sample(range(9**6), 3000))
+    for params in valid_params(cfg):
+        gens = generators_for(params, cfg)
+        rows = list(verify._vanish_rows(gens, cfg))
+        got = [bool(rows[pos // width] >> 8 * (width - 1 - pos % width) & 1) for pos in positions]
+        assert got == _per_point_cut(params, cfg, gens, positions)[2], str(params)
+
+
+def _mutations(config, params):
+    """Mutation name -> generator list for the stratum; the dropped and
+    altered generator is the minor on columns (0,2)."""
+    F, n = config.field, config.e * config.f
+    gens = list(generators_for(params, config))
+    k = next(i for i, g in enumerate(gens) if g.label == ("minor", (0, 1), (0, 2)))
+    minor = gens[k]
+
+    def replaced(poly):
+        return gens[:k] + [Generator(minor.label, poly)] + gens[k + 1 :]
+
+    return {
+        "dropped-minor": gens[:k] + gens[k + 1 :],
+        "empty": [],
+        "zero-polynomial": gens + [Generator(("zero",), Polynomial.zero(F, n))],
+        "non-zero-constant": gens + [Generator(("one",), Polynomial.constant(F, n, F.one))],
+        "minor-plus-one": replaced(minor.poly + Polynomial.constant(F, n, F.one)),
+        "minor-times-3": replaced(minor.poly.scale(F.from_int(3))),
+        "duplicated": gens + [gens[0]],
+    }
+
+
+@pytest.mark.parametrize(
+    "config,params,dropped",
+    [
+        # the Gram minor is -(that minor)^2 on rows supported on columns 0 and 2
+        (split_config(2, 3, "symmetric", F5), OrbitParams(1, 1), "pass"),
+        # rows supported on columns 0 and 2 span an isotropic plane
+        (split_config(2, 4, "symmetric", F3), OrbitParams(1, 1), "fail"),
+        (split_config(2, 4, "alternating", F3), OrbitParams(1, 0), "fail"),
+    ],
+    ids=["sym-e2f3-F5", "sym-e2f4-F3", "alt-e2f4-F3"],
+)
+def test_row_cut_matches_oracle_on_mutated_generators(config, params, dropped):
+    outcomes = {
+        name: _assert_cut_matches_oracle(params, config, GeneratorSet(config, gens)).status
+        for name, gens in _mutations(config, params).items()
+    }
+    times_3 = dropped if config.field.p == 3 else "pass"  # 3 = 0 in F_3
+    assert outcomes == {
+        "dropped-minor": dropped, "empty": "fail", "zero-polynomial": "pass", "non-zero-constant": "fail",
+        "minor-plus-one": "fail", "minor-times-3": times_3, "duplicated": "pass",
+    }
 
 
 def test_check_dimensions_pass_and_mutation():
