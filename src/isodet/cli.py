@@ -335,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common], help="run verification checks")
     p_verify.add_argument("check", choices=("census", "cut", "dims", "closure", "counts", "all"))
     p_verify.add_argument("--params", help="restrict cut/counts to one stratum: r1,r2[,sign]")
-    p_verify.add_argument("--samples", type=int, default=100)
+    p_verify.add_argument("--samples", type=int, default=100,
+                          help="closure-check orbit points per stratum (sampled cut: 2000 uniform + 100 per stratum)")
     p_verify.add_argument("--primes", default="3,5")
     p_verify.add_argument("--timing", action="store_true", help="include wall times in JSON output")
 

@@ -338,23 +338,22 @@ def _witt_hyperbolic(form: BilinearForm) -> HyperbolicBasis:
 
 
 def _lie_basis(form: BilinearForm) -> list[Matrix]:
+    """b = K^-1 S gives b^t K + K b = S -/+ S^t for K = +/-K^t, so the
+    algebra is K^-1 Skew (symmetric) or K^-1 Sym (alternating): the basis
+    K^-1 (E_ij -/+ E_ji) for i < j, plus K^-1 E_ii when alternating."""
     F, f = form.field, form.f
-    K = form.gram.data
-    add, zero = F.add, F.zero
-    rows = []
-    for r in range(f):
-        for s in range(f):
-            row = [zero] * (f * f)
-            for t in range(f):
-                # (b^t K)_{rs} contributes K_{ts} to b_{tr},
-                # (K b)_{rs} contributes K_{rt} to b_{ts}
-                row[t * f + r] = add(row[t * f + r], K[t][s])
-                row[t * f + s] = add(row[t * f + s], K[r][t])
-            rows.append(row)
-    kernel = Matrix(F, rows, f * f, f * f).kernel_basis()
-    return [
-        Matrix(F, [vec[i * f : (i + 1) * f] for i in range(f)], f, f) for vec in kernel
-    ]
+    kinv = form.gram.inverse().data
+    sign = F.neg(F.one) if form.kind == SYMMETRIC else F.one
+    basis = []
+    for i in range(f):
+        for j in range(i + (form.kind == SYMMETRIC), f):
+            # column j of K^-1 E_ij is column i of K^-1
+            rows = [[F.zero] * f for _ in range(f)]
+            for r in range(f):
+                rows[r][i] = F.mul(sign, kinv[r][j])
+                rows[r][j] = kinv[r][i]
+            basis.append(Matrix(F, rows, f, f))
+    return basis
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,14 @@ is cached per configuration, and the budget gates every read of it.
 The exhaustive equation cut is composed row by row as well
 (:func:`_vanish_rows`): each generator, restricted to the last row, has one
 cached zero row per scaled coefficient vector, so no generator is
-evaluated per matrix, yet every matrix gets its own verdict.  Sampled
-points (sampled cuts, closure order) are flat entry tuples:
-:func:`_evaluator` makes the one choice of evaluator per field kind and
-witnesses are rendered by :func:`_rows`.  Each seeded orbit point is
-built once per process and cached per configuration, so the closure
-check and the sampled cuts of one ``run_all`` share their points.
+evaluated per matrix, yet every matrix gets its own verdict.  The sampled
+checks (sampled cuts, closure order) read one labelled sample pool,
+:func:`_sample_points`: seeded uniform and orbit points, each drawn and
+labelled once per process, as flat entry tuples with their stratum.
+:func:`_vanishing` gives the one vanishing verdict at each such point, and
+the two checks differ only in how they reduce the verdicts.  In
+``run_all``, a stratum the form cannot populate leaves the pool with a
+warning rather than skipping the check.
 """
 
 from __future__ import annotations
@@ -208,20 +210,16 @@ def _all_vanish_prime(compiled, vals, p) -> bool:
     return True
 
 
-def _all_vanish(polys, vals, zero) -> bool:
-    """Whether every polynomial vanishes at the flat entry tuple ``vals``;
-    the same signature as the prime evaluator."""
-    return all(poly.evaluate(vals) == zero for poly in polys)
-
-
-def _evaluator(gens: GeneratorSet, field):
-    """(vanish, polys, arg): ``vanish(polys, vals, arg)`` says whether every
-    generator vanishes at the flat entry tuple ``vals``, for sampled
-    points.  Prime fields evaluate compiled integer terms mod p; other
-    fields evaluate exactly."""
-    if field.kind == "prime":
-        return _all_vanish_prime, _compile_for_prime(gens, field.p), field.p
-    return _all_vanish, [g.poly for g in gens], field.zero
+def _vanishing(gens: GeneratorSet, points) -> list:
+    """Whether every generator vanishes, at each labelled point ``(flat
+    entries, stratum)`` of ``points``: compiled integer terms mod p on
+    prime fields, exact evaluation elsewhere."""
+    F = gens.config.field
+    if F.kind == "prime":
+        compiled = _compile_for_prime(gens, F.p)
+        return [_all_vanish_prime(compiled, x, F.p) for x, _ in points]
+    polys = [g.poly for g in gens]
+    return [all(poly.evaluate(x) == F.zero for poly in polys) for x, _ in points]
 
 
 def _vanish_rows(gens: GeneratorSet, config: SpaceConfig):
@@ -267,19 +265,33 @@ def _vanish_rows(gens: GeneratorSet, config: SpaceConfig):
         yield vanish
 
 
-def _orbit_points(config: SpaceConfig, per_class: int, seed) -> dict:
-    """Stratum -> ``per_class`` seeded orbit points (flat entry tuples),
-    for every stratum in order.  Point i of a stratum is drawn from the
-    seed ``f"{seed}:{cls}:{i}"`` once per process, so the closure check
-    and every sampled cut read the same points."""
+def _sample_points(config: SpaceConfig, seed, uniform: int, per_stratum: int, left: dict | None = None):
+    """The labelled points ``(flat entries, stratum)`` of the sampled
+    checks: ``uniform`` matrices drawn from ``random.Random(seed)`` and
+    labelled by ``classify``, then ``per_stratum`` orbit points of every
+    stratum in order, point i from the seed ``f"{seed}:{cls}:{i}"``.  Each
+    point is drawn and labelled once per process, so the sampled checks
+    share them.  A stratum the form cannot populate raises
+    InsufficientWittIndex, or, given a dict ``left``, adds no points and
+    maps to the error's message there."""
     built = _POINT_CACHE.setdefault(config, {})
-
-    def point(cls, key):
-        if key not in built:
-            built[key] = random_orbit_point(cls, config, seed=key).flat()
-        return built[key]
-
-    return {cls: [point(cls, f"{seed}:{cls}:{i}") for i in range(per_class)] for cls in valid_params(config)}
+    points = []
+    for cls in valid_params(config):
+        keys = [f"{seed}:{cls}:{i}" for i in range(per_stratum)]
+        try:
+            for key in keys:
+                if key not in built:
+                    built[key] = random_orbit_point(cls, config, seed=key).flat()
+            points += [(built[key], cls) for key in keys]
+        except InsufficientWittIndex as exc:
+            if left is None:
+                raise
+            left[cls] = str(exc)
+    rng, drawn = built.setdefault(("uniform", seed), (random.Random(seed), []))
+    while len(drawn) < uniform:
+        phi = random_matrix(config.field, config.e, config.f, rng)
+        drawn.append((phi.flat(), classify(phi, config)))
+    return drawn[:uniform] + points
 
 
 # --------------------------------------------------------------------------
@@ -287,14 +299,7 @@ def _orbit_points(config: SpaceConfig, per_class: int, seed) -> dict:
 
 def _report(name, config, mode, status, witness, tallies, warnings, t0):
     return VerificationReport(
-        name=name,
-        config=config.to_json(),
-        mode=mode,
-        status=status,
-        witness=witness,
-        tallies=tallies,
-        warnings=warnings,
-        wall_time_ms=(time.perf_counter() - t0) * 1000.0,
+        name, config.to_json(), mode, status, witness, tallies, warnings, (time.perf_counter() - t0) * 1000.0
     )
 
 
@@ -314,11 +319,8 @@ def exhaustive_census(
     witness = None
     stray = next((i for i, cnt in enumerate(counts) if cnt and classes[i] not in expected), None)
     if stray is not None:
-        witness = {
-            "reason": "matrix classified outside the admissible strata",
-            "params": str(classes[stray]),
-            "matrix": _rows(config, _entries_at(config, codes.index(stray))),
-        }
+        witness = {"reason": "matrix classified outside the admissible strata", "params": str(classes[stray]),
+                   "matrix": _rows(config, _entries_at(config, codes.index(stray)))}
     elif sum(counts) != len(codes):
         witness = {"reason": "tallies do not sum to the space size", "sum": sum(counts)}
     status = "pass" if witness is None else "fail"
@@ -335,11 +337,13 @@ def check_equation_cut(
     samples: int = 2000,
     seed: int = 0,
     generators_override: GeneratorSet | None = None,
+    partial: bool = False,
 ) -> VerificationReport:
     """Set-theoretic check that the stratum's generators cut exactly the
     rank-condition locus.  Exhaustive within budget; otherwise falls back
     to seeded sampling (uniform matrices plus points of every stratum)
-    with a warning."""
+    with a warning; ``partial`` leaves out, with a warning each, the
+    strata the form cannot populate."""
     t0 = time.perf_counter()
     gens = generators_override if generators_override is not None else generators_for(params, config)
     warnings = []
@@ -347,17 +351,14 @@ def check_equation_cut(
         classes, codes = classification_table(config, budget)
     except BudgetExceeded as exc:
         warnings.append(f"{exc}; falling back to sampled mode")
-        orbit = _orbit_points(config, max(1, samples // 20), seed)
-        rng = random.Random(seed)
-        uniform = (random_matrix(config.field, config.e, config.f, rng) for _ in range(samples))
-        points = [(phi.flat(), closure_leq(classify(phi, config), params, config)) for phi in uniform]
-        points += [(x, closure_leq(cls, params, config)) for cls, xs in orbit.items() for x in xs]
-        mode = {"kind": "sampled", "n": len(points), "seed": seed}
-        vanish, polys, arg = _evaluator(gens, config.field)
-        verdicts = [(x, member, vanish(polys, x, arg)) for x, member in points]
+        left: dict = {}
+        points = _sample_points(config, seed, samples, max(1, samples // 20), left if partial else None)
+        warnings += [f"stratum {p} left out: {m}" for p, m in left.items()]
+        verdicts = [(x, closure_leq(c, params, config), v) for (x, c), v in zip(points, _vanishing(gens, points))]
         n_locus, n_vanish = sum(m for _, m, _ in verdicts), sum(v for _, _, v in verdicts)
         misses = [(x, m) for x, m, v in verdicts if m != v]  # (entries, in locus)
         mismatches, first = len(misses), (misses[0] if misses else None)
+        mode = {"kind": "sampled", "n": len(points), "seed": seed}
     else:
         member = bytes(closure_leq(c, params, config) for c in classes).ljust(256, b"\0")
         width, pos = config.field.order ** config.f, None
@@ -396,12 +397,8 @@ def check_dimensions(config: SpaceConfig, codim_override=None) -> VerificationRe
         expected = config.e * config.f - codim_fn(params, config)
         checked += 1
         if tangent != expected:
-            witness = {
-                "reason": "tangent dimension disagrees with the codimension formula",
-                "params": str(params),
-                "tangent": tangent,
-                "expected": expected,
-            }
+            witness = {"reason": "tangent dimension disagrees with the codimension formula",
+                       "params": str(params), "tangent": tangent, "expected": expected}
             break
     status = "pass" if witness is None else "fail"
     return _report(
@@ -416,38 +413,44 @@ def check_closure_order(
     seed: int = 0,
     generators_override=None,
     order_override=None,
+    partial: bool = False,
 ) -> VerificationReport:
     """Sampled points of each stratum vanish on another stratum's
-    generators exactly when the closure order says they should."""
+    generators exactly when the closure order says they should.  With
+    ``partial``, a stratum without orbit points (see
+    :func:`_sample_points`) or without generators over this field (an
+    involution eigenvalue outside it) is left out, with one warning."""
     if samples < 1:
         raise InvalidParams(f"closure order needs at least one sample per stratum, got {samples}")
     t0 = time.perf_counter()
     order_fn = order_override if order_override is not None else closure_leq
     build = generators_override if generators_override is not None else generators_for
     classes = valid_params(config)
-    evaluators = {q: _evaluator(build(q, config), config.field) for q in classes}
-    points = _orbit_points(config, samples, seed)
+    uppers, left = {}, {}
+    for q in classes:
+        try:
+            uppers[q] = build(q, config)
+        except EigenvalueNotInField as exc:
+            if not partial:
+                raise
+            left[q] = str(exc)
+    points = _sample_points(config, seed, 0, samples, left if partial else None)
+    verdicts = {q: _vanishing(gens, points) for q, gens in uppers.items()}
     witness = None
     pairs = 0
-    for p, q in product(classes, classes):
+    for p, q in product(dict.fromkeys(c for _, c in points), uppers):  # strata with points, in order
         pairs += 1
         expected = order_fn(p, q, config)
-        vanish, polys, arg = evaluators[q]
-        bad = next((x for x in points[p] if vanish(polys, x, arg) != expected), None)
+        bad = next((x for (x, c), v in zip(points, verdicts[q]) if c == p and v != expected), None)
         if bad is not None:
-            witness = {
-                "reason": "sampled vanishing disagrees with the closure order",
-                "lower": str(p),
-                "upper": str(q),
-                "expected": expected,
-                "matrix": _rows(config, bad),
-            }
+            witness = {"reason": "sampled vanishing disagrees with the closure order", "lower": str(p),
+                       "upper": str(q), "expected": expected, "matrix": _rows(config, bad)}
             break
     status = "pass" if witness is None else "fail"
+    warnings = [f"stratum {p} left out: {left[p]}" for p in classes if p in left]
     return _report(
-        "closure-order", config,
-        {"kind": "sampled", "n": samples, "seed": seed},
-        status, witness, {"pairs": pairs, "samples_per_stratum": samples}, [], t0,
+        "closure-order", config, {"kind": "sampled", "n": samples, "seed": seed},
+        status, witness, {"pairs": pairs, "samples_per_stratum": samples}, warnings, t0,
     )
 
 
@@ -504,18 +507,9 @@ def point_count_dimension_estimate(
     status = "warn" if deviates else "pass"
     witness = None
     if deviates:
-        witness = {
-            "reason": "point-count growth deviates from the expected dimension",
-            "params": str(params),
-            "estimates": estimates,
-            "dim": dim,
-        }
-    tallies = {
-        "params": str(params),
-        "counts": {str(q): counts[q] for q in qs},
-        "estimates": estimates,
-        "dim": dim,
-    }
+        witness = {"reason": "point-count growth deviates from the expected dimension", "params": str(params),
+                   "estimates": estimates, "dim": dim}
+    tallies = {"params": str(params), "counts": {str(q): counts[q] for q in qs}, "estimates": estimates, "dim": dim}
     return _report(
         "point-count", config, {"kind": "exhaustive", "primes": qs}, status, witness, tallies, [], t0
     )
@@ -532,7 +526,9 @@ def run_all(
     per-stratum point counts.  A check that cannot run on this space (over
     budget, an infinite field, too small a Witt index, an involution
     eigenvalue outside the field) degrades to a skipped warning carrying
-    the error's message instead of aborting the batch."""
+    the error's message instead of aborting the batch; the closure check
+    and sampled cuts leave out only the strata they cannot use, with one
+    warning each."""
 
     def guarded(name, tallies, check, *args, **kwargs):
         t0 = time.perf_counter()
@@ -545,8 +541,9 @@ def run_all(
     return [
         guarded("census", {}, exhaustive_census, config, budget),
         guarded("dimensions", {}, check_dimensions, config),
-        guarded("closure-order", {}, check_closure_order, config, samples=samples, seed=seed),
-        *(guarded("equation-cut", {"params": str(p)}, check_equation_cut, p, config, budget=budget, seed=seed)
+        guarded("closure-order", {}, check_closure_order, config, samples=samples, seed=seed, partial=True),
+        *(guarded("equation-cut", {"params": str(p)}, check_equation_cut, p, config, budget=budget, seed=seed,
+                  partial=True)
           for p in strata),
         *(guarded("point-count", {"params": str(p)}, point_count_dimension_estimate, p, config, primes, budget)
           for p in strata),

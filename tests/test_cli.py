@@ -187,15 +187,44 @@ def test_verify_all_skips_checks_the_form_cannot_run(capsys):
     assert code == 0
     reports = [json.loads(line) for line in out.splitlines()]
     skipped = [r for r in reports if r["mode"] == {"kind": "skipped"}]
-    assert {r["check"] for r in skipped} == {"census", "dimensions", "closure-order", "equation-cut"}
+    assert {r["check"] for r in skipped} == {"census", "dimensions"}
     assert all(r["status"] == "warn" and r["warnings"] for r in skipped)
     assert any("hyperbolic pairs" in r["warnings"][0] for r in skipped)
+    # the sampled checks leave out only the strata without orbit points
+    sampled = [r for r in reports if r["check"] in ("closure-order", "equation-cut")]
+    assert len(sampled) == 6 and all(r["status"] == "pass" for r in sampled)
+    for r in sampled:
+        left = [w for w in r["warnings"] if " left out: " in w]
+        assert [w.split(" left out: ")[0] for w in left] == ["stratum (1,0)", "stratum (2,1)"]
+        assert all("hyperbolic pairs" in w for w in left)
     counts = [r for r in reports if r["check"] == "point-count"]
     assert counts and all(r["status"] == "pass" for r in counts)
     # a single check still reports the error itself
     code, _, err = run(capsys, "verify", "dims", *form)
     assert code == 1
     assert json.loads(err)["error"] == "InsufficientWittIndex"
+
+
+def test_verify_all_leaves_out_strata_per_check(tmp_path, capsys):
+    # diag(1,1,1,2) over F_3 has Witt index 1, and 1/det K is not a square,
+    # so (2,0,+) and (2,0,-) have neither orbit points nor generators; the
+    # closure check still runs on the 5 x 5 pairs of the other strata
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps({"rows": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                                         ["0", "0", "1", "0"], ["0", "0", "0", "2"]]}))
+    form = ("--kind", "sym", "-e", "2", "-f", "4", "--field", "p=3", "--gram", f"file:{gram}")
+    code, out, _ = run(capsys, "verify", "all", *form, "--format", "json")
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    closure = next(r for r in reports if r["check"] == "closure-order")
+    assert closure["status"] == "pass" and closure["tallies"]["pairs"] == 25
+    assert [w.split(" left out: ")[0] for w in closure["warnings"]] == ["stratum (2,0,+)", "stratum (2,0,-)"]
+    skipped = {r["check"] for r in reports if r["mode"] == {"kind": "skipped"}}
+    assert skipped == {"dimensions", "equation-cut"}
+    # the single check still reports the error itself
+    code, _, err = run(capsys, "verify", "closure", *form)
+    assert code == 1
+    assert json.loads(err)["error"] == "EigenvalueNotInField"
 
 
 def test_verify_cut_signed_params(capsys):

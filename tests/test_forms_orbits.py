@@ -41,6 +41,7 @@ F5 = field_create("prime", 5)
 F7 = field_create("prime", 7)
 F11 = field_create("prime", 11)
 F25 = field_create("quadratic-extension", 5)
+F49 = field_create("quadratic-extension", 7)
 Q = field_create("rationals")
 
 
@@ -489,6 +490,41 @@ def test_lie_basis_dimensions_and_property():
     assert len(basis3) == 3 * 2 // 2
     for b in basis3:
         assert b.T @ frm3.gram + frm3.gram @ b == Matrix.zeros(F7, 3, 3)
+
+
+def _lie_basis_by_kernel(form):
+    """Oracle: the f^2 x f^2 linear system b^t K + K b = 0 solved by
+    elimination, as the closed-form basis replaced."""
+    F, f, K = form.field, form.f, form.gram.data
+    rows = []
+    for r in range(f):
+        for s in range(f):
+            row = [F.zero] * (f * f)
+            for t in range(f):
+                # (b^t K)_{rs} takes K_{ts} from b_{tr}, (K b)_{rs} takes K_{rt} from b_{ts}
+                row[t * f + r] = F.add(row[t * f + r], K[t][s])
+                row[t * f + s] = F.add(row[t * f + s], K[r][t])
+            rows.append(row)
+    return [tuple(vec) for vec in Matrix(F, rows, f * f, f * f).kernel_basis()]
+
+
+@pytest.mark.parametrize("F", [F7, F49, Q], ids=["F7", "F49", "Q"])
+@pytest.mark.parametrize("kind", ["symmetric", "alternating"])
+def test_lie_basis_spans_the_kernel_oracle(F, kind):
+    rng = random.Random(41)
+    forms = [BilinearForm.split(F, kind, f) for f in (4, 6) + ((3, 5) if kind == "symmetric" else ())]
+    if kind == "symmetric":
+        forms += [BilinearForm(kind, Matrix.identity(F, f)) for f in (3, 4)]
+    forms += random_forms(F, kind, 4, rng)
+    for form in forms:
+        f = form.f
+        basis = [b.flat() for b in form.lie_basis()]
+        oracle = _lie_basis_by_kernel(form)
+        dim = f * (f - 1) // 2 if kind == "symmetric" else f * (f + 1) // 2
+        assert len(basis) == len(oracle) == dim
+        rank = Matrix(F, basis, dim, f * f).rank()
+        joint = Matrix(F, basis + oracle, 2 * dim, f * f).rank()
+        assert rank == joint == dim, form.gram
 
 
 def test_random_isometry_properties():

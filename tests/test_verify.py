@@ -22,8 +22,8 @@ from isodet.equations import Generator, GeneratorSet, Polynomial, generators_for
 from isodet import verify
 from isodet.linalg import Matrix, echelon, random_matrix
 from isodet.verify import (
-    _evaluator,
     _growth_exponent,
+    _vanishing,
     check_closure_order,
     check_dimensions,
     check_equation_cut,
@@ -197,8 +197,9 @@ def test_unexpected_strata_appended_as_the_oracle_does(dropped, monkeypatch):
 @pytest.mark.parametrize("kind", ["symmetric", "alternating"])
 @pytest.mark.parametrize("field", [F7, F49, Q], ids=["F7", "F49", "Q"])
 def test_evaluator_agrees_with_generator_set(kind, field):
-    # the checks' evaluator against GeneratorSet.all_vanish, on uniform
-    # points and on points of every stratum, for every stratum's generators
+    # the sampled checks' vanishing verdicts against GeneratorSet.all_vanish,
+    # on uniform points and on points of every stratum, for every stratum's
+    # generators
     cfg = split_config(2, 4, kind, field)
     rng = random.Random(11)
     points = [random_matrix(field, 2, 4, rng) for _ in range(10)]
@@ -206,8 +207,7 @@ def test_evaluator_agrees_with_generator_set(kind, field):
     seen = set()
     for params in valid_params(cfg):
         gens = generators_for(params, cfg)
-        vanish, polys, arg = _evaluator(gens, field)
-        answers = [vanish(polys, phi.flat(), arg) for phi in points]
+        answers = _vanishing(gens, [(phi.flat(), None) for phi in points])
         assert answers == [gens.all_vanish(phi) for phi in points], str(params)
         seen.update(answers)
     assert seen == {True, False}
@@ -266,16 +266,15 @@ def _per_point_cut(params, config, gens, positions=None):
     F, e, f = config.field, config.e, config.f
     classes, codes = classification_table(config)
     member_of = [closure_leq(c, params, config) for c in classes]
-    vanish, polys, arg = _evaluator(gens, F)
     elements = list(F.elements())
     if positions is None:
         positions = range(len(codes))
+    points = [(_oracle_entries(elements, e * f, pos), pos) for pos in positions]
+    verdicts = _vanishing(gens, points)
     n_locus = n_vanish = mismatches = 0
-    witness, verdicts = None, []
-    for pos in positions:
-        entries = _oracle_entries(elements, e * f, pos)
-        member, vanishes = member_of[codes[pos]], vanish(polys, entries, arg)
-        verdicts.append(vanishes)
+    witness = None
+    for (entries, pos), vanishes in zip(points, verdicts):
+        member = member_of[codes[pos]]
         n_locus += member
         n_vanish += vanishes
         if member != vanishes:
@@ -533,3 +532,20 @@ def test_run_all_builds_each_orbit_point_once(monkeypatch):
     strata = valid_params(cfg)
     assert [r.mode["kind"] for r in reports if r.name == "equation-cut"] == ["sampled"] * len(strata)
     assert len(seeds) == len(set(seeds)) == 100 * len(strata)
+
+
+def test_sampled_run_classifies_each_uniform_point_once(monkeypatch):
+    # every sampled cut reads the same 2000 uniform points, labelled once
+    cfg = split_config(2, 3, "symmetric", F3)
+    calls = []
+
+    def counted(phi, config):
+        calls.append(phi)
+        return classify(phi, config)
+
+    monkeypatch.setattr(verify, "_POINT_CACHE", {})
+    monkeypatch.setattr(verify, "classify", counted)
+    reports = run_all(cfg, budget=100)
+    assert all(r.ok for r in reports)
+    assert [r.mode["kind"] for r in reports if r.name == "equation-cut"] == ["sampled"] * len(valid_params(cfg))
+    assert len(calls) == 2000
