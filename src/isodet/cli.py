@@ -292,6 +292,8 @@ def _cmd_verify(args) -> int:
             extra = f" witness={json.dumps(r.witness, sort_keys=True)}" if r.witness else ""
             tall = json.dumps(r.tallies, sort_keys=True)
             print(f"{r.status.upper():4}  {r.name:14} {tall}{extra}")
+            for w in r.warnings:
+                print(f"      warning: {w}")
     return 0 if all(r.ok for r in reports) else 3
 
 

@@ -33,7 +33,6 @@ from .errors import (
     IndexOutOfRange,
     InvalidParams,
     OddDimension,
-    SizeMismatch,
     WrongKind,
 )
 from .fields import Field
@@ -44,8 +43,9 @@ from .forms_orbits import (
     SpaceConfig,
     params_valid,
     representative,
+    valid_params,
 )
-from .linalg import Matrix
+from .linalg import Matrix, check_minor_selection
 
 # One byte per exponent.  Every monomial's total degree is capped at the
 # largest byte, which bounds each exponent too, so adding two monomials
@@ -442,10 +442,9 @@ def _gram_table(config: SpaceConfig) -> MinorTable:
 
 def minor_polynomial(config: SpaceConfig, rowset, colset) -> Polynomial:
     """The (|rowset| x |colset|) minor of the generic matrix as a
-    polynomial."""
+    polynomial; the index sets obey :meth:`Matrix.minor`'s rule."""
     rowset, colset = tuple(rowset), tuple(colset)
-    if len(rowset) != len(colset):
-        raise SizeMismatch("row and column sets differ in size")
+    check_minor_selection(rowset, colset, config.e, config.f)
     return _matrix_table(config).minor(rowset, colset)
 
 
@@ -712,26 +711,17 @@ def component_generators(sign: str, config: SpaceConfig) -> GeneratorSet:
 # label-driven regeneration (reproducibility contract)
 
 def rebuild_generator(label: tuple, config: SpaceConfig) -> Generator:
-    """Rebuild the polynomial a label denotes; regenerating from labels is
-    bit-for-bit deterministic."""
-    tag = label[0]
-    if tag == "minor":
-        _, T, S = label
-        return Generator(label, minor_polynomial(config, T, S))
-    G = _gram_table(config)
-    if tag == "gram-minor":
-        _, T, S = label
-        return Generator(label, G.minor(tuple(T), tuple(S)))
-    if tag == "gram-pfaffian":
-        _, S = label
-        return Generator(label, G.pfaffian(tuple(S)))
-    if tag == "quadratic-invariant":
-        _, i, j = label
-        return Generator(label, G.grid[i][j])
-    if tag == "component":
-        _, sign, T, u = label
-        for g in component_generators(sign, config):
+    """The generator carrying ``label`` in the set :func:`generators_for`
+    gives some stratum of :func:`valid_params`, skipping strata whose
+    involution eigenvalue is outside the field; regenerating from labels
+    is bit-for-bit deterministic.  A label no set carries raises
+    InvalidParams."""
+    for params in valid_params(config):
+        try:
+            gens = generators_for(params, config)
+        except EigenvalueNotInField:
+            continue
+        for g in gens:
             if g.label == label:
                 return g
-        raise InvalidParams(f"label {label} denotes a vanishing component row")
-    raise InvalidParams(f"unknown generator label {label!r}")
+    raise InvalidParams(f"no generator set carries the label {label!r}")

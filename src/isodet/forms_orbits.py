@@ -410,27 +410,16 @@ def isotropic_rank(phi: Matrix, form: BilinearForm) -> int:
 
 
 def valid_params(config: SpaceConfig) -> list[OrbitParams]:
-    """All admissible (r1, r2) labels, in lexicographic order, with the
-    two-component symmetric stratum emitted as (f/2, 0, +) then
-    (f/2, 0, -)."""
-    out = []
-    alternating = config.kind == ALTERNATING
-    exceptional = config.kind == SYMMETRIC and config.f % 2 == 0
-    for r1 in range(config.e + 1):
-        for r2 in range(r1 + 1):
-            if 2 * r1 - r2 > config.f:
-                continue
-            if alternating and r2 % 2 != 0:
-                continue
-            if exceptional and (r1, r2) == (config.f // 2, 0):
-                out.append(OrbitParams(r1, r2, "+"))
-                out.append(OrbitParams(r1, r2, "-"))
-            else:
-                out.append(OrbitParams(r1, r2))
-    return out
+    """The labels (r1, r2, sign) with 0 <= r2 <= r1 <= e and sign in
+    (None, +, -), in that order, that :func:`params_valid` admits."""
+    signs = (None, "+", "-")
+    labels = (OrbitParams(r1, r2, s) for r1 in range(config.e + 1) for r2 in range(r1 + 1) for s in signs)
+    return [p for p in labels if params_valid(p, config)]
 
 
 def params_valid(params: OrbitParams, config: SpaceConfig) -> bool:
+    """The admissibility rule of the module docstring: a sign exactly on
+    the two-component stratum."""
     r1, r2 = params.r1, params.r2
     if not (0 <= r2 <= r1 <= config.e) or 2 * r1 - r2 > config.f:
         return False
@@ -459,7 +448,7 @@ def classify(phi: Matrix, config: SpaceConfig) -> OrbitParams:
     r1 = phi.rank()
     r2 = isotropic_rank(phi, config.form)
     sign = None
-    if config.kind == SYMMETRIC and config.f % 2 == 0 and (r1, r2) == (config.f // 2, 0):
+    if params_valid(OrbitParams(r1, r2, "+"), config):
         half = config.f // 2
         ref = config.form.reference_isotropic()
         inter = r1 + half - phi.vstack(ref).rank()

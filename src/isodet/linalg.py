@@ -30,6 +30,19 @@ from .errors import (
 from .fields import Field, field_from_json
 
 
+def check_minor_selection(rowset: tuple, colset: tuple, rows: int, cols: int) -> None:
+    """The index sets of a minor of a rows-by-cols grid: equal sizes
+    (else SizeMismatch), each strictly increasing and in range (else
+    IndexOutOfRange)."""
+    if len(rowset) != len(colset):
+        raise SizeMismatch("row and column sets differ in size")
+    for sel, bound in ((rowset, rows), (colset, cols)):
+        if any(i < 0 or i >= bound for i in sel):
+            raise IndexOutOfRange(f"selection {sel} out of range")
+        if any(a >= b for a, b in zip(sel, sel[1:])):
+            raise IndexOutOfRange(f"selection {sel} is not strictly increasing")
+
+
 class Matrix:
     __slots__ = ("field", "rows", "cols", "data")
 
@@ -259,13 +272,7 @@ class Matrix:
     def minor(self, rowset, colset):
         """Determinant of the submatrix on strictly increasing index sets."""
         rowset, colset = tuple(rowset), tuple(colset)
-        if len(rowset) != len(colset):
-            raise SizeMismatch("row and column sets differ in size")
-        for sel, bound in ((rowset, self.rows), (colset, self.cols)):
-            if any(i < 0 or i >= bound for i in sel):
-                raise IndexOutOfRange(f"selection {sel} out of range")
-            if any(a >= b for a, b in zip(sel, sel[1:])):
-                raise IndexOutOfRange(f"selection {sel} is not strictly increasing")
+        check_minor_selection(rowset, colset, self.rows, self.cols)
         return self.submatrix(rowset, colset).det()
 
     def left_inverse(self) -> "Matrix":

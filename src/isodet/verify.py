@@ -383,16 +383,25 @@ def check_equation_cut(
     return _report("equation-cut", config, mode, status, witness, tallies, warnings, t0)
 
 
-def check_dimensions(config: SpaceConfig, codim_override=None) -> VerificationReport:
+def check_dimensions(config: SpaceConfig, codim_override=None, partial: bool = False) -> VerificationReport:
     """Tangent-space oracle for the codimension formula: for every
     stratum, the rank of the linearized action at the representative must
-    equal e*f - codim, exactly."""
+    equal e*f - codim, exactly.  With ``partial``, a stratum without a
+    representative (too small a Witt index) is left out, with one
+    warning."""
     t0 = time.perf_counter()
     codim_fn = codim_override if codim_override is not None else codimension
     witness = None
     checked = 0
+    warnings = []
     for params in valid_params(config):
-        rep = representative(params, config)
+        try:
+            rep = representative(params, config)
+        except InsufficientWittIndex as exc:
+            if not partial:
+                raise
+            warnings.append(f"stratum {params} left out: {exc}")
+            continue
         tangent = tangent_dimension(rep, config)
         expected = config.e * config.f - codim_fn(params, config)
         checked += 1
@@ -403,7 +412,7 @@ def check_dimensions(config: SpaceConfig, codim_override=None) -> VerificationRe
     status = "pass" if witness is None else "fail"
     return _report(
         "dimensions", config, {"kind": "exhaustive", "strata": checked}, status, witness,
-        {"strata": checked}, [], t0,
+        {"strata": checked}, warnings, t0,
     )
 
 
@@ -526,9 +535,9 @@ def run_all(
     per-stratum point counts.  A check that cannot run on this space (over
     budget, an infinite field, too small a Witt index, an involution
     eigenvalue outside the field) degrades to a skipped warning carrying
-    the error's message instead of aborting the batch; the closure check
-    and sampled cuts leave out only the strata they cannot use, with one
-    warning each."""
+    the error's message instead of aborting the batch; the dimension and
+    closure checks and the sampled cuts leave out only the strata they
+    cannot use, with one warning each."""
 
     def guarded(name, tallies, check, *args, **kwargs):
         t0 = time.perf_counter()
@@ -540,7 +549,7 @@ def run_all(
     strata = valid_params(config)
     return [
         guarded("census", {}, exhaustive_census, config, budget),
-        guarded("dimensions", {}, check_dimensions, config),
+        guarded("dimensions", {}, check_dimensions, config, partial=True),
         guarded("closure-order", {}, check_closure_order, config, samples=samples, seed=seed, partial=True),
         *(guarded("equation-cut", {"params": str(p)}, check_equation_cut, p, config, budget=budget, seed=seed,
                   partial=True)

@@ -187,9 +187,10 @@ def test_verify_all_skips_checks_the_form_cannot_run(capsys):
     assert code == 0
     reports = [json.loads(line) for line in out.splitlines()]
     skipped = [r for r in reports if r["mode"] == {"kind": "skipped"}]
-    assert {r["check"] for r in skipped} == {"census", "dimensions"}
+    assert {r["check"] for r in skipped} == {"census"}
     assert all(r["status"] == "warn" and r["warnings"] for r in skipped)
-    assert any("hyperbolic pairs" in r["warnings"][0] for r in skipped)
+    dims = next(r for r in reports if r["check"] == "dimensions")
+    assert any("hyperbolic pairs" in w for w in dims["warnings"])
     # the sampled checks leave out only the strata without orbit points
     sampled = [r for r in reports if r["check"] in ("closure-order", "equation-cut")]
     assert len(sampled) == 6 and all(r["status"] == "pass" for r in sampled)
@@ -220,11 +221,47 @@ def test_verify_all_leaves_out_strata_per_check(tmp_path, capsys):
     assert closure["status"] == "pass" and closure["tallies"]["pairs"] == 25
     assert [w.split(" left out: ")[0] for w in closure["warnings"]] == ["stratum (2,0,+)", "stratum (2,0,-)"]
     skipped = {r["check"] for r in reports if r["mode"] == {"kind": "skipped"}}
-    assert skipped == {"dimensions", "equation-cut"}
+    assert skipped == {"equation-cut"}
     # the single check still reports the error itself
     code, _, err = run(capsys, "verify", "closure", *form)
     assert code == 1
     assert json.loads(err)["error"] == "EigenvalueNotInField"
+
+
+def test_verify_all_leaves_out_strata_without_representatives(tmp_path, capsys):
+    # the tangent check runs on every stratum that has a representative
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps({"rows": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                                         ["0", "0", "1", "0"], ["0", "0", "0", "2"]]}))
+    cases = [
+        (("-e", "2", "-f", "4", "--field", "p=3", "--gram", f"file:{gram}"), 5, ["(2,0,+)", "(2,0,-)"]),
+        (("-e", "2", "-f", "3", "--field", "rationals", "--gram", "identity", "--samples", "5"), 3,
+         ["(1,0)", "(2,1)"]),
+    ]
+    for form, strata, left in cases:
+        code, out, _ = run(capsys, "verify", "all", "--kind", "sym", *form, "--format", "json")
+        assert code == 0
+        dims = next(json.loads(line) for line in out.splitlines() if '"dimensions"' in line)
+        assert dims["status"] == "pass" and dims["mode"]["kind"] == "exhaustive"
+        assert dims["tallies"] == {"strata": strata}
+        assert [w.split(" left out: ")[0] for w in dims["warnings"]] == [f"stratum {p}" for p in left]
+        assert all("hyperbolic pairs" in w for w in dims["warnings"])
+
+
+def test_verify_text_output_shows_warnings(capsys):
+    form = ("--kind", "sym", "-e", "2", "-f", "3", "--field", "rationals", "--gram", "identity")
+    code, out, _ = run(capsys, "verify", "all", *form, "--samples", "5")
+    assert code == 0
+    _, json_out, _ = run(capsys, "verify", "all", *form, "--samples", "5", "--format", "json")
+    reports = [json.loads(line) for line in json_out.splitlines()]
+    # each report line is followed by one indented line per warning
+    lines = out.splitlines()[1:]
+    expected = []
+    for r in reports:
+        expected.append(r["status"].upper())
+        expected += [f"      warning: {w}" for w in r["warnings"]]
+    assert [line if line.startswith(" ") else line.split()[0] for line in lines] == expected
+    assert "      warning: exhaustive enumeration needs a finite field" in lines
 
 
 def test_verify_cut_signed_params(capsys):
@@ -301,6 +338,13 @@ GOLDEN_STDOUT = [
      "f85390c810436c677f065419673b84de864dc42927d96bbacdc64d7ca8d7b2b2"),
     ("verify cut --kind sym -e 2 -f 3 --field p=3,ext=2 --format json",
      "c5c1ffeb787c2230a32901fb2242a55d57cb72e503534289619ca305afd6dbd5"),
+    # sampled cuts, recorded before rebuild_generator became a lookup:
+    # verdicts at prime-field points, and at F_9 points through
+    # Polynomial.evaluate
+    ("verify all --kind sym -e 2 -f 3 --field p=3 --budget 100 --format json",
+     "18aa6b1d88bd7eb805aff896a5dd3aa9eeaafac614fd45e3040d81c28b38a5ce"),
+    ("verify all --kind alt -e 2 -f 4 --field p=3,ext=2 --budget 1000 --samples 20 --format json",
+     "0fcdadfaa060f559576ae8d40c4204084682a029a3d8a450b122caaa0c5e779f"),
 ]
 
 # the --in matrix of the classify golden: an isotropic plane of the

@@ -10,8 +10,10 @@ from isodet.errors import (
     EigenvalueNotInField,
     ExceptionalNeedsSign,
     ExponentOutOfRange,
+    IndexOutOfRange,
     InvalidParams,
     OddDimension,
+    SizeMismatch,
     WrongKind,
 )
 from isodet.fields import field_create
@@ -261,18 +263,84 @@ def test_generator_degrees_homogeneous():
                     assert g.poly.degree() == p.r2 + 2
 
 
+def _diag_1112(field):
+    # Witt index 1 over F_3, where 1/det K = 2 is not a square; split over F_9
+    gram = Matrix.from_ints(field, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])
+    return SpaceConfig(2, 4, field, BilinearForm("symmetric", gram))
+
+
+F3 = field_create("prime", 3)
+F9 = field_create("quadratic-extension", 3)
+LABEL_CONFIGS = {
+    "sym-split-F5": split_config(2, 4, "symmetric", F5),
+    "alt-split-F5": split_config(3, 4, "alternating", F5),
+    "sym-identity-F5": SpaceConfig(2, 4, F5, BilinearForm("symmetric", Matrix.identity(F5, 4))),
+    "sym-diag1112-F3": _diag_1112(F3),
+    "sym-diag1112-F9": _diag_1112(F9),
+}
+
+
 def test_label_determinism():
+    # every label of every stratum's generator set rebuilds its generator;
+    # over F_3 the diag(1,1,1,2) form has no signed generator sets
+    for name, cfg in LABEL_CONFIGS.items():
+        built = 0
+        for p in valid_params(cfg):
+            try:
+                gens = (
+                    component_generators(p.sign, cfg)
+                    if p.sign is not None
+                    else rank_condition_generators(p, cfg)
+                )
+            except EigenvalueNotInField:
+                assert name == "sym-diag1112-F3" and p.sign is not None
+                continue
+            built += 1
+            for g in gens:
+                rebuilt = rebuild_generator(g.label, cfg)
+                assert rebuilt.poly == g.poly
+                assert rebuilt.label == g.label
+        assert built == len(valid_params(cfg)) - 2 * (name == "sym-diag1112-F3"), name
+
+
+@pytest.mark.parametrize(
+    "label",
+    [
+        ("minor", (0, 1, 2), (0, 1, 2)),  # more rows than the matrix has
+        ("minor", (0,), (4,)),
+        ("quadratic-invariant", 5, 0),
+        ("quadratic-invariant", 1, 0),  # only i <= j is a generator
+        ("gram-pfaffian", (0, 1)),  # a symmetric form has no Pfaffians
+        ("gram-minor", (1,), (0,)),  # S < T is the transpose of a generator
+        ("minor", (1, 0), (0, 1)),  # decreasing index tuples
+        ("gram-minor", (1, 0), (0, 1)),
+        ("component", "+", (0, 1), 99),
+        ("component", "?", (0, 1), 0),
+        ("bogus",),
+    ],
+)
+def test_labels_no_set_carries_are_invalid(label):
+    with pytest.raises(InvalidParams):
+        rebuild_generator(label, split_config(2, 4, "symmetric", F5))
+
+
+@pytest.mark.parametrize(
+    "rows,cols,error",
+    [
+        ((0, 2), (0, 1), IndexOutOfRange),  # row 2 of a 2-row matrix
+        ((0, 1), (0, 4), IndexOutOfRange),
+        ((-1, 0), (0, 1), IndexOutOfRange),
+        ((1, 0), (0, 1), IndexOutOfRange),  # decreasing
+        ((0, 0), (0, 1), IndexOutOfRange),  # repeated
+        ((0,), (0, 1), SizeMismatch),
+    ],
+)
+def test_minor_polynomial_checks_index_sets_like_matrix_minor(rows, cols, error):
     cfg = split_config(2, 4, "symmetric", F5)
-    for p in valid_params(cfg):
-        gens = (
-            component_generators(p.sign, cfg)
-            if p.sign is not None
-            else rank_condition_generators(p, cfg)
-        )
-        for g in gens:
-            rebuilt = rebuild_generator(g.label, cfg)
-            assert rebuilt.poly == g.poly
-            assert rebuilt.label == g.label
+    with pytest.raises(error):
+        minor_polynomial(cfg, rows, cols)
+    with pytest.raises(error):
+        Matrix.zeros(F5, 2, 4).minor(rows, cols)
 
 
 def test_generator_json_and_text():
