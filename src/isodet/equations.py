@@ -31,6 +31,7 @@ from .errors import (
     ExceptionalNeedsSign,
     ExponentOutOfRange,
     IndexOutOfRange,
+    InsufficientWittIndex,
     InvalidParams,
     OddDimension,
     WrongKind,
@@ -711,17 +712,18 @@ def component_generators(sign: str, config: SpaceConfig) -> GeneratorSet:
 # label-driven regeneration (reproducibility contract)
 
 def rebuild_generator(label: tuple, config: SpaceConfig) -> Generator:
-    """The generator carrying ``label`` in the set :func:`generators_for`
-    gives some stratum of :func:`valid_params`, skipping strata whose
-    involution eigenvalue is outside the field; regenerating from labels
-    is bit-for-bit deterministic.  A label no set carries raises
-    InvalidParams."""
+    """The generator carrying ``label`` in some stratum's set from
+    :func:`generators_for`, rebuilt bit-for-bit.  A label no set carries
+    raises InvalidParams, or the first error of a stratum whose set the
+    config cannot build (no eigenvalue or too few hyperbolic pairs)."""
+    skipped = None
     for params in valid_params(config):
         try:
             gens = generators_for(params, config)
-        except EigenvalueNotInField:
+        except (EigenvalueNotInField, InsufficientWittIndex) as exc:
+            skipped = skipped or exc
             continue
         for g in gens:
             if g.label == label:
                 return g
-    raise InvalidParams(f"no generator set carries the label {label!r}")
+    raise skipped or InvalidParams(f"no generator set carries the label {label!r}")

@@ -11,6 +11,7 @@ from isodet.errors import (
     ExceptionalNeedsSign,
     ExponentOutOfRange,
     IndexOutOfRange,
+    InsufficientWittIndex,
     InvalidParams,
     OddDimension,
     SizeMismatch,
@@ -277,12 +278,15 @@ LABEL_CONFIGS = {
     "sym-identity-F5": SpaceConfig(2, 4, F5, BilinearForm("symmetric", Matrix.identity(F5, 4))),
     "sym-diag1112-F3": _diag_1112(F3),
     "sym-diag1112-F9": _diag_1112(F9),
+    # over Q the eigenvalue 1 exists, but the form has no hyperbolic pair
+    "sym-identity-Q": SpaceConfig(3, 4, Q, BilinearForm("symmetric", Matrix.identity(Q, 4))),
 }
+NO_SIGNED_SETS = {"sym-diag1112-F3": EigenvalueNotInField, "sym-identity-Q": InsufficientWittIndex}
 
 
 def test_label_determinism():
     # every label of every stratum's generator set rebuilds its generator;
-    # over F_3 the diag(1,1,1,2) form has no signed generator sets
+    # the forms of NO_SIGNED_SETS have no signed generator sets
     for name, cfg in LABEL_CONFIGS.items():
         built = 0
         for p in valid_params(cfg):
@@ -292,15 +296,22 @@ def test_label_determinism():
                     if p.sign is not None
                     else rank_condition_generators(p, cfg)
                 )
-            except EigenvalueNotInField:
-                assert name == "sym-diag1112-F3" and p.sign is not None
+            except (EigenvalueNotInField, InsufficientWittIndex) as exc:
+                assert isinstance(exc, NO_SIGNED_SETS[name]) and p.sign is not None
                 continue
             built += 1
             for g in gens:
                 rebuilt = rebuild_generator(g.label, cfg)
                 assert rebuilt.poly == g.poly
                 assert rebuilt.label == g.label
-        assert built == len(valid_params(cfg)) - 2 * (name == "sym-diag1112-F3"), name
+        assert built == len(valid_params(cfg)) - 2 * (name in NO_SIGNED_SETS), name
+
+
+@pytest.mark.parametrize("name", sorted(NO_SIGNED_SETS))
+def test_label_of_an_unbuildable_set_keeps_its_reason(name):
+    # a component label is valid, but this config cannot build its set
+    with pytest.raises(NO_SIGNED_SETS[name]):
+        rebuild_generator(("component", "+", (0, 1), 0), LABEL_CONFIGS[name])
 
 
 @pytest.mark.parametrize(
