@@ -1,10 +1,10 @@
 """Command line: atlas tables, classification, equation export, orbit
 sampling, congruence solving and the verification harness.
 
-Exit codes: 0 success, 1 domain error or stdout closed before the output
-was complete (both with a JSON diagnostic on stderr), 2 usage error, 3
-verification failure.  Output is deterministic for a fixed argv and seed
-(timings are only included on request).
+Exit codes: 0 success, 1 domain error, file error or stdout closed before
+the output was complete (each with a JSON diagnostic on stderr), 2 usage
+error, 3 verification failure.  Output is deterministic for a fixed argv
+and seed (timings are only included on request).
 """
 
 from __future__ import annotations
@@ -376,8 +376,6 @@ def dispatch(argv=None) -> int:
         return 2
     except IsodetError as exc:
         return _diagnose(type(exc).__name__, str(exc))
-    except FileNotFoundError as exc:
-        return _diagnose("FileNotFound", str(exc))
     except BrokenPipeError:
         # the reader left early (``| head``): the unwritten rest, and the
         # flush at interpreter exit, go to the null device
@@ -385,6 +383,8 @@ def dispatch(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return _diagnose("BrokenPipe", "stdout was closed before the output was complete")
+    except OSError as exc:  # a missing input file, or an --out path that cannot be written
+        return _diagnose("FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__, str(exc))
 
 
 def main(argv=None) -> int:

@@ -31,9 +31,9 @@ from .errors import (
     ExceptionalNeedsSign,
     ExponentOutOfRange,
     IndexOutOfRange,
-    InsufficientWittIndex,
     InvalidParams,
     OddDimension,
+    StratumUnavailable,
     WrongKind,
 )
 from .fields import Field
@@ -482,10 +482,6 @@ class GeneratorSet:
     def __len__(self):
         return len(self.generators)
 
-    @property
-    def polys(self):
-        return [g.poly for g in self.generators]
-
     def all_vanish(self, phi: Matrix) -> bool:
         if phi.rows != self.config.e or phi.cols != self.config.f:
             raise DimensionMismatch("matrix shape disagrees with the generator ring")
@@ -714,13 +710,13 @@ def component_generators(sign: str, config: SpaceConfig) -> GeneratorSet:
 def rebuild_generator(label: tuple, config: SpaceConfig) -> Generator:
     """The generator carrying ``label`` in some stratum's set from
     :func:`generators_for`, rebuilt bit-for-bit.  A label no set carries
-    raises InvalidParams, or the first error of a stratum whose set the
-    config cannot build (no eigenvalue or too few hyperbolic pairs)."""
+    raises InvalidParams, or the first StratumUnavailable of a stratum
+    whose set the config cannot build."""
     skipped = None
     for params in valid_params(config):
         try:
             gens = generators_for(params, config)
-        except (EigenvalueNotInField, InsufficientWittIndex) as exc:
+        except StratumUnavailable as exc:
             skipped = skipped or exc
             continue
         for g in gens:

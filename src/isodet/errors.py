@@ -64,7 +64,11 @@ class InvalidParams(IsodetError):
     """Orbit parameters violate the admissibility conditions."""
 
 
-class InsufficientWittIndex(IsodetError):
+class StratumUnavailable(IsodetError):
+    """The form has no points, or the field no equations, for a stratum."""
+
+
+class InsufficientWittIndex(StratumUnavailable):
     """The form has too few hyperbolic pairs to populate the stratum."""
 
 
@@ -88,7 +92,7 @@ class ExceptionalNeedsSign(IsodetError):
     rank-condition generators."""
 
 
-class EigenvalueNotInField(IsodetError):
+class EigenvalueNotInField(StratumUnavailable):
     """The half-form involution eigenvalue is missing; retry over a
     quadratic extension of the base field."""
 

@@ -24,9 +24,9 @@ checks (sampled cuts, closure order) read one labelled sample pool,
 :func:`_sample_points`: seeded uniform and orbit points, each drawn and
 labelled once per process, as flat entry tuples with their stratum.
 :func:`_vanishing` gives the one vanishing verdict at each such point, and
-the two checks differ only in how they reduce the verdicts.  In
-``run_all``, a stratum the form cannot populate leaves the pool with a
-warning rather than skipping the check.
+the two checks differ only in how they reduce the verdicts.  Every
+per-stratum value is built by :func:`_per_stratum`, so in ``run_all`` a
+stratum the form or field cannot populate is left out with a warning.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import product, repeat
 
 from .equations import GeneratorSet, generators_for
-from .errors import BudgetExceeded, EigenvalueNotInField, InsufficientWittIndex, InvalidParams
+from .errors import BudgetExceeded, InvalidParams, StratumUnavailable
 from .forms_orbits import (
     OrbitParams,
     SpaceConfig,
@@ -265,33 +265,47 @@ def _vanish_rows(gens: GeneratorSet, config: SpaceConfig):
         yield vanish
 
 
+def _per_stratum(config: SpaceConfig, build, left: dict | None) -> dict:
+    """``{p: build(p)}`` over the strata of ``config``, in order.  Where
+    ``build`` raises StratumUnavailable, re-raise, or, given a dict
+    ``left``, leave the stratum out and set ``left[p]`` to the message."""
+    built = {}
+    for p in valid_params(config):
+        try:
+            built[p] = build(p)
+        except StratumUnavailable as exc:
+            if left is None:
+                raise
+            left[p] = str(exc)
+    return built
+
+
+def _left_out(config: SpaceConfig, left: dict) -> list:
+    """One warning per stratum recorded in ``left``, in stratum order."""
+    return [f"stratum {p} left out: {left[p]}" for p in valid_params(config) if p in left]
+
+
 def _sample_points(config: SpaceConfig, seed, uniform: int, per_stratum: int, left: dict | None = None):
     """The labelled points ``(flat entries, stratum)`` of the sampled
     checks: ``uniform`` matrices drawn from ``random.Random(seed)`` and
     labelled by ``classify``, then ``per_stratum`` orbit points of every
     stratum in order, point i from the seed ``f"{seed}:{cls}:{i}"``.  Each
     point is drawn and labelled once per process, so the sampled checks
-    share them.  A stratum the form cannot populate raises
-    InsufficientWittIndex, or, given a dict ``left``, adds no points and
-    maps to the error's message there."""
+    share them.  A stratum without orbit points goes through
+    :func:`_per_stratum` with ``left``."""
     built = _POINT_CACHE.setdefault(config, {})
-    points = []
-    for cls in valid_params(config):
-        keys = [f"{seed}:{cls}:{i}" for i in range(per_stratum)]
-        try:
-            for key in keys:
-                if key not in built:
-                    built[key] = random_orbit_point(cls, config, seed=key).flat()
-            points += [(built[key], cls) for key in keys]
-        except InsufficientWittIndex as exc:
-            if left is None:
-                raise
-            left[cls] = str(exc)
+
+    def orbit_point(cls, key):
+        if key not in built:
+            built[key] = random_orbit_point(cls, config, seed=key).flat()
+        return built[key], cls
+
+    points = _per_stratum(config, lambda cls: [orbit_point(cls, f"{seed}:{cls}:{i}") for i in range(per_stratum)], left)
     rng, drawn = built.setdefault(("uniform", seed), (random.Random(seed), []))
     while len(drawn) < uniform:
         phi = random_matrix(config.field, config.e, config.f, rng)
         drawn.append((phi.flat(), classify(phi, config)))
-    return drawn[:uniform] + points
+    return drawn[:uniform] + [x for stratum in points.values() for x in stratum]
 
 
 # --------------------------------------------------------------------------
@@ -353,7 +367,7 @@ def check_equation_cut(
         warnings.append(f"{exc}; falling back to sampled mode")
         left: dict = {}
         points = _sample_points(config, seed, samples, max(1, samples // 20), left if partial else None)
-        warnings += [f"stratum {p} left out: {m}" for p, m in left.items()]
+        warnings += _left_out(config, left)
         verdicts = [(x, closure_leq(c, params, config), v) for (x, c), v in zip(points, _vanishing(gens, points))]
         n_locus, n_vanish = sum(m for _, m, _ in verdicts), sum(v for _, _, v in verdicts)
         misses = [(x, m) for x, m, v in verdicts if m != v]  # (entries, in locus)
@@ -393,15 +407,9 @@ def check_dimensions(config: SpaceConfig, codim_override=None, partial: bool = F
     codim_fn = codim_override if codim_override is not None else codimension
     witness = None
     checked = 0
-    warnings = []
-    for params in valid_params(config):
-        try:
-            rep = representative(params, config)
-        except InsufficientWittIndex as exc:
-            if not partial:
-                raise
-            warnings.append(f"stratum {params} left out: {exc}")
-            continue
+    left: dict = {}
+    reps = _per_stratum(config, lambda p: representative(p, config), left if partial else None)
+    for params, rep in reps.items():
         tangent = tangent_dimension(rep, config)
         expected = config.e * config.f - codim_fn(params, config)
         checked += 1
@@ -412,7 +420,7 @@ def check_dimensions(config: SpaceConfig, codim_override=None, partial: bool = F
     status = "pass" if witness is None else "fail"
     return _report(
         "dimensions", config, {"kind": "exhaustive", "strata": checked}, status, witness,
-        {"strata": checked}, warnings, t0,
+        {"strata": checked}, _left_out(config, left), t0,
     )
 
 
@@ -426,23 +434,15 @@ def check_closure_order(
 ) -> VerificationReport:
     """Sampled points of each stratum vanish on another stratum's
     generators exactly when the closure order says they should.  With
-    ``partial``, a stratum without orbit points (see
-    :func:`_sample_points`) or without generators over this field (an
-    involution eigenvalue outside it) is left out, with one warning."""
+    ``partial``, a stratum without generators over this field, or without
+    orbit points, is left out, with one warning."""
     if samples < 1:
         raise InvalidParams(f"closure order needs at least one sample per stratum, got {samples}")
     t0 = time.perf_counter()
     order_fn = order_override if order_override is not None else closure_leq
     build = generators_override if generators_override is not None else generators_for
-    classes = valid_params(config)
-    uppers, left = {}, {}
-    for q in classes:
-        try:
-            uppers[q] = build(q, config)
-        except EigenvalueNotInField as exc:
-            if not partial:
-                raise
-            left[q] = str(exc)
+    left: dict = {}
+    uppers = _per_stratum(config, lambda q: build(q, config), left if partial else None)
     points = _sample_points(config, seed, 0, samples, left if partial else None)
     verdicts = {q: _vanishing(gens, points) for q, gens in uppers.items()}
     witness = None
@@ -456,10 +456,9 @@ def check_closure_order(
                        "upper": str(q), "expected": expected, "matrix": _rows(config, bad)}
             break
     status = "pass" if witness is None else "fail"
-    warnings = [f"stratum {p} left out: {left[p]}" for p in classes if p in left]
     return _report(
         "closure-order", config, {"kind": "sampled", "n": samples, "seed": seed},
-        status, witness, {"pairs": pairs, "samples_per_stratum": samples}, warnings, t0,
+        status, witness, {"pairs": pairs, "samples_per_stratum": samples}, _left_out(config, left), t0,
     )
 
 
@@ -543,7 +542,7 @@ def run_all(
         t0 = time.perf_counter()
         try:
             return check(*args, **kwargs)
-        except (BudgetExceeded, InsufficientWittIndex, EigenvalueNotInField) as exc:
+        except (BudgetExceeded, StratumUnavailable) as exc:
             return _report(name, config, {"kind": "skipped"}, "warn", None, tallies, [str(exc)], t0)
 
     strata = valid_params(config)

@@ -345,18 +345,29 @@ GOLDEN_STDOUT = [
      "18aa6b1d88bd7eb805aff896a5dd3aa9eeaafac614fd45e3040d81c28b38a5ce"),
     ("verify all --kind alt -e 2 -f 4 --field p=3,ext=2 --budget 1000 --samples 20 --format json",
      "0fcdadfaa060f559576ae8d40c4204084682a029a3d8a450b122caaa0c5e779f"),
+    # strata left out per check, recorded before one rule caught every
+    # StratumUnavailable: on diag(1,1,1,2) over F_3, (2,0,+) and (2,0,-)
+    # lack generators and orbit points, and the later message, the pool's,
+    # is the one reported; over Q the identity form has Witt index 0
+    ("verify all --kind sym -e 2 -f 4 --field p=3 --gram file:{gram} --format json",
+     "eb901a9782a53981f91865e832da4f50d2d57861f1cb86f464ede29f89322330"),
+    ("verify all --kind sym -e 2 -f 3 --field rationals --gram identity --samples 5 --format json",
+     "8282be4c6e978de0f492053bc4a36860300e3aba0d916a4d788aae1d7165de1d"),
 ]
 
 # the --in matrix of the classify golden: an isotropic plane of the
 # identity form over F_5, so its sign depends on the reference family
 GOLDEN_PHI = {"field": {"kind": "prime", "p": 5}, "rows": [["1", "2", "0", "0"], ["0", "0", "1", "2"]]}
+# the --gram file of the left-out goldens: diag(1,1,1,2), Witt index 1 over F_3
+GOLDEN_GRAM = {"rows": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "2"]]}
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT)
 def test_golden_bytes(tmp_path, capsys, argv, digest):
-    phi = tmp_path / "phi.json"
+    phi, gram = tmp_path / "phi.json", tmp_path / "gram.json"
     phi.write_text(json.dumps(GOLDEN_PHI))
-    assert main(argv.format(phi=phi).split()) == 0
+    gram.write_text(json.dumps(GOLDEN_GRAM))
+    assert main(argv.format(phi=phi, gram=gram).split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -426,6 +437,16 @@ def test_malformed_input_file_is_domain_error(tmp_path, capsys, prefix, content,
     assert out == ""
     diagnostic = json.loads(err.splitlines()[-1])
     assert diagnostic["error"] == "MalformedInput"
+
+
+def test_unwritable_output_file_is_domain_error(tmp_path, capsys):
+    # --out names a directory: one JSON diagnostic, no traceback
+    code, out, err = run(capsys, "equations", "--kind", "sym", "-e", "2", "-f", "3", "--field", "p=3",
+                         "--params", "1,0", "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "IsADirectoryError"
 
 
 def test_closed_stdout_exits_quietly():

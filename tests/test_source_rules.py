@@ -1,8 +1,9 @@
 """Rules on the library source, read with ``ast``: runtime checks raise
 typed errors (an ``assert`` vanishes under ``-O``), arithmetic stays
-exact (``math`` is used only for its integer functions), and randomness
+exact (``math`` is used only for its integer functions), randomness
 comes only from seeded ``random.Random`` instances, so output is
-reproducible per seed."""
+reproducible per seed, and a stratum the form or field cannot populate is
+caught as ``StratumUnavailable``, never as one of its subclasses."""
 
 import ast
 from pathlib import Path
@@ -68,4 +69,17 @@ def test_randomness_only_through_seeded_instances():
                 found.append(f"{name}:{node.lineno}: random.{node.attr}")
         elif isinstance(node, ast.Call) and ast.unparse(node.func) == "random.Random" and not node.args:
             found.append(f"{name}:{node.lineno}: unseeded random.Random()")
+    assert found == []
+
+
+def test_strata_left_out_by_one_rule():
+    # a handler naming one subclass would leave out some strata and not
+    # others; code catches the base class StratumUnavailable instead
+    subclasses = {"InsufficientWittIndex", "EigenvalueNotInField"}
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _nodes()
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        and any(cls in ast.unparse(node.type) for cls in subclasses)
+    ]
     assert found == []

@@ -420,6 +420,16 @@ def test_closure_order_exceptional_components():
     assert rep.status == "pass"
 
 
+def test_closure_order_leaves_out_strata_without_generators_or_points():
+    # over Q the identity form has Witt index 0: four strata have orbit
+    # points, seven have generators, and the rest are left out one by one
+    cfg = SpaceConfig(3, 4, Q, BilinearForm("symmetric", Matrix.identity(Q, 4)))
+    rep = check_closure_order(cfg, samples=2, partial=True)
+    assert rep.status == "pass" and rep.tallies["pairs"] == 28
+    left = [w.split(" left out: ")[0] for w in rep.warnings]
+    assert left == [f"stratum {p}" for p in ("(1,0)", "(2,0,+)", "(2,0,-)", "(2,1)", "(3,2)")]
+
+
 def test_point_count_examples():
     alt = split_config(2, 4, "alternating", F3)
     dense = point_count_dimension_estimate(OrbitParams(2, 2), alt, primes=(3, 5))
