@@ -125,6 +125,7 @@ class BilinearForm:
         self.gram = gram
         self._hyperbolic: HyperbolicBasis | None = None
         self._lie: list[Matrix] | None = None
+        self._reps: dict = {}  # OrbitParams -> non-zero rows of its representative
 
     @property
     def f(self) -> int:
@@ -466,6 +467,17 @@ def representative(params: OrbitParams, config: SpaceConfig) -> Matrix:
     its hyperbolic partner, moving the row space to the other family.
     """
     _require_valid(params, config)
+    rows = _representative_rows(params, config)
+    zero_row = (config.field.zero,) * config.f
+    return Matrix(config.field, [*rows, *[zero_row] * (config.e - len(rows))], config.e, config.f)
+
+
+def _representative_rows(params: OrbitParams, config: SpaceConfig) -> tuple:
+    """The r1 non-zero rows of :func:`representative` for admissible
+    ``params``, cached on the form (they do not depend on e)."""
+    cached = config.form._reps.get(params)
+    if cached is not None:
+        return cached
     F = config.field
     hb = config.form.hyperbolic_basis()
     k = params.r1 - params.r2
@@ -495,10 +507,8 @@ def representative(params: OrbitParams, config: SpaceConfig) -> Matrix:
                 f"form supports at most {len(pool)} orthogonal anisotropic rows"
             )
         rows.extend(pool[: params.r2])
-    zero_row = tuple(F.zero for _ in range(config.f))
-    while len(rows) < config.e:
-        rows.append(zero_row)
-    return Matrix(F, rows, config.e, config.f)
+    config.form._reps[params] = rows = tuple(rows)
+    return rows
 
 
 # --------------------------------------------------------------------------
@@ -656,21 +666,56 @@ def tangent_dimension(phi: Matrix, config: SpaceConfig) -> int:
     return Matrix(F, rows, n, e * f).rank()
 
 
-def _reflections(form: BilinearForm, pairs) -> Matrix:
-    """The product over (v, c) in ``pairs`` of I + c v (v K), the matrix of
-    x |-> x + c beta(v, x) v: the reflection in v when c = -2/beta(v, v)
-    (determinant -1), a symplectic transvection for any c when the form
-    is alternating."""
-    F = form.field
+def _isometry_rows(form: BilinearForm, rows, rng=None, *, mirror=None, stats: dict | None = None) -> list:
+    """The rows x of ``rows`` mapped to x B^t, as new lists, for B a
+    product of maps x |-> x + c beta(v, x) v: the reflection in v when
+    c = -2/beta(v, v) (determinant -1), a symplectic transvection for any
+    c when the form is alternating.
+
+    With ``rng``, B is the isometry of :func:`random_isometry`, drawn in
+    its order: each vector v's f entries, then, alternating, its scalar c;
+    a draw with c = 0 (v isotropic, or c drawn zero) is redrawn, and
+    ``stats`` records the vector draws.  Otherwise B is the reflection in
+    ``mirror``.  x B^t applies the last map first; w = v K is computed once
+    per draw and gives both beta(v, v) = w.v and beta(v, x) = w.x."""
+    F, f = form.field, form.f
     add, mul, zero = F.add, F.mul, F.zero
-    rows = list(map(list, Matrix.identity(F, form.f).data))
-    for v, c in pairs:
-        w = (Matrix(F, [v], 1, form.f) @ form.gram).data[0]
-        for row in rows:  # row += c (row . v) w
-            t = mul(c, reduce(add, map(mul, row, v)))
+    minus_two = F.from_int(-2)
+    kcols = [[(i, k) for i, k in enumerate(col) if k != zero] for col in zip(*form.gram.data)]
+
+    def dot(u, x):
+        return reduce(add, map(mul, u, x))
+
+    def times_gram(v):  # v K over the non-zero entries of each column (K is non-degenerate)
+        return [reduce(add, [mul(v[i], k) for i, k in col]) for col in kcols]
+
+    def reflection(v):  # (v, w, c), with c = 0 when v is isotropic
+        w = times_gram(v)
+        norm = dot(w, v)
+        return v, w, (zero if F.is_zero(norm) else F.div(minus_two, norm))
+
+    if rng is None:
+        maps = [reflection(mirror)]
+    else:
+        symmetric = form.kind == SYMMETRIC
+        count = f + f % 2 if symmetric else f + 1
+        rand, maps, draws = F.random, [], 0
+        while len(maps) < count:
+            draws += 1
+            v = [rand(rng) for _ in range(f)]
+            drawn = reflection(v) if symmetric else (v, times_gram(v), rand(rng))
+            if not F.is_zero(drawn[2]):
+                maps.append(drawn)
+        if stats is not None:
+            stats["attempts"] = draws
+            stats["fallback"] = False
+    rows = [list(x) for x in rows]
+    for v, w, c in reversed(maps):
+        for row in rows:
+            t = mul(c, dot(w, row))
             if t != zero:
-                row[:] = [add(x, mul(t, y)) for x, y in zip(row, w)]
-    return Matrix(F, rows, form.f, form.f)
+                row[:] = [add(x, mul(t, y)) for x, y in zip(row, v)]
+    return rows
 
 
 def random_isometry(form: BilinearForm, seed=None, *, rng=None, stats: dict | None = None) -> Matrix:
@@ -678,30 +723,15 @@ def random_isometry(form: BilinearForm, seed=None, *, rng=None, stats: dict | No
     2 ceil(f/2) reflections in uniform anisotropic vectors (symmetric) or
     of f + 1 transvections with uniform vectors and non-zero scalars
     (alternating).  These reach all of SO (Cartan-Dieudonne, padded by
-    s_v s_v = 1) and of Sp.  ``stats`` records the number of vector
-    draws as ``attempts``; ``fallback`` is always False."""
+    s_v s_v = 1) and of Sp.  The draws, in order: each vector's f entries,
+    then, alternating, its scalar; a vector with a zero scalar is
+    redrawn.  B is the transpose of the identity rows mapped by
+    :func:`_isometry_rows`.  ``stats`` records the number of vector draws
+    as ``attempts``; ``fallback`` is always False."""
     if rng is None:
         rng = random.Random(seed)
-    F, f = form.field, form.f
-    symmetric = form.kind == SYMMETRIC
-    minus_two = F.from_int(-2)
-    count = f + f % 2 if symmetric else f + 1
-    pairs = []
-    draws = 0
-    while len(pairs) < count:
-        draws += 1
-        v = tuple(F.random(rng) for _ in range(f))
-        if symmetric:
-            norm = form.beta(v, v)
-            c = F.zero if F.is_zero(norm) else F.div(minus_two, norm)
-        else:
-            c = F.random(rng)
-        if not F.is_zero(c):
-            pairs.append((v, c))
-    if stats is not None:
-        stats["attempts"] = draws
-        stats["fallback"] = False
-    return _reflections(form, pairs)
+    rows = _isometry_rows(form, Matrix.identity(form.field, form.f).data, rng, stats=stats)
+    return Matrix(form.field, zip(*rows), form.f, form.f)
 
 
 def hyperbolic_swap(form: BilinearForm) -> Matrix:
@@ -716,18 +746,35 @@ def hyperbolic_swap(form: BilinearForm) -> Matrix:
     if not hb.pairs:
         raise InsufficientWittIndex("form has no hyperbolic pair to swap")
     a1, b1 = hb.pairs[0]
-    v = _vec_sub(F, a1, b1)
-    return _reflections(form, [(v, F.div(F.from_int(-2), form.beta(v, v)))])
+    rows = _isometry_rows(form, Matrix.identity(F, form.f).data, mirror=_vec_sub(F, a1, b1))
+    return Matrix(F, zip(*rows), form.f, form.f)
 
 
 def random_orbit_point(params: OrbitParams, config: SpaceConfig, seed=None) -> Matrix:
     """A Phi B^t for the stratum representative Phi, random invertible A
     and a special isometry B from :func:`random_isometry`, which reaches
     the whole group, so the points reach the whole stratum over a finite
-    field; deterministic per seed."""
+    field; deterministic per seed.
+
+    The draw order is the contract: from ``random.Random(seed)``, first
+    the e x e entries of A (redrawn while singular), then the draws of
+    :func:`random_isometry`.  B is never formed: its maps are applied to
+    the r1 non-zero rows of Phi, and A to the result.  The zero stratum
+    draws nothing."""
     _require_valid(params, config)
+    F, e, f = config.field, config.e, config.f
+    rep = _representative_rows(params, config)
+    if not rep:
+        return Matrix.zeros(F, e, f)
     rng = random.Random(seed)
-    rep = representative(params, config)
-    A = random_invertible(config.field, config.e, rng)
-    B = random_isometry(config.form, rng=rng)
-    return A @ rep @ B.T
+    a = random_invertible(F, e, rng).data
+    rows = _isometry_rows(config.form, rep, rng)
+    add, mul, zero = F.add, F.mul, F.zero
+    out = []
+    for arow in a:  # row i of A (Phi B^t), over the r1 non-zero rows
+        acc = [zero] * f
+        for x, row in zip(arow, rows):
+            if x != zero:
+                acc = [add(s, mul(x, y)) for s, y in zip(acc, row)]
+        out.append(acc)
+    return Matrix(F, out, e, f)

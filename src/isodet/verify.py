@@ -131,7 +131,9 @@ def classification_table(config: SpaceConfig, budget: int = DEFAULT_BUDGET):
     sum idx(v_i) q^(f(e-i)), and its row space is span(v_1..v_(e-1)) + v_e.
     So each prefix subspace S (a reduced row-echelon basis) gets one cached
     row v -> S + v over the q^f vectors, keyed on the residual of v modulo
-    S so that :func:`echelon` runs only on a new residual; prefixes are
+    S and on its multiple with leading entry one (residuals span the same
+    join exactly when they are proportional), so that :func:`echelon` runs
+    once per new row space; prefixes are
     composed level by level, and each distinct last-level row becomes
     bytes of stratum codes.  ``classify`` runs on the padded basis of each
     row space the first time it is met in odometer order, so unexpected
@@ -142,7 +144,7 @@ def classification_table(config: SpaceConfig, budget: int = DEFAULT_BUDGET):
     if cached is not None:
         return cached
     F, e, f = config.field, config.e, config.f
-    zero, mul, sub = F.zero, F.mul, F.sub
+    zero, mul, sub, inv = F.zero, F.mul, F.sub, F.inv
     vectors = list(product(F.elements(), repeat=f))
     joins: dict = {}  # basis of S -> [basis of S + v for v in vectors]
     spaces: dict = {}  # one shared tuple per row space
@@ -159,10 +161,15 @@ def classification_table(config: SpaceConfig, budget: int = DEFAULT_BUDGET):
                         v = tuple([sub(x, mul(v[c], y)) for x, y in zip(v, b)])
                 space = by_residual.get(v)
                 if space is None:
-                    rows = [*map(list, basis), list(v)]
-                    echelon(F, rows)
-                    space = tuple(map(tuple, rows))
-                    space = by_residual[v] = spaces.setdefault(space, space)
+                    lead = inv(next(x for x in v if x != zero))
+                    unit = tuple([mul(lead, x) for x in v])
+                    space = by_residual.get(unit)
+                    if space is None:
+                        rows = [*map(list, basis), list(unit)]
+                        echelon(F, rows)
+                        space = tuple(map(tuple, rows))
+                        space = by_residual[unit] = spaces.setdefault(space, space)
+                    by_residual[v] = space
                 row.append(space)
         return row
 
@@ -445,15 +452,18 @@ def check_closure_order(
     uppers = _per_stratum(config, lambda q: build(q, config), left if partial else None)
     points = _sample_points(config, seed, 0, samples, left if partial else None)
     verdicts = {q: _vanishing(gens, points) for q, gens in uppers.items()}
+    at: dict = {}  # stratum with points, in order -> its positions in the pool
+    for i, (_, c) in enumerate(points):
+        at.setdefault(c, []).append(i)
     witness = None
     pairs = 0
-    for p, q in product(dict.fromkeys(c for _, c in points), uppers):  # strata with points, in order
+    for p, q in product(at, uppers):
         pairs += 1
-        expected = order_fn(p, q, config)
-        bad = next((x for (x, c), v in zip(points, verdicts[q]) if c == p and v != expected), None)
+        expected, vanish = order_fn(p, q, config), verdicts[q]
+        bad = next((i for i in at[p] if vanish[i] != expected), None)
         if bad is not None:
             witness = {"reason": "sampled vanishing disagrees with the closure order", "lower": str(p),
-                       "upper": str(q), "expected": expected, "matrix": _rows(config, bad)}
+                       "upper": str(q), "expected": expected, "matrix": _rows(config, points[bad][0])}
             break
     status = "pass" if witness is None else "fail"
     return _report(

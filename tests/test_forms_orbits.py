@@ -11,6 +11,7 @@ from isodet.errors import (
     InvalidForm,
     InvalidParams,
     SignUndefinedForForm,
+    StratumUnavailable,
     SymmetryMismatch,
 )
 from isodet.fields import field_create
@@ -35,7 +36,7 @@ from isodet.forms_orbits import (
     tangent_dimension,
     valid_params,
 )
-from isodet.linalg import Matrix, random_matrix
+from isodet.linalg import Matrix, random_invertible, random_matrix
 
 F5 = field_create("prime", 5)
 F7 = field_create("prime", 7)
@@ -628,3 +629,51 @@ def test_hyperbolic_swap_exchanges_the_first_pair_on_random_grams():
                 assert image(v) == v
             assert swap.det() == F.neg(F.one)
             assert swap.T @ frm.gram @ swap == frm.gram
+
+
+F3 = field_create("prime", 3)
+F9 = field_create("quadratic-extension", 3)
+
+
+def _stream_configs():
+    """Sym and alt configs over F_3, F_7, F_9 and Q on the split,
+    identity and diag(1,1,1,2) Grams, with e = 2, 3."""
+    out = []
+    for field in (F3, F7, F9, Q):
+        diag = Matrix.from_ints(field, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])
+        for e in (2, 3):
+            out += [split_config(e, f, "symmetric", field) for f in (3, 4)]
+            out.append(split_config(e, 4, "alternating", field))
+            out += [SpaceConfig(e, 4, field, BilinearForm("symmetric", gram))
+                    for gram in (Matrix.identity(field, 4), diag)]
+    return out
+
+
+@pytest.mark.parametrize("cfg", _stream_configs(), ids=lambda c: f"{c.kind[:3]}-e{c.e}f{c.f}-{c.field.descriptor()}-"
+                         f"{'split' if c.form.is_split_standard() else c.form.gram.data[3][3]}")
+def test_random_orbit_point_follows_its_draw_stream(cfg):
+    # oracle: the point is A Phi B^t with A and then B drawn from one
+    # random.Random(seed), in that order, by the public samplers
+    for p in valid_params(cfg):
+        for s in (0, 1, 5, "7:x", f"3:{p}:2"):
+            try:
+                expected = representative(p, cfg)
+            except StratumUnavailable as exc:
+                with pytest.raises(type(exc)):
+                    random_orbit_point(p, cfg, seed=s)
+                continue
+            rng = random.Random(s)
+            a = random_invertible(cfg.field, cfg.e, rng)
+            b = random_isometry(cfg.form, rng=rng)
+            assert random_orbit_point(p, cfg, seed=s) == a @ expected @ b.T, (p, s)
+
+
+def test_random_isometry_stream_is_pinned():
+    # the matrices and draw counts recorded before random_isometry was
+    # rebuilt on row maps; the oracle above compares points against it
+    digest = hashlib.sha256()
+    for frm in dict.fromkeys(c.form for c in _stream_configs()):
+        for s in range(5):
+            stats = {}
+            digest.update(f"{random_isometry(frm, seed=s, stats=stats)!r} {stats}".encode())
+    assert digest.hexdigest() == "e9b8c8a28fe693ae218145557a341c9b341e9008b9a2617045f78e0883255fbd"

@@ -19,7 +19,7 @@ from isodet.forms_orbits import (
     valid_params,
 )
 from isodet.equations import Generator, GeneratorSet, Polynomial, generators_for, rank_condition_generators
-from isodet import verify
+from isodet import forms_orbits, verify
 from isodet.linalg import Matrix, echelon, random_matrix
 from isodet.verify import (
     _growth_exponent,
@@ -407,6 +407,22 @@ def test_check_closure_order_pass_and_mutation():
     assert bad.witness["matrix"] == [["0", "0", "0", "0"], ["0", "0", "0", "0"]]
 
 
+def test_closure_order_witness_is_the_first_failing_pair_and_point():
+    # two flipped pairs: the witness is the first point, in pool order, of
+    # the pair that comes first in (lower, upper) order; recorded when the
+    # check still scanned the whole pool for every pair
+    cfg = split_config(2, 4, "symmetric", F3)
+    flips = {(OrbitParams(2, 0, "-"), OrbitParams(2, 2)), (OrbitParams(1, 1), OrbitParams(2, 0, "+"))}
+
+    def mutated(p, q, config):
+        return closure_leq(p, q, config) != ((p, q) in flips)
+
+    bad = check_closure_order(cfg, samples=4, seed=2, order_override=mutated)
+    assert bad.status == "fail" and bad.tallies["pairs"] == 18
+    assert (bad.witness["lower"], bad.witness["upper"], bad.witness["expected"]) == ("(1,1)", "(2,0,+)", True)
+    assert bad.witness["matrix"] == [["1", "2", "1", "2"], ["0", "0", "0", "0"]]
+
+
 def test_closure_order_needs_a_sample():
     cfg = split_config(2, 3, "symmetric", F3)
     for samples in (0, -1):
@@ -523,6 +539,39 @@ def test_run_all_small():
     assert all(r.ok for r in reports)
     names = {r.name for r in reports}
     assert names == {"census", "dimensions", "closure-order", "equation-cut", "point-count"}
+
+
+def test_orbit_point_pool_forms_no_isometry_matrix(monkeypatch):
+    # counts, not times: the drawn maps act on the representative's rows,
+    # so no isometry is built or multiplied, and (0,0) points draw nothing
+    cfg = split_config(2, 4, "symmetric", F3)
+    counts = {"matmul": 0, "isometry": 0}
+    seeds = []
+    matmul, isometry = Matrix.__matmul__, forms_orbits.random_isometry
+
+    def counted_matmul(a, b):
+        counts["matmul"] += 1
+        return matmul(a, b)
+
+    def counted_isometry(*args, **kwargs):
+        counts["isometry"] += 1
+        return isometry(*args, **kwargs)
+
+    class SeededRandom(random.Random):
+        def __init__(self, seed=None):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(verify, "_POINT_CACHE", {})
+    monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
+    monkeypatch.setattr(forms_orbits, "random_isometry", counted_isometry)
+    monkeypatch.setattr(random, "Random", SeededRandom)
+    points = verify._sample_points(cfg, 0, 0, 100)
+    assert len(points) == 100 * len(valid_params(cfg))
+    assert counts == {"matmul": 0, "isometry": 0}
+    orbit_seeds = [s for s in seeds if isinstance(s, str)]  # the uniform stream is random.Random(0)
+    assert orbit_seeds == [f"0:{p}:{i}" for p in valid_params(cfg)[1:] for i in range(100)]
+    assert all(x == (F3.zero,) * 8 for x, p in points if p == OrbitParams(0, 0))
 
 
 def test_run_all_builds_each_orbit_point_once(monkeypatch):
