@@ -21,7 +21,6 @@ dense exponent vectors, so output is bit-for-bit reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (
@@ -41,6 +40,7 @@ from .forms_orbits import (
     SYMMETRIC,
     BilinearForm,
     OrbitParams,
+    Record,
     SpaceConfig,
     params_valid,
     representative,
@@ -452,10 +452,10 @@ def minor_polynomial(config: SpaceConfig, rowset, colset) -> Polynomial:
 # --------------------------------------------------------------------------
 # labelled generator sets
 
-@dataclass(frozen=True)
-class Generator:
-    label: tuple
-    poly: Polynomial
+class Generator(Record):
+    """A polynomial with its label, a tuple."""
+
+    __slots__ = ("label", "poly")
 
     def label_text(self) -> str:
         tag = self.label[0]
@@ -562,18 +562,14 @@ def generators_for(params: OrbitParams, config: SpaceConfig) -> GeneratorSet:
 # --------------------------------------------------------------------------
 # the half-form involution and component generators
 
-@dataclass(frozen=True)
-class StarOperator:
+class StarOperator(Record):
     """The involution (up to scalar) on the middle exterior power of F
     induced by the form: on the basis {e_S} of f/2-subsets it satisfies
     matrix^2 = (-1)^{f/2} / det(K) * identity = mu^2 * identity, and its two
-    eigenspaces are the halves that split the maximal minors."""
+    eigenspaces are the halves that split the maximal minors.  The fields
+    are the field, f, the subsets, the matrix and the scalar payload mu."""
 
-    field: Field
-    f: int
-    subsets: tuple
-    matrix: Matrix
-    mu: object  # scalar payload with matrix^2 = mu^2 * id
+    __slots__ = ("field", "f", "subsets", "matrix", "mu")
 
     def projector(self, eigenvalue) -> Matrix:
         """(identity + eigenvalue^{-1} * matrix) / 2 projects onto the
@@ -625,12 +621,31 @@ def star_operator(form: BilinearForm) -> StarOperator:
     subsets = tuple(combinations(range(f), m))
     n = len(subsets)
     # star = Lambda^m(K)^{-1} P for the wedge pairing P[S^c][S] = sgn(S, S^c),
-    # and Lambda^m(K)^{-1} = Lambda^m(K^{-1}) by Cauchy-Binet
-    kinv = form.gram.inverse()
-    shuffles = [_shuffle_sign(F, S, f) for S in subsets]
-    star_matrix = Matrix(
-        F, [[F.mul(sgn, kinv.submatrix(U, comp).det()) for sgn, comp in shuffles] for U in subsets], n, n
-    )
+    # and Lambda^m(K)^{-1} = Lambda^m(K^{-1}) by Cauchy-Binet: its column V
+    # is the wedge of the columns of K^{-1} indexed by V, as {row set U: det}
+    kinv = form.gram.inverse().data
+    columns = [[(i, row[j]) for i, row in enumerate(kinv) if row[j] != F.zero] for j in range(f)]
+    wedges: dict = {(): {(): F.one}}  # column prefix -> its wedge, shared
+
+    def wedge(cols):
+        w = wedges.get(cols)
+        if w is None:
+            w = wedges[cols] = {}
+            for U, c in wedge(cols[:-1]).items():
+                for i, a in columns[cols[-1]]:
+                    if i not in U:  # e_U ^ e_i = (-1)^#{u in U : u > i} e_(U + i)
+                        t = F.mul(c, a) if sum(u > i for u in U) % 2 == 0 else F.neg(F.mul(c, a))
+                        V = tuple(sorted((*U, i)))
+                        w[V] = F.add(w[V], t) if V in w else t
+        return w
+
+    at = {S: k for k, S in enumerate(subsets)}
+    grid = [[F.zero] * n for _ in range(n)]
+    for k, S in enumerate(subsets):
+        sgn, comp = _shuffle_sign(F, S, f)
+        for U, c in wedge(comp).items():
+            grid[at[U]][k] = F.mul(sgn, c)
+    star_matrix = Matrix(F, grid, n, n)
     if star_matrix @ star_matrix != Matrix.identity(F, n).scale(mu_sq):
         raise ConsistencyCheckFailed("the half-form involution does not square to mu^2")
     star = _STARS[form] = StarOperator(F, f, subsets, star_matrix, mu)

@@ -19,8 +19,10 @@ Characteristic two is rejected globally: the symmetric theory needs
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
+from functools import reduce
 from math import isqrt
 
 from .errors import CharTwoUnsupported, CompositeModulus, ConsistencyCheckFailed, ResidueIsSquare
@@ -44,7 +46,9 @@ class Field:
 
     Subclasses fix the payload representation and must provide ``zero``,
     ``one``, ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``sqrt``,
-    ``parse``, ``render``, ``random`` and ``descriptor``.
+    ``parse``, ``render``, ``random`` and ``descriptor``.  The row methods
+    (``dot``, ``axpy``, ``scale_row``, ``random_row``) are written here once
+    from those; a field may override them with the same values and draws.
     """
 
     kind: str = ""
@@ -72,6 +76,26 @@ class Field:
 
     def from_int(self, n: int):
         raise NotImplementedError
+
+    def dot(self, u, v):
+        """sum_i u_i v_i, zero for empty rows."""
+        products = map(self.mul, u, v)
+        return reduce(self.add, products, next(products, self.zero))
+
+    def axpy(self, a, x, y) -> list:
+        """The row y + a x."""
+        add, mul = self.add, self.mul
+        return [add(t, mul(a, s)) for s, t in zip(x, y)]
+
+    def scale_row(self, c, x) -> list:
+        """The row c x."""
+        mul = self.mul
+        return [mul(c, s) for s in x]
+
+    def random_row(self, rng, n: int) -> list:
+        """n draws of :meth:`random`, in order."""
+        rand = self.random
+        return [rand(rng) for _ in range(n)]
 
     def elements(self):
         """Iterate all field elements in canonical order (finite fields only)."""
@@ -132,6 +156,23 @@ class PrimeField(Field):
 
     def random(self, rng):
         return rng.randrange(self.p)
+
+    # the row methods on native ints, one reduction per entry
+
+    def dot(self, u, v):
+        return sum(map(operator.mul, u, v)) % self.p
+
+    def axpy(self, a, x, y) -> list:
+        p = self.p
+        return [(t + a * s) % p for s, t in zip(x, y)]
+
+    def scale_row(self, c, x) -> list:
+        p = self.p
+        return [c * s % p for s in x]
+
+    def random_row(self, rng, n: int) -> list:
+        draw, p = rng.randrange, self.p
+        return [draw(p) for _ in range(n)]
 
     def sqrt(self, x):
         """Canonical square root of x, or None when x is a non-residue.

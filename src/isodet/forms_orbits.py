@@ -25,9 +25,8 @@ improper ones swap it.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
-from functools import reduce
 from math import comb
+from operator import attrgetter
 
 from .errors import (
     ConfigMismatch,
@@ -65,14 +64,45 @@ def _unit(field, n, i):
     return tuple(field.one if j == i else field.zero for j in range(n))
 
 
-@dataclass(frozen=True)
-class OrbitParams:
+class Record:
+    """Base of the value types, in the manner of a frozen dataclass: the
+    fields are the subclass's ``__slots__``, set in order by the
+    constructor and never reassigned; a record equals a record of its own
+    class with equal fields, and hashes and prints by its fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields_of = staticmethod(attrgetter(*cls.__slots__))  # a record -> its field values
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return self._fields_of(self) == other._fields_of(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields_of(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class OrbitParams(Record):
     """Stratum label: rank bound r1, Gram-rank bound r2 and, for the
     two-component symmetric stratum (f/2, 0), a sign."""
 
-    r1: int
-    r2: int
-    sign: str | None = None
+    __slots__ = ("r1", "r2", "sign")
+
+    def __init__(self, r1: int, r2: int, sign: str | None = None):
+        super().__init__(r1, r2, sign)
 
     def __str__(self):
         if self.sign is None:
@@ -90,13 +120,12 @@ class OrbitParams:
         return cls(obj["r1"], obj["r2"], obj.get("sign"))
 
 
-@dataclass(frozen=True)
-class HyperbolicBasis:
+class HyperbolicBasis(Record):
     """Hyperbolic pairs (a_i, b_i) with beta(a_i, b_j) = delta_ij and both
-    vectors isotropic, plus a pairwise-orthogonal anisotropic remainder."""
+    vectors isotropic, plus a pairwise-orthogonal anisotropic remainder
+    (two tuples)."""
 
-    pairs: tuple
-    anisotropic: tuple
+    __slots__ = ("pairs", "anisotropic")
 
     @property
     def witt(self) -> int:
@@ -126,6 +155,7 @@ class BilinearForm:
         self._hyperbolic: HyperbolicBasis | None = None
         self._lie: list[Matrix] | None = None
         self._reps: dict = {}  # OrbitParams -> non-zero rows of its representative
+        self._reflections: dict = {}  # vector v -> (v, v K, reflection scalar), see _isometry_rows
 
     @property
     def f(self) -> int:
@@ -357,24 +387,21 @@ def _lie_basis(form: BilinearForm) -> list[Matrix]:
     return basis
 
 
-@dataclass(frozen=True)
-class SpaceConfig:
+class SpaceConfig(Record):
     """The ambient problem: dim E = e >= 1, dim F = f >= 3, a scalar field
     and a non-degenerate form on F."""
 
-    e: int
-    f: int
-    field: Field
-    form: BilinearForm
+    __slots__ = ("e", "f", "field", "form")
 
-    def __post_init__(self):
-        if self.e < 1:
+    def __init__(self, e: int, f: int, field: Field, form: BilinearForm):
+        super().__init__(e, f, field, form)
+        if e < 1:
             raise InvalidForm("e must be at least 1")
-        if self.f < 3:
+        if f < 3:
             raise InvalidForm("f must be at least 3")
-        if self.form.f != self.f:
+        if form.f != f:
             raise InvalidForm("form dimension disagrees with f")
-        if self.form.field != self.field:
+        if form.field != field:
             raise InvalidForm("form field disagrees with the configured field")
 
     @property
@@ -549,22 +576,20 @@ YES_CHAR0 = "yes-if-char0"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class OrbitFacts:
+class OrbitFacts(Record):
     """Read-only singularity flags for a stratum closure, tabulated from
     the known classification of these varieties.  Flags that the
-    classification leaves open are reported as unknown, never guessed."""
+    classification leaves open are reported as unknown, never guessed.
+    ``dim`` and ``codim`` are ints, ``normal`` and
+    ``rational_singularities_char0`` bools; ``cohen_macaulay`` is yes, no,
+    yes-if-char0 or unknown, ``gorenstein`` yes, no or unknown, and
+    ``strongly_f_regular`` yes or unknown."""
 
-    dim: int
-    codim: int
-    normal: bool
-    cohen_macaulay: str          # yes | no | yes-if-char0 | unknown
-    rational_singularities_char0: bool
-    gorenstein: str              # yes | no | unknown
-    strongly_f_regular: str      # yes | unknown
+    __slots__ = ("dim", "codim", "normal", "cohen_macaulay", "rational_singularities_char0", "gorenstein",
+                 "strongly_f_regular")
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(zip(self.__slots__, self._fields_of(self)))
 
 
 def facts(params: OrbitParams, config: SpaceConfig) -> OrbitFacts:
@@ -676,45 +701,46 @@ def _isometry_rows(form: BilinearForm, rows, rng=None, *, mirror=None, stats: di
     its order: each vector v's f entries, then, alternating, its scalar c;
     a draw with c = 0 (v isotropic, or c drawn zero) is redrawn, and
     ``stats`` records the vector draws.  Otherwise B is the reflection in
-    ``mirror``.  x B^t applies the last map first; w = v K is computed once
-    per draw and gives both beta(v, v) = w.v and beta(v, x) = w.x."""
+    ``mirror``.  x B^t applies the last map first; w = v K gives both
+    beta(v, v) = w.v and beta(v, x) = w.x, and w with the reflection's c
+    is computed once per distinct v and cached on the form."""
     F, f = form.field, form.f
-    add, mul, zero = F.add, F.mul, F.zero
-    minus_two = F.from_int(-2)
-    kcols = [[(i, k) for i, k in enumerate(col) if k != zero] for col in zip(*form.gram.data)]
-
-    def dot(u, x):
-        return reduce(add, map(mul, u, x))
-
-    def times_gram(v):  # v K over the non-zero entries of each column (K is non-degenerate)
-        return [reduce(add, [mul(v[i], k) for i, k in col]) for col in kcols]
+    dot, axpy, zero = F.dot, F.axpy, F.zero
+    cache = form._reflections
+    # the non-zero entries of each column of K, as (rows, values)
+    kcols = [([i for i, k in enumerate(col) if k != zero], [k for k in col if k != zero])
+             for col in zip(*form.gram.data)]
 
     def reflection(v):  # (v, w, c), with c = 0 when v is isotropic
-        w = times_gram(v)
-        norm = dot(w, v)
-        return v, w, (zero if F.is_zero(norm) else F.div(minus_two, norm))
+        hit = cache.get(v)
+        if hit is None:
+            w = [dot([v[i] for i in idx], ks) for idx, ks in kcols]  # v K
+            norm = dot(w, v)
+            hit = cache[v] = (v, w, zero if norm == zero else F.div(F.from_int(-2), norm))
+        return hit
 
     if rng is None:
         maps = [reflection(mirror)]
     else:
         symmetric = form.kind == SYMMETRIC
         count = f + f % 2 if symmetric else f + 1
-        rand, maps, draws = F.random, [], 0
+        maps, draws = [], 0
         while len(maps) < count:
             draws += 1
-            v = [rand(rng) for _ in range(f)]
-            drawn = reflection(v) if symmetric else (v, times_gram(v), rand(rng))
-            if not F.is_zero(drawn[2]):
-                maps.append(drawn)
+            v, w, c = reflection(tuple(F.random_row(rng, f)))
+            if not symmetric:
+                c = F.random(rng)
+            if c != zero:
+                maps.append((v, w, c))
         if stats is not None:
             stats["attempts"] = draws
             stats["fallback"] = False
     rows = [list(x) for x in rows]
     for v, w, c in reversed(maps):
-        for row in rows:
-            t = mul(c, dot(w, row))
+        for k, row in enumerate(rows):
+            t = F.mul(c, dot(w, row))
             if t != zero:
-                row[:] = [add(x, mul(t, y)) for x, y in zip(row, v)]
+                rows[k] = axpy(t, v, row)
     return rows
 
 
@@ -769,12 +795,11 @@ def random_orbit_point(params: OrbitParams, config: SpaceConfig, seed=None) -> M
     rng = random.Random(seed)
     a = random_invertible(F, e, rng).data
     rows = _isometry_rows(config.form, rep, rng)
-    add, mul, zero = F.add, F.mul, F.zero
     out = []
     for arow in a:  # row i of A (Phi B^t), over the r1 non-zero rows
-        acc = [zero] * f
+        acc = [F.zero] * f
         for x, row in zip(arow, rows):
-            if x != zero:
-                acc = [add(s, mul(x, y)) for s, y in zip(acc, row)]
+            if x != F.zero:
+                acc = F.axpy(x, row, acc)
         out.append(acc)
     return Matrix(F, out, e, f)

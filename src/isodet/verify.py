@@ -10,11 +10,14 @@ The stratum of a matrix depends only on its row space W: r1 = dim W, r2
 is the rank of the form on W, and the sign is read off dim(W meet L0).
 The classification table therefore never reduces a matrix: it is
 composed one row at a time, since the row space of (v_1, ..., v_e) is
-the join of span(v_1..v_(e-1)) with v_e.  Every subspace met as a prefix
-gets one cached row of joins over all vectors, the last level of joins
-becomes rows of stratum codes, and the table is those byte rows joined in
-odometer order; each distinct row space is classified once.  The table
-is cached per configuration, and the budget gates every read of it.
+the join of span(v_1..v_(e-1)) with v_e.  Every subspace S met as a
+prefix gets one cached row of joins over all vectors, built per coset of
+S: the join depends only on the residual of v modulo S, so each residual
+is reduced once and its join written at every vector of its coset.  The
+last level of joins becomes rows of stratum codes, and the table is those
+byte rows joined in odometer order; each distinct row space is classified
+once.  The table is cached per configuration, and the budget gates every
+read of it.
 
 The exhaustive equation cut is composed row by row as well
 (:func:`_vanish_rows`): each generator, restricted to the last row, has one
@@ -33,14 +36,14 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import product
 
 from .equations import GeneratorSet, generators_for
 from .errors import BudgetExceeded, InvalidParams, StratumUnavailable
 from .forms_orbits import (
     OrbitParams,
+    Record,
     SpaceConfig,
     classify,
     closure_leq,
@@ -58,18 +61,19 @@ from .linalg import Matrix, echelon, random_matrix
 DEFAULT_BUDGET = 10_000_000
 
 
-@dataclass
-class VerificationReport:
-    """One check's outcome; failures always carry a concrete witness."""
+class VerificationReport(Record):
+    """One check's outcome; failures always carry a concrete witness.
+    ``status`` is pass, fail or warn.  Unlike the other records, a report
+    may be updated, so it is not hashable."""
 
-    name: str
-    config: dict
-    mode: dict
-    status: str                       # pass | fail | warn
-    witness: dict | None = None
-    tallies: dict = dc_field(default_factory=dict)
-    warnings: list = dc_field(default_factory=list)
-    wall_time_ms: float = 0.0
+    __slots__ = ("name", "config", "mode", "status", "witness", "tallies", "warnings", "wall_time_ms")
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, name: str, config: dict, mode: dict, status: str, witness: dict | None = None,
+                 tallies: dict | None = None, warnings: list | None = None, wall_time_ms: float = 0.0):
+        super().__init__(name, config, mode, status, witness, {} if tallies is None else tallies,
+                         [] if warnings is None else warnings, wall_time_ms)
 
     @property
     def ok(self) -> bool:
@@ -129,48 +133,57 @@ def classification_table(config: SpaceConfig, budget: int = DEFAULT_BUDGET):
 
     The matrix with rows (v_1, ..., v_e) sits at position
     sum idx(v_i) q^(f(e-i)), and its row space is span(v_1..v_(e-1)) + v_e.
-    So each prefix subspace S (a reduced row-echelon basis) gets one cached
-    row v -> S + v over the q^f vectors, keyed on the residual of v modulo
-    S and on its multiple with leading entry one (residuals span the same
-    join exactly when they are proportional), so that :func:`echelon` runs
-    once per new row space; prefixes are
-    composed level by level, and each distinct last-level row becomes
-    bytes of stratum codes.  ``classify`` runs on the padded basis of each
-    row space the first time it is met in odometer order, so unexpected
-    strata are appended in that order.
+    So each prefix subspace S (a reduced row-echelon basis b_i with pivots
+    c_i) gets one cached row v -> S + v over the q^f vectors.  S + v
+    depends only on the residual r = v - sum v[c_i] b_i, zero on the
+    pivots, and residuals span the same join exactly when they are
+    proportional.  So each of the q^(f - dim S) residuals is scaled to a
+    leading one once, :func:`echelon` runs once per new row space, and the
+    residual's space is written at every v = r + sum a_i b_i of its coset,
+    at positions summed from the digits of each entry in ``elements()``.
+    Prefixes are composed level by level, and each distinct last-level row
+    becomes bytes of stratum codes.  ``classify`` runs on the padded basis
+    of each row space the first time it is met in odometer order, so
+    unexpected strata are appended in that order.
     """
     enumeration_space(config, budget)
     cached = _CLASS_CACHE.get(config)
     if cached is not None:
         return cached
     F, e, f = config.field, config.e, config.f
-    zero, mul, sub, inv = F.zero, F.mul, F.sub, F.inv
-    vectors = list(product(F.elements(), repeat=f))
-    joins: dict = {}  # basis of S -> [basis of S + v for v in vectors]
+    zero, elements = F.zero, list(F.elements())
+    q, digit = len(elements), {x: i for i, x in enumerate(elements)}
+    joins: dict = {}  # basis of S -> [basis of S + v for v in odometer order]
     spaces: dict = {}  # one shared tuple per row space
 
     def join_row(basis):
         row = joins.get(basis)
         if row is None:
             pivots = [next(j for j, x in enumerate(b) if x != zero) for b in basis]
-            by_residual = {(zero,) * f: basis}
-            row = joins[basis] = []
-            for v in vectors:
-                for c, b in zip(pivots, basis):
-                    if v[c] != zero:
-                        v = tuple([sub(x, mul(v[c], y)) for x, y in zip(v, b)])
-                space = by_residual.get(v)
+            choices = [[zero] if j in pivots else elements for j in range(f)]  # a residual's entries
+            by_unit: dict = {(): basis}  # the zero residual joins to S itself
+            joined = []  # S + r for each residual r, in odometer order
+            for r in product(*choices):
+                lead = next((x for x in r if x != zero), None)
+                unit = () if lead is None else tuple(F.scale_row(F.inv(lead), r))
+                space = by_unit.get(unit)
                 if space is None:
-                    lead = inv(next(x for x in v if x != zero))
-                    unit = tuple([mul(lead, x) for x in v])
-                    space = by_residual.get(unit)
-                    if space is None:
-                        rows = [*map(list, basis), list(unit)]
-                        echelon(F, rows)
-                        space = tuple(map(tuple, rows))
-                        space = by_residual[unit] = spaces.setdefault(space, space)
-                    by_residual[v] = space
-                row.append(space)
+                    rows = [*map(list, basis), list(unit)]
+                    echelon(F, rows)
+                    space = tuple(map(tuple, rows))
+                    space = by_unit[unit] = spaces.setdefault(space, space)
+                joined.append(space)
+            row = joins[basis] = [None] * q ** f  # every position lies in one coset
+            for coeffs in product(elements, repeat=len(basis)):
+                t = [zero] * f  # the coset r + t of t = sum a_i b_i, which holds a_i at pivot i
+                for a, b in zip(coeffs, basis):
+                    t = F.axpy(a, b, t)
+                at = [0]  # the positions of r + t, digit by digit, in the residuals' order
+                for j, xs in enumerate(choices):
+                    digits = [digit[F.add(x, t[j])] * q ** (f - 1 - j) for x in xs]
+                    at = [s + d for s in at for d in digits]
+                for pos, space in zip(at, joined):
+                    row[pos] = space
         return row
 
     prefixes = [()]
@@ -235,7 +248,9 @@ def _vanish_rows(gens: GeneratorSet, config: SpaceConfig):
     one 0/1 byte per v, big-endian.  A generator is g = sum_m c_m(u) v^m,
     so at u it vanishes on the whole row when every c_m(u) is zero, and
     otherwise its zero row depends only on its non-zero terms up to a
-    scalar: the cache key, scaled to a leading one."""
+    scalar: the cache key, scaled to a leading one.  A new zero row is
+    built as one combination of whole columns, the values of each last-row
+    monomial at every v."""
     F, f, cut = config.field, config.f, (config.e - 1) * config.f  # the prefix's entries come first
     zero, add, mul = F.zero, F.add, F.mul
     elements = list(F.elements())
@@ -264,7 +279,7 @@ def _vanish_rows(gens: GeneratorSet, config: SpaceConfig):
             if key not in rows:
                 acc = columns[key[0][0]]
                 for m, c in key[1:]:
-                    acc = map(add, acc, columns[m] if c == F.one else map(mul, repeat(c, width), columns[m]))
+                    acc = F.axpy(c, columns[m], acc)
                 rows[key] = int.from_bytes(bytes(map(zero.__eq__, acc)), "big")
             vanish &= rows[key]
             if not vanish:

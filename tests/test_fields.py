@@ -203,3 +203,27 @@ def test_rationals_exactness():
     for _ in range(3):
         acc = Q.add(acc, third)
     assert acc == Q.one
+
+
+@pytest.mark.parametrize(
+    "field",
+    [field_create("prime", 3), field_create("prime", 7), field_create("quadratic-extension", 3),
+     field_create("rationals")],
+    ids=["F3", "F7", "F9", "Q"],
+)
+def test_row_methods_match_their_scalar_definitions(field):
+    # oracle: each row method written out from add and mul, entry by entry
+    rng = random.Random(9)
+    for n in (0, 1, 4, 7):
+        for _ in range(20):
+            u, v = [field.random(rng) for _ in range(n)], [field.random(rng) for _ in range(n)]
+            a = field.random(rng)
+            total = field.zero
+            for x, y in zip(u, v):
+                total = field.add(total, field.mul(x, y))
+            assert field.dot(u, v) == total
+            assert field.axpy(a, u, v) == [field.add(y, field.mul(a, x)) for x, y in zip(u, v)]
+            assert field.scale_row(a, u) == [field.mul(a, x) for x in u]
+        seeded, scalar = random.Random(n), random.Random(n)
+        assert field.random_row(seeded, n) == [field.random(scalar) for _ in range(n)]
+        assert seeded.getstate() == scalar.getstate()

@@ -677,3 +677,25 @@ def test_random_isometry_stream_is_pinned():
             stats = {}
             digest.update(f"{random_isometry(frm, seed=s, stats=stats)!r} {stats}".encode())
     assert digest.hexdigest() == "e9b8c8a28fe693ae218145557a341c9b341e9008b9a2617045f78e0883255fbd"
+
+
+def test_value_types_behave_as_frozen_records():
+    # the contract of the frozen dataclasses they replaced: equal and
+    # hashed by class and fields, shown by fields, never reassigned
+    p = OrbitParams(2, 0, "+")
+    assert p == OrbitParams(2, 0, "+") != OrbitParams(2, 0, "-")
+    assert OrbitParams(1, 1) == OrbitParams(1, 1, None) and p != (2, 0, "+")
+    assert hash(p) == hash((2, 0, "+"))
+    assert repr(p) == "OrbitParams(r1=2, r2=0, sign='+')"
+    with pytest.raises(AttributeError):
+        p.r1 = 3
+    with pytest.raises(TypeError):
+        OrbitParams(1)
+    F5 = field_create("prime", 5)
+    assert split_config(2, 4, "symmetric", F5) == split_config(2, 4, "symmetric", F5)
+    with pytest.raises(InvalidForm):
+        SpaceConfig(0, 4, F5, BilinearForm.split(F5, "symmetric", 4))
+    assert facts(p, split_config(2, 4, "symmetric", F5)).to_json() == {
+        "dim": 5, "codim": 3, "normal": True, "cohen_macaulay": "yes", "rational_singularities_char0": True,
+        "gorenstein": "unknown", "strongly_f_regular": "yes",
+    }

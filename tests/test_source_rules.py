@@ -3,9 +3,14 @@ typed errors (an ``assert`` vanishes under ``-O``), arithmetic stays
 exact (``math`` is used only for its integer functions), randomness
 comes only from seeded ``random.Random`` instances, so output is
 reproducible per seed, and a stratum the form or field cannot populate is
-caught as ``StratumUnavailable``, never as one of its subclasses."""
+caught as ``StratumUnavailable``, never as one of its subclasses.  The CLI
+loads neither ``dataclasses`` nor ``inspect``: every CLI process pays for
+the modules it imports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "isodet"
@@ -83,3 +88,22 @@ def test_strata_left_out_by_one_rule():
         and any(cls in ast.unparse(node.type) for cls in subclasses)
     ]
     assert found == []
+
+
+def test_no_dataclasses_import():
+    found = []
+    for name, node in _nodes():
+        if isinstance(node, ast.Import):
+            found += [f"{name}:{node.lineno}" for alias in node.names if alias.name.split(".")[0] == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses":
+            found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # -S: no site module, so no .pth file of the environment imports
+    # either module first and masks the check
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = "import sys, isodet.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

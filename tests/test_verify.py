@@ -608,3 +608,51 @@ def test_sampled_run_classifies_each_uniform_point_once(monkeypatch):
     assert all(r.ok for r in reports)
     assert [r.mode["kind"] for r in reports if r.name == "equation-cut"] == ["sampled"] * len(valid_params(cfg))
     assert len(calls) == 2000
+
+
+def test_composed_table_matches_oracle_where_prefixes_span_everything():
+    # sym e4f3 over F_3: prefixes of three rows reach dimension f, where
+    # the only residual is zero and its coset is the whole space
+    cfg = split_config(4, 3, "symmetric", F3)
+    classes, codes = classification_table(cfg)
+    positions = sorted(random.Random(7).sample(range(len(codes)), 3000))
+    oracle_classes, oracle_codes = _per_matrix_table(cfg, positions)
+    assert classes == oracle_classes
+    assert bytes(codes[i] for i in positions) == oracle_codes
+
+
+def _counted(monkeypatch, field, name):
+    """Count the calls of one method of ``field`` (a fresh instance)."""
+    calls = [0]
+    method = getattr(field, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return method(*args)
+
+    monkeypatch.setattr(field, name, counted)
+    return calls
+
+
+def test_table_normalizes_each_residual_once(monkeypatch):
+    # counts, not times: per distinct prefix space S, each non-zero
+    # residual modulo S is scaled to a leading one once, not each vector;
+    # sym e2f3 over F_7 has the zero prefix and 57 lines
+    F = field_create("prime", 7)
+    cfg = split_config(2, 3, "symmetric", F)
+    monkeypatch.setattr(verify, "_CLASS_CACHE", {})
+    calls = _counted(monkeypatch, F, "scale_row")
+    classification_table(cfg)
+    assert 0 < calls[0] <= (7**3 - 1) + (7**3 - 1) // 6 * (7**2 - 1) == 3078
+
+
+def test_orbit_point_pool_computes_each_reflection_once(monkeypatch):
+    # counts, not times: a reflection's scalar -2/beta(v, v) is computed
+    # once per distinct drawn vector, so at most once per vector of F_3^4
+    F = field_create("prime", 3)
+    cfg = split_config(2, 4, "symmetric", F)
+    monkeypatch.setattr(verify, "_POINT_CACHE", {})
+    calls = _counted(monkeypatch, F, "div")
+    points = verify._sample_points(cfg, 0, 0, 100)
+    assert len(points) == 100 * len(valid_params(cfg))
+    assert 0 < calls[0] <= 3**4
