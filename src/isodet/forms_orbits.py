@@ -45,20 +45,15 @@ SYMMETRIC = "symmetric"
 ALTERNATING = "alternating"
 
 
+# A reflection is cached per drawn vector only over a finite space of at
+# most this many vectors: the cache then holds at most that many entries,
+# and a run's thousands of draws repeat vectors.  Over a larger space, or
+# Q, draws seldom repeat and a cache would keep every one of them.
+REFLECTION_CACHE_VECTORS = 4096
+
+
 # --------------------------------------------------------------------------
-# vector helpers (tuples of payloads)
-
-def _vec_add(field, u, v):
-    add = field.add
-    return tuple(add(a, b) for a, b in zip(u, v))
-
-def _vec_sub(field, u, v):
-    sub = field.sub
-    return tuple(sub(a, b) for a, b in zip(u, v))
-
-def _vec_scale(field, c, u):
-    mul = field.mul
-    return tuple(mul(c, a) for a in u)
+# vectors are tuples of payloads; their arithmetic is the Field row methods
 
 def _unit(field, n, i):
     return tuple(field.one if j == i else field.zero for j in range(n))
@@ -152,6 +147,10 @@ class BilinearForm:
             raise InvalidForm("alternating form needs a skew Gram matrix with zero diagonal")
         self.kind = kind
         self.gram = gram
+        zero = gram.field.zero
+        # the non-zero entries of each column of K, as (rows, values)
+        self._kcols = [([i for i, k in enumerate(col) if k != zero], [k for k in col if k != zero])
+                       for col in zip(*gram.data)]
         self._hyperbolic: HyperbolicBasis | None = None
         self._lie: list[Matrix] | None = None
         self._reps: dict = {}  # OrbitParams -> non-zero rows of its representative
@@ -204,8 +203,7 @@ class BilinearForm:
             return cls(obj["kind"], Matrix.identity(field, f))
         if isinstance(gram, str):
             raise InvalidForm(f"unknown gram choice {gram!r}")
-        rows = [[field.parse(s) for s in row] for row in gram["rows"]]
-        return cls(obj["kind"], Matrix(field, rows))
+        return cls(obj["kind"], Matrix.from_json(gram, field))
 
     def __eq__(self, other):
         return isinstance(other, BilinearForm) and self.kind == other.kind and self.gram == other.gram
@@ -215,22 +213,14 @@ class BilinearForm:
 
     # ------------------------------------------------------------ geometry
 
+    def times_gram(self, v) -> list:
+        """The row v K, read off the non-zero entries of K's columns."""
+        dot = self.field.dot
+        return [dot([v[i] for i in idx], ks) for idx, ks in self._kcols]
+
     def beta(self, u, v):
         """beta(u, v) = u K v^t for row vectors (tuples of payloads)."""
-        F = self.field
-        add, mul, zero = F.add, F.mul, F.zero
-        acc = zero
-        for i, ui in enumerate(u):
-            if ui == zero:
-                continue
-            krow = self.gram.data[i]
-            row_acc = zero
-            for j, vj in enumerate(v):
-                kij = krow[j]
-                if kij != zero and vj != zero:
-                    row_acc = add(row_acc, mul(kij, vj))
-            acc = add(acc, mul(ui, row_acc))
-        return acc
+        return self.field.dot(self.times_gram(u), v)
 
     def hyperbolic_basis(self) -> HyperbolicBasis:
         if self._hyperbolic is None:
@@ -276,11 +266,11 @@ def _perp_within(form: BilinearForm, span, plane):
     coeffs = Matrix(F, rows, len(plane), len(span)).kernel_basis()
     out = []
     for y in coeffs:
-        vec = tuple(F.zero for _ in range(form.f))
+        vec = [F.zero] * form.f
         for c, s in zip(y, span):
             if c != F.zero:
-                vec = _vec_add(F, vec, _vec_scale(F, c, s))
-        out.append(vec)
+                vec = F.axpy(c, s, vec)
+        out.append(tuple(vec))
     return out
 
 
@@ -303,14 +293,14 @@ def _diagonalize_restriction(form: BilinearForm, span):
             )
             if k is None:
                 raise ConsistencyCheckFailed("degenerate restriction in diagonalization")
-            v = _vec_add(F, vs[i], vs[k])
+            v = F.axpy(F.one, vs[i], vs[k])
         else:
             v = vs[k]
-        out.append(v)
+        out.append(tuple(v))
         # the projection of v_k is zero (or minus that of v_i); those of the
         # other vectors are a basis of the complement of v
         nv = form.beta(v, v)
-        vs = [_vec_sub(F, w, _vec_scale(F, F.div(form.beta(w, v), nv), v)) for i, w in enumerate(vs) if i != k]
+        vs = [F.axpy(F.neg(F.div(form.beta(w, v), nv)), v, w) for i, w in enumerate(vs) if i != k]
     return out
 
 
@@ -325,7 +315,7 @@ def _find_isotropic(form: BilinearForm, diag):
         for j in range(i + 1, n):
             s = F.sqrt(F.neg(F.div(norms[j], norms[i])))
             if s is not None:
-                return _vec_add(F, _vec_scale(F, s, diag[i]), diag[j])
+                return tuple(F.axpy(s, diag[i], diag[j]))
     if F.order is None:
         return None
     for i in range(n):
@@ -336,11 +326,7 @@ def _find_isotropic(form: BilinearForm, diag):
                     rhs = F.neg(F.div(F.add(F.mul(norms[j], F.mul(t, t)), norms[k]), norms[i]))
                     s = F.sqrt(rhs)
                     if s is not None:
-                        return _vec_add(
-                            F,
-                            _vec_add(F, _vec_scale(F, s, diag[i]), _vec_scale(F, t, diag[j])),
-                            diag[k],
-                        )
+                        return tuple(F.axpy(s, diag[i], F.axpy(t, diag[j], diag[k])))
     return None
 
 
@@ -360,8 +346,8 @@ def _witt_hyperbolic(form: BilinearForm) -> HyperbolicBasis:
             if v is None:
                 break
         u = next(w for w in span if not F.is_zero(form.beta(v, w)))
-        u = _vec_scale(F, F.inv(form.beta(v, u)), u)
-        u = _vec_sub(F, u, _vec_scale(F, F.div(form.beta(u, u), two), v))
+        u = F.scale_row(F.inv(form.beta(v, u)), u)
+        u = tuple(F.axpy(F.neg(F.div(form.beta(u, u), two)), v, u))
         pairs.append((v, u))
         span = _perp_within(form, span, (v, u))
     anis = tuple(_diagonalize_restriction(form, span)) if span else ()
@@ -526,8 +512,7 @@ def _representative_rows(params: OrbitParams, config: SpaceConfig) -> tuple:
     else:
         pool = []
         for a, b in hb.pairs[k:]:
-            pool.append(_vec_add(F, a, b))
-            pool.append(_vec_sub(F, a, b))
+            pool += (tuple(F.axpy(F.one, b, a)), tuple(F.axpy(F.neg(F.one), b, a)))
         pool.extend(hb.anisotropic)
         if params.r2 > len(pool):
             raise InsufficientWittIndex(
@@ -703,18 +688,18 @@ def _isometry_rows(form: BilinearForm, rows, rng=None, *, mirror=None, stats: di
     ``stats`` records the vector draws.  Otherwise B is the reflection in
     ``mirror``.  x B^t applies the last map first; w = v K gives both
     beta(v, v) = w.v and beta(v, x) = w.x, and w with the reflection's c
-    is computed once per distinct v and cached on the form."""
+    is computed once per distinct v, and cached on the form when its
+    space is small (see REFLECTION_CACHE_VECTORS)."""
     F, f = form.field, form.f
     dot, axpy, zero = F.dot, F.axpy, F.zero
-    cache = form._reflections
-    # the non-zero entries of each column of K, as (rows, values)
-    kcols = [([i for i, k in enumerate(col) if k != zero], [k for k in col if k != zero])
-             for col in zip(*form.gram.data)]
+    # over a large space the memo is this call's own and is dropped after it
+    small = F.order is not None and F.order ** f <= REFLECTION_CACHE_VECTORS
+    cache = form._reflections if small else {}
 
     def reflection(v):  # (v, w, c), with c = 0 when v is isotropic
         hit = cache.get(v)
         if hit is None:
-            w = [dot([v[i] for i in idx], ks) for idx, ks in kcols]  # v K
+            w = form.times_gram(v)
             norm = dot(w, v)
             hit = cache[v] = (v, w, zero if norm == zero else F.div(F.from_int(-2), norm))
         return hit
@@ -772,15 +757,18 @@ def hyperbolic_swap(form: BilinearForm) -> Matrix:
     if not hb.pairs:
         raise InsufficientWittIndex("form has no hyperbolic pair to swap")
     a1, b1 = hb.pairs[0]
-    rows = _isometry_rows(form, Matrix.identity(F, form.f).data, mirror=_vec_sub(F, a1, b1))
+    rows = _isometry_rows(form, Matrix.identity(F, form.f).data, mirror=tuple(F.axpy(F.neg(F.one), b1, a1)))
     return Matrix(F, zip(*rows), form.f, form.f)
 
 
 def random_orbit_point(params: OrbitParams, config: SpaceConfig, seed=None) -> Matrix:
     """A Phi B^t for the stratum representative Phi, random invertible A
     and a special isometry B from :func:`random_isometry`, which reaches
-    the whole group, so the points reach the whole stratum over a finite
-    field; deterministic per seed.
+    the whole group, so over a finite field the points reach the whole
+    group orbit of Phi; deterministic per seed.  That orbit need not be the
+    whole stratum: a symmetric stratum with r2 >= 1 whose points hold both
+    discriminant classes of the form on the row space is two orbits, and
+    the points stay in the class of Phi.
 
     The draw order is the contract: from ``random.Random(seed)``, first
     the e x e entries of A (redrawn while singular), then the draws of

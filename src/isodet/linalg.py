@@ -155,8 +155,8 @@ class Matrix:
         return Matrix(self.field, [[neg(v) for v in row] for row in self.data], self.rows, self.cols)
 
     def scale(self, c) -> "Matrix":
-        mul = self.field.mul
-        return Matrix(self.field, [[mul(c, v) for v in row] for row in self.data], self.rows, self.cols)
+        scale_row = self.field.scale_row
+        return Matrix(self.field, [scale_row(c, row) for row in self.data], self.rows, self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
@@ -359,8 +359,7 @@ def echelon(field: Field, rows: list) -> tuple[list[int], object]:
 
 
 def random_matrix(field: Field, rows: int, cols: int, rng) -> Matrix:
-    rand = field.random
-    return Matrix(field, [[rand(rng) for _ in range(cols)] for _ in range(rows)], rows, cols)
+    return Matrix(field, [field.random_row(rng, cols) for _ in range(rows)], rows, cols)
 
 
 def random_invertible(field: Field, n: int, rng) -> Matrix:

@@ -281,6 +281,20 @@ def test_gram_from_file(tmp_path, capsys):
     assert "(2,2)" in out
 
 
+def test_gram_file_over_another_field_is_refused(tmp_path, capsys):
+    # the grid is read as a Matrix JSON, whose "field" key must agree with
+    # --field; it is not re-read modulo the other prime
+    gram = {"field": {"kind": "prime", "p": 5},
+            "rows": [["0", "1", "0", "0"], ["-1", "0", "0", "0"], ["0", "0", "0", "1"], ["0", "0", "-1", "0"]]}
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps(gram))
+    code, out, err = run(capsys, "atlas", "--kind", "alt", "-e", "2", "-f", "4",
+                         "--field", "p=7", "--gram", f"file:{path}")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err.splitlines()[-1])["error"] == "DimensionMismatch"
+
+
 def test_verification_failure_exits_3(capsys, monkeypatch):
     import isodet.cli as cli_mod
     from isodet.verify import VerificationReport

@@ -174,6 +174,22 @@ def test_hyperbolic_basis_valid_on_random_grams(F, kind):
             assert hb.witt == frm.f // 2
 
 
+@pytest.mark.parametrize("F", [field_create("prime", 3), field_create("quadratic-extension", 3), Q],
+                         ids=["F3", "F9", "Q"])
+@pytest.mark.parametrize("kind", ["symmetric", "alternating"])
+def test_times_gram_and_beta_match_the_matrix_product(F, kind):
+    # oracle: Matrix.__matmul__, which shares no code with the form's
+    # sparse columns of K
+    rng = random.Random(17)
+    for frm in random_forms(F, kind, 6, rng):
+        for _ in range(5):
+            u, v = (tuple(F.random(rng) if F.order else F.from_int(rng.randint(-4, 4)) for _ in range(frm.f))
+                    for _ in range(2))
+            uk = Matrix(F, [u]) @ frm.gram
+            assert frm.times_gram(u) == list(uk.data[0])
+            assert frm.beta(u, v) == (uk @ Matrix(F, [v]).T)[0, 0]
+
+
 def test_diagonalization_of_a_degenerate_span_is_a_typed_error():
     frm = BilinearForm.split(F5, "symmetric", 4)
     with pytest.raises(ConsistencyCheckFailed):
@@ -677,6 +693,22 @@ def test_random_isometry_stream_is_pinned():
             stats = {}
             digest.update(f"{random_isometry(frm, seed=s, stats=stats)!r} {stats}".encode())
     assert digest.hexdigest() == "e9b8c8a28fe693ae218145557a341c9b341e9008b9a2617045f78e0883255fbd"
+
+
+def test_reflection_cache_is_kept_only_over_small_spaces():
+    # F_49^6 has 1.4e10 vectors and Q infinitely many: draws seldom repeat,
+    # so no reflection is kept
+    for frm in (BilinearForm.split(F49, "symmetric", 6), BilinearForm.split(Q, "symmetric", 4)):
+        for s in range(3):
+            random_isometry(frm, seed=s)
+        assert frm._reflections == {}
+    # the spaces of the exhaustive checks, F_7^3 and F_3^4: each vector is
+    # kept at most once
+    for F, f in ((F7, 3), (F3, 4)):
+        small = BilinearForm.split(F, "symmetric", f)
+        for s in range(40):
+            random_isometry(small, seed=s)
+        assert 0 < len(small._reflections) <= F.order ** f
 
 
 def test_value_types_behave_as_frozen_records():
