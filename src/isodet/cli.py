@@ -15,7 +15,7 @@ import os
 import sys
 
 from .equations import generators_for
-from .errors import IsodetError, MalformedInput
+from .errors import IsodetError, MalformedInput, StratumUnavailable
 from .fields import field_create
 from .forms_orbits import (
     BilinearForm,
@@ -142,15 +142,16 @@ def _flag(v) -> str:
 
 
 def generator_inventory(params: OrbitParams, config: SpaceConfig) -> dict:
+    """Count and degree of each generator family of a stratum, read from
+    the set's labels and degrees (no polynomial is expanded); a stratum
+    the form or field cannot populate is marked unavailable."""
     try:
         gens = generators_for(params, config)
-    except IsodetError as exc:
+    except StratumUnavailable as exc:
         return {"unavailable": type(exc).__name__}
     inv: dict = {}
     for g in gens:
-        tag = g.label[0]
-        deg = g.poly.degree()
-        slot = inv.setdefault(tag, {"count": 0, "degree": deg})
+        slot = inv.setdefault(g.label[0], {"count": 0, "degree": g.degree})
         slot["count"] += 1
     return inv
 

@@ -17,10 +17,17 @@ one per generic grid and kept for the life of the process, so every
 k-minor of a grid shares its (k-1)-minors and every stratum of a
 configuration shares the grid's table.  Rendering and export unpack to
 dense exponent vectors, so output is bit-for-bit reproducible.
+
+A generator set is built from labels and degrees; each member expands
+its polynomial (from the tables, or as a projection of maximal minors)
+only when ``.poly`` is first read, and keeps it.  So counting the
+members of a family and reading their degree, as the atlas does,
+expands nothing, while evaluation and export expand what they read.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 
 from .errors import (
@@ -452,10 +459,30 @@ def minor_polynomial(config: SpaceConfig, rowset, colset) -> Polynomial:
 # --------------------------------------------------------------------------
 # labelled generator sets
 
-class Generator(Record):
-    """A polynomial with its label, a tuple."""
+class Generator:
+    """A labelled polynomial: the label (a tuple) and the degree are set
+    when the generator is built; the polynomial is either given or made by
+    ``build()`` on the first read of :attr:`poly`, and then kept."""
 
-    __slots__ = ("label", "poly")
+    __slots__ = ("label", "degree", "_poly", "_build")
+
+    def __init__(self, label: tuple, poly: Polynomial | None = None, *, degree: int | None = None, build=None):
+        if (poly is None) == (build is None) or (degree is None) != (build is None):
+            raise TypeError("Generator takes a polynomial, or a degree and a build function")
+        self.label = label
+        self.degree = poly.degree() if poly is not None else degree
+        self._poly = poly
+        self._build = build
+
+    @property
+    def poly(self) -> Polynomial:
+        if self._poly is None:
+            self._poly = self._build()
+            self._build = None
+        return self._poly
+
+    def __repr__(self):
+        return f"Generator(label={self.label!r}, degree={self.degree})"
 
     def label_text(self) -> str:
         tag = self.label[0]
@@ -518,8 +545,12 @@ def rank_condition_generators(params: OrbitParams, config: SpaceConfig) -> Gener
     """All (r1+1)-minors of the generic matrix plus the isotropic-rank
     conditions on its Gram image: (r2+1)-minors for symmetric forms (one
     of each transpose-pair), principal (r2+2)-sub-Pfaffians for
-    alternating ones.  Each family is empty once its size outgrows the
-    matrix, so dense strata get the empty set."""
+    alternating ones.  The Gram image X K X^t has rank at most min(e, f),
+    so each family is empty once its size outgrows min(e, f), and dense
+    strata get the empty set.  Within that bound no member is identically
+    zero, so each has the degree of its family: r1+1, 2(r2+1) and r2+2.
+    The members are labels with degrees; their polynomials come from the
+    memoised tables on first use."""
     if not params_valid(params, config):
         raise InvalidParams(f"{params} is not admissible here")
     if params.sign is not None:
@@ -527,27 +558,28 @@ def rank_condition_generators(params: OrbitParams, config: SpaceConfig) -> Gener
             "the two-component stratum needs component_generators(sign, config)"
         )
     e, f = config.e, config.f
+    bound = min(e, f)
     gens: list[Generator] = []
     n1 = params.r1 + 1
-    if n1 <= min(e, f):
+    if n1 <= bound:
         X = _matrix_table(config)
         for T in combinations(range(e), n1):
             for S in combinations(range(f), n1):
-                gens.append(Generator(("minor", T, S), X.minor(T, S)))
+                gens.append(Generator(("minor", T, S), degree=n1, build=partial(X.minor, T, S)))
     G = _gram_table(config)
     if config.kind == SYMMETRIC:
         n2 = params.r2 + 1
-        if n2 <= e:
+        if n2 <= bound:
             for T in combinations(range(e), n2):
                 for S in combinations(range(e), n2):
                     if S < T:
                         continue  # minor(T,S) = minor(S,T) on a symmetric grid
-                    gens.append(Generator(("gram-minor", T, S), G.minor(T, S)))
+                    gens.append(Generator(("gram-minor", T, S), degree=2 * n2, build=partial(G.minor, T, S)))
     else:
         n2 = params.r2 + 2
-        if n2 <= e:
+        if n2 <= bound:
             for S in combinations(range(e), n2):
-                gens.append(Generator(("gram-pfaffian", S), G.pfaffian(S)))
+                gens.append(Generator(("gram-pfaffian", S), degree=n2, build=partial(G.pfaffian, S)))
     return GeneratorSet(config, gens)
 
 
@@ -706,16 +738,22 @@ def component_generators(sign: str, config: SpaceConfig) -> GeneratorSet:
     X = _matrix_table(config)
     zero = F.zero
     nvars = e * f
+
+    def projection(T, prow):
+        """Projector row ``prow`` applied to the maximal minors on rows T."""
+        acc: dict = {}
+        for c, S in zip(prow, star.subsets):
+            if c != zero:
+                _add_product(F, acc, {0: c}, X.minor(T, S).terms)
+        return Polynomial._packed(F, nvars, _nonzero(acc, zero))
+
+    # the maximal minors on rows T are linearly independent (each alone
+    # holds its diagonal monomial), so a projected row is non-zero exactly
+    # when its projector row is
+    rows = [(u, prow) for u, prow in enumerate(proj.data) if any(c != zero for c in prow)]
     for T in combinations(range(e), m):
-        w = [X.minor(T, S).terms for S in star.subsets]
-        for u, prow in enumerate(proj.data):
-            acc: dict = {}
-            for c, ws in zip(prow, w):
-                if c != zero:
-                    _add_product(F, acc, {0: c}, ws)
-            acc = _nonzero(acc, zero)
-            if acc:
-                gens.append(Generator(("component", sign, T, u), Polynomial._packed(F, nvars, acc)))
+        for u, prow in rows:
+            gens.append(Generator(("component", sign, T, u), degree=m, build=partial(projection, T, prow)))
     return GeneratorSet(config, gens)
 
 
@@ -724,9 +762,10 @@ def component_generators(sign: str, config: SpaceConfig) -> GeneratorSet:
 
 def rebuild_generator(label: tuple, config: SpaceConfig) -> Generator:
     """The generator carrying ``label`` in some stratum's set from
-    :func:`generators_for`, rebuilt bit-for-bit.  A label no set carries
-    raises InvalidParams, or the first StratumUnavailable of a stratum
-    whose set the config cannot build."""
+    :func:`generators_for`, rebuilt bit-for-bit.  Only the generator
+    returned expands its polynomial.  A label no set carries raises
+    InvalidParams, or the first StratumUnavailable of a stratum whose set
+    the config cannot build."""
     skipped = None
     for params in valid_params(config):
         try:

@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isodet import equations
 from isodet.cli import dispatch, main, render_atlas
+from isodet.errors import ConsistencyCheckFailed
 from isodet.fields import field_create
-from isodet.forms_orbits import split_config
+from isodet.forms_orbits import split_config, valid_params
 from isodet.linalg import Matrix
 
 
@@ -51,6 +53,35 @@ def test_atlas_json_roundtrip(capsys):
     cfg = split_config(2, 4, "alternating", field_create("prime", 5))
     regenerated = json.dumps(render_atlas(cfg), sort_keys=True)
     assert regenerated == out.strip()
+
+
+def test_atlas_expands_no_polynomial(monkeypatch):
+    # the inventory reads counts and degrees from the sets' labels; forcing
+    # the same sets afterwards makes every expansion the atlas skipped
+    calls = []
+    real = equations._add_product
+    monkeypatch.setattr(equations, "_add_product", lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(equations, "_MATRIX_TABLES", {})
+    monkeypatch.setattr(equations, "_GRAM_TABLES", {})
+    cfg = split_config(4, 8, "symmetric", field_create("prime", 7))
+    render_atlas(cfg)
+    assert calls == []
+    for p in valid_params(cfg):
+        for g in equations.generators_for(p, cfg):
+            g.poly
+    assert len(calls) == 1677
+
+
+def test_atlas_raises_what_is_not_an_unavailable_stratum(capsys, monkeypatch):
+    # only StratumUnavailable becomes an "unavailable" cell; a failed
+    # consistency check ends the command with its diagnostic
+    def broken(form):
+        raise ConsistencyCheckFailed("synthetic")
+
+    monkeypatch.setattr(equations, "star_operator", broken)
+    code, out, err = run(capsys, "atlas", "--kind", "sym", "-e", "2", "-f", "4", "--field", "p=7")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ConsistencyCheckFailed", "message": "synthetic"}
 
 
 def test_classify_zero_matrix(tmp_path, capsys):
@@ -367,6 +398,14 @@ GOLDEN_STDOUT = [
      "eb901a9782a53981f91865e832da4f50d2d57861f1cb86f464ede29f89322330"),
     ("verify all --kind sym -e 2 -f 3 --field rationals --gram identity --samples 5 --format json",
      "8282be4c6e978de0f492053bc4a36860300e3aba0d916a4d788aae1d7165de1d"),
+    # the largest atlas, recorded while every generator was expanded to
+    # read its family's count and degree
+    ("atlas --kind sym -e 5 -f 10 --field p=7 --format json",
+     "f7ff1430f153395f0fb386d5946ab3abfc5cdbd296061b52b29e33870d2dda6f"),
+    # e > f: the dense stratum (3,3) has no generator (it once listed the
+    # identically zero 4x4 Gram minor as "gram-minor:1(deg -1)")
+    ("atlas --kind sym -e 4 -f 3 --field p=7",
+     "79a4ea82bf3afad0bb80e298ac0fdf9dce85c9068b6189ede022bc4d4d395c11"),
 ]
 
 # the --in matrix of the classify golden: an isotropic plane of the

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -15,6 +16,7 @@ from isodet.errors import (
     InvalidParams,
     OddDimension,
     SizeMismatch,
+    StratumUnavailable,
     WrongKind,
 )
 from isodet.fields import field_create
@@ -31,10 +33,12 @@ from isodet.forms_orbits import (
     valid_params,
 )
 from isodet.equations import (
+    Generator,
     Polynomial,
     StarOperator,
     component_generators,
     evaluate,
+    generators_for,
     generic_gram_map,
     generic_matrix,
     minor_polynomial,
@@ -352,6 +356,108 @@ def test_minor_polynomial_checks_index_sets_like_matrix_minor(rows, cols, error)
         minor_polynomial(cfg, rows, cols)
     with pytest.raises(error):
         Matrix.zeros(F5, 2, 4).minor(rows, cols)
+
+
+# ---------------------------------------------------------------- generators expanded on first use
+
+def _family_sizes(params, cfg, gram):
+    """Per-tag sizes of a stratum's generator set, in closed form.  They
+    equal the non-zero members of the eagerly expanded sets on the grid of
+    test_generators_expand_to_their_degree.  In the split basis the
+    involution fixes the line of each of the 2^m subsets that meets every
+    hyperbolic pair once, half of them in each eigenspace, so 2^(m-1)
+    projector rows are zero; the identity form has none."""
+    e, f = cfg.e, cfg.f
+    if params.sign is not None:
+        m = f // 2
+        rows = comb(f, m) - (2 ** (m - 1) if gram == "split" else 0)
+        return {"quadratic-invariant": e * (e + 1) // 2, "component": comb(e, m) * rows}
+    sizes, bound = {}, min(e, f)
+    if params.r1 + 1 <= bound:
+        sizes["minor"] = comb(e, params.r1 + 1) * comb(f, params.r1 + 1)
+    if cfg.kind == "symmetric" and params.r2 + 1 <= bound:
+        n = comb(e, params.r2 + 1)
+        sizes["gram-minor"] = n * (n + 1) // 2
+    if cfg.kind == "alternating" and params.r2 + 2 <= bound:
+        sizes["gram-pfaffian"] = comb(e, params.r2 + 2)
+    return sizes
+
+
+def test_generators_expand_to_their_degree(monkeypatch):
+    # every member of every set, forced: non-zero, homogeneous and of the
+    # degree it was built with; the family sizes follow the closed form
+    monkeypatch.setattr(equations, "_MATRIX_TABLES", {})
+    monkeypatch.setattr(equations, "_GRAM_TABLES", {})
+    sets = 0
+    for kind in ("symmetric", "alternating"):
+        for e in range(1, 5):
+            for f in range(3 if kind == "symmetric" else 4, 7, 1 if kind == "symmetric" else 2):
+                for field in (F3, F7, F9, Q):
+                    for gram in ("split", "identity") if kind == "symmetric" else ("split",):
+                        form = BilinearForm.from_json(field, {"kind": kind, "gram": gram}, f)
+                        cfg = SpaceConfig(e, f, field, form)
+                        for p in valid_params(cfg):
+                            try:
+                                gens = generators_for(p, cfg)
+                            except StratumUnavailable:
+                                continue
+                            sizes: dict = {}
+                            for g in gens:
+                                sizes[g.label[0]] = sizes.get(g.label[0], 0) + 1
+                                poly = g.poly
+                                assert not poly.is_zero() and poly.is_homogeneous(), (cfg, p, g)
+                                assert poly.degree() == g.degree, (cfg, p, g)
+                            assert sizes == _family_sizes(p, cfg, gram), (cfg, p)
+                            sets += 1
+                        equations._MATRIX_TABLES.clear()
+                        equations._GRAM_TABLES.clear()
+    assert sets == 1026
+
+
+@pytest.mark.parametrize(
+    "kind,e,f,dense", [("symmetric", 4, 3, OrbitParams(3, 3)), ("alternating", 6, 4, OrbitParams(4, 4))]
+)
+def test_dense_stratum_has_no_gram_generator_when_e_exceeds_f(kind, e, f, dense):
+    # the Gram image has rank at most f, so its (f+1)-minors and
+    # (f+2)-sub-Pfaffians are zero and are not generators
+    cfg = split_config(e, f, kind, F7)
+    assert len(generators_for(dense, cfg)) == 0
+
+
+def test_generator_builds_its_polynomial_once():
+    built = []
+    x = Polynomial.variable(F5, 2, 0)
+
+    def build():
+        built.append(1)
+        return x
+
+    g = Generator(("x",), degree=1, build=build)
+    assert built == [] and g.degree == 1
+    assert g.poly is x and g.poly is x and built == [1]
+    ready = Generator(("x",), x)
+    assert ready.poly is x and ready.degree == 1
+    assert Generator(("zero",), Polynomial.zero(F5, 2)).degree == -1
+    for poly in (None, x):
+        for bad in ({}, {"build": build}, {"degree": 1}, {"degree": 1, "build": build}):
+            if poly is None and len(bad) == 2 or poly is not None and not bad:
+                continue  # the two valid forms
+            with pytest.raises(TypeError):
+                Generator(("x",), poly, **bad)
+
+
+def test_rebuild_expands_only_the_generator_it_returns(monkeypatch):
+    monkeypatch.setattr(equations, "_MATRIX_TABLES", {})
+    monkeypatch.setattr(equations, "_GRAM_TABLES", {})
+    cfg = split_config(4, 8, "symmetric", F7)
+    rows = (0, 1, 2, 3)
+    g = rebuild_generator(("minor", rows, rows), cfg)
+    assert g.poly.degree() == 4
+    gram = equations._gram_table(cfg)
+    assert gram._minors == {} and gram._pfaffians == {}
+    # the matrix table holds the Laplace tree of that one minor
+    assert all(set(S) <= set(rows) for _, S in equations._matrix_table(cfg)._minors)
+    assert g.poly == minor_polynomial(cfg, rows, rows)
 
 
 def test_generator_json_and_text():
