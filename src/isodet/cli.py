@@ -15,8 +15,8 @@ import os
 import sys
 
 from .equations import generators_for
-from .errors import IsodetError, MalformedInput, StratumUnavailable
-from .fields import field_create
+from .errors import InvalidForm, IsodetError, MalformedInput, StratumUnavailable
+from .fields import field_from_json
 from .forms_orbits import (
     BilinearForm,
     OrbitParams,
@@ -48,11 +48,12 @@ class UsageError(Exception):
 
 
 def parse_field_spec(spec: str):
-    """p=<prime>[,ext=2] or 'rationals'/'q'."""
+    """p=<prime>[,ext=2] or 'rationals'/'q', each key at most once."""
     text = spec.strip().lower()
     if text in ("q", "rationals", "rational"):
-        return field_create("rationals")
-    parts = dict(item.partition("=")[::2] for item in text.split(","))
+        return field_from_json({"kind": "rationals"})
+    pairs = [item.partition("=")[::2] for item in text.split(",")]
+    parts = dict(pairs)
     ext = parts.pop("ext", None)
     try:
         p = int(parts.pop("p"))
@@ -60,7 +61,9 @@ def parse_field_spec(spec: str):
         p = None
     if p is None or parts or ext not in (None, "2"):
         raise UsageError(f"--field: expected p=<prime>[,ext=2] or 'rationals', got {spec!r}")
-    return field_create("prime" if ext is None else "quadratic-extension", p)
+    if len(dict(pairs)) < len(pairs):
+        raise UsageError(f"--field: a key is given twice in {spec!r}")
+    return field_from_json({"kind": "prime" if ext is None else "quadratic-extension", "p": p})
 
 
 def parse_params_spec(spec: str) -> OrbitParams:
@@ -97,25 +100,31 @@ def load_input(path: str, build):
         raise MalformedInput(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
-def resolve_form(args, field, f: int) -> BilinearForm:
-    """--gram split | identity | file:<path to {"rows": [...]}>."""
+def resolve_form(args) -> BilinearForm:
+    """The --kind form over --field with Gram --gram, of dimension -f >= 1."""
+    field = parse_field_spec(args.field)
+    if args.f < 1:
+        raise InvalidForm("f must be at least 1")
     spec = {"kind": KINDS[args.kind], "gram": args.gram}
     if args.gram.startswith("file:"):
-        return load_input(args.gram[5:], lambda gram: BilinearForm.from_json(field, {**spec, "gram": gram}, f))
-    return BilinearForm.from_json(field, spec, f)
+        form = load_input(args.gram[5:], lambda gram: BilinearForm.from_json(field, {**spec, "gram": gram}))
+    else:
+        form = BilinearForm.from_json(field, spec, args.f)
+    if form.f != args.f:
+        raise InvalidForm("form dimension disagrees with f")
+    return form
 
 
 def resolve_config(args) -> SpaceConfig:
-    field = parse_field_spec(args.field)
-    form = resolve_form(args, field, args.f)
-    return SpaceConfig(args.e, args.f, field, form)
+    form = resolve_form(args)
+    return SpaceConfig(args.e, args.f, form.field, form)
 
 
 def echo_config(args, config: SpaceConfig) -> str:
     return (
         f"# isodet {args.command} kind={config.kind} e={config.e} f={config.f} "
         f"field={json.dumps(config.field.descriptor(), sort_keys=True)} "
-        f"gram={args.gram} seed={getattr(args, 'seed', 0)}"
+        f"gram={args.gram} seed={args.seed}"
     )
 
 
@@ -220,7 +229,8 @@ def _cmd_equations(args) -> int:
         payload = {"config": config.to_json(), "params": params.to_json(), "generators": gens.to_json()}
         text = json.dumps(payload, sort_keys=True)
     else:
-        text = echo_config(args, config) + f"\n# params {params}, {len(gens)} generators\n" + gens.to_text()
+        head = echo_config(args, config) + f"\n# params {params}, {len(gens)} generators"
+        text = f"{head}\n{gens.to_text()}" if len(gens) else head
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -246,11 +256,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_solve_congruence(args) -> int:
-    field = parse_field_spec(args.field)
-    form = resolve_form(args, field, args.f)
-    S, A = load_input(
-        args.infile, lambda obj: (Matrix.from_json(obj["S"], field=field), Matrix.from_json(obj["A"], field=field))
-    )
+    form = resolve_form(args)
+    field = form.field
+    S, A = load_input(args.infile, lambda obj: tuple(Matrix.from_json(obj[k], field) for k in "SA"))
     B = solve_congruence(S, A, form)
     residual = (A @ form.gram @ B.T) + (B @ form.gram @ A.T) - S
     residual_zero = all(field.is_zero(v) for row in residual.data for v in row)
@@ -301,15 +309,18 @@ def _cmd_verify(args) -> int:
 # --------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # the form on F and the output format, read by every subcommand
+    form = argparse.ArgumentParser(add_help=False)
+    form.add_argument("-f", type=int, required=True, help="dimension of F (columns)")
+    form.add_argument("--kind", choices=sorted(KINDS), required=True)
+    form.add_argument("--field", default="rationals", help="p=<prime>[,ext=2] or 'rationals'")
+    form.add_argument("--gram", default="split", help="split | identity | file:<path>")
+    form.add_argument("--format", choices=("text", "json"), default="text")
+
+    common = argparse.ArgumentParser(add_help=False, parents=[form])
     common.add_argument("-e", type=int, required=True, help="dimension of E (rows)")
-    common.add_argument("-f", type=int, required=True, help="dimension of F (columns)")
-    common.add_argument("--kind", choices=sorted(KINDS), required=True)
-    common.add_argument("--field", default="rationals", help="p=<prime>[,ext=2] or 'rationals'")
-    common.add_argument("--gram", default="split", help="split | identity | file:<path>")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    common.add_argument("--format", choices=("text", "json"), default="text")
 
     parser = argparse.ArgumentParser(prog="isodet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -327,13 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--params", required=True, help="r1,r2[,sign]")
     p_sample.add_argument("--count", type=int, default=1)
 
-    p_solve = sub.add_parser("solve-congruence", help="solve A K B^t + B K A^t = S for B")
-    p_solve.add_argument("-f", type=int, required=True)
-    p_solve.add_argument("--kind", choices=sorted(KINDS), required=True)
-    p_solve.add_argument("--field", default="rationals")
-    p_solve.add_argument("--gram", default="split")
+    p_solve = sub.add_parser("solve-congruence", parents=[form], help="solve A K B^t + B K A^t = S for B")
     p_solve.add_argument("--in", dest="infile", required=True)
-    p_solve.add_argument("--format", choices=("text", "json"), default="text")
 
     p_verify = sub.add_parser("verify", parents=[common], help="run verification checks")
     p_verify.add_argument("check", choices=("census", "cut", "dims", "closure", "counts", "all"))

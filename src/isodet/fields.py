@@ -46,7 +46,7 @@ class Field:
 
     Subclasses fix the payload representation and must provide ``zero``,
     ``one``, ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``sqrt``,
-    ``parse``, ``render``, ``random`` and ``descriptor``.  The row methods
+    ``parse``, ``render`` and ``random``.  The row methods
     (``dot``, ``axpy``, ``scale_row``, ``random_row``) are written here once
     from those; a field may override them with the same values and draws.
     """
@@ -102,7 +102,7 @@ class Field:
         raise NotImplementedError(f"{self.kind} field is not enumerable")
 
     def descriptor(self) -> dict:
-        raise NotImplementedError
+        return {"kind": self.kind}
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.descriptor() == other.descriptor()
@@ -335,9 +335,6 @@ class RationalField(Field):
     def render(self, a) -> str:
         return str(a)
 
-    def descriptor(self) -> dict:
-        return {"kind": "rationals"}
-
 
 def _sqrt_ladder(field: Field, x):
     """Square root in a finite field of odd order (Tonelli-Shanks).
@@ -417,8 +414,6 @@ def field_create(kind: str, p: int | None = None, nonresidue: int | None = None)
 
 
 def field_from_json(obj: dict) -> Field:
-    """Inverse of ``Field.descriptor()``."""
-    kind = obj["kind"]
-    if kind == "rationals":
-        return field_create("rationals")
-    return field_create(kind, obj["p"], obj.get("nonresidue"))
+    """Inverse of ``Field.descriptor()``, whose keys are the parameters of
+    :func:`field_create`; any other key raises TypeError."""
+    return field_create(**obj)

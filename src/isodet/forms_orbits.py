@@ -191,13 +191,11 @@ class BilinearForm:
     @classmethod
     def from_json(cls, field: Field, obj: dict, f: int | None = None) -> "BilinearForm":
         gram = obj.get("gram", "split")
+        if gram in ("split", "identity") and f is None:
+            raise InvalidForm(f"{gram} form needs the dimension f")
         if gram == "split":
-            if f is None:
-                raise InvalidForm("split form needs the dimension f")
             return cls.split(field, obj["kind"], f)
         if gram == "identity":
-            if f is None:
-                raise InvalidForm("identity form needs the dimension f")
             if obj["kind"] != SYMMETRIC:
                 raise InvalidForm("identity Gram matrix is not alternating")
             return cls(obj["kind"], Matrix.identity(field, f))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isodet import equations
-from isodet.cli import dispatch, main, render_atlas
+from isodet.cli import dispatch, main, parse_field_spec, render_atlas
 from isodet.errors import ConsistencyCheckFailed
 from isodet.fields import field_create
 from isodet.forms_orbits import split_config, valid_params
@@ -122,6 +122,18 @@ def test_equations_export(tmp_path, capsys):
     assert "component" in out
 
 
+def test_equations_empty_set_ends_with_its_header(tmp_path, capsys):
+    # (2,2) is the dense stratum of alt e2f4: no generator, and no blank line
+    argv = ("equations", "--kind", "alt", "-e", "2", "-f", "4", "--field", "p=3", "--params", "2,2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.endswith("# params (2,2), 0 generators\n")
+    out_path = tmp_path / "gens.txt"
+    code, printed, _ = run(capsys, *argv, "--out", str(out_path))
+    assert (code, printed) == (0, "")
+    assert out_path.read_text() == out
+
+
 def test_sample_deterministic(capsys):
     argv = ("sample", "--kind", "sym", "-e", "2", "-f", "4", "--field", "p=7",
             "--params", "2,1", "--count", "3", "--seed", "9", "--format", "json")
@@ -143,6 +155,26 @@ def test_solve_congruence_cli(tmp_path, capsys):
                        "--field", "p=7", "--in", str(path), "--format", "json")
     assert code == 0
     assert json.loads(out)["residual_zero"] is True
+
+
+def test_solve_congruence_checks_f(tmp_path, capsys):
+    # the form resolver holds every command's form to -f, a Gram file's too
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps(GOLDEN_GRAM))
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(GOLDEN_INST))
+    code, out, err = run(capsys, "solve-congruence", "--kind", "sym", "-f", "99", "--field", "p=7",
+                         "--gram", f"file:{gram}", "--in", str(inst))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "InvalidForm", "message": "form dimension disagrees with f"}
+
+
+@pytest.mark.parametrize("f", ["0", "-1"])
+def test_non_positive_f_is_invalid_form(capsys, f):
+    for argv in (("atlas", "-e", "1"), ("solve-congruence", "--in", "unread.json")):
+        code, out, err = run(capsys, *argv, "--kind", "sym", "-f", f, "--field", "p=7")
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "InvalidForm", "message": "f must be at least 1"}
 
 
 def test_verify_all_small(capsys):
@@ -406,6 +438,10 @@ GOLDEN_STDOUT = [
     # identically zero 4x4 Gram minor as "gram-minor:1(deg -1)")
     ("atlas --kind sym -e 4 -f 3 --field p=7",
      "79a4ea82bf3afad0bb80e298ac0fdf9dce85c9068b6189ede022bc4d4d395c11"),
+    # recorded while solve-congruence resolved its field and form on a path
+    # of its own
+    ("solve-congruence --kind sym -f 4 --field p=7 --gram identity --in {inst}",
+     "dad30d7c6939d60efe386d7a364ddc0f7e06abd6758bd74b32470d2ebd685b69"),
 ]
 
 # the --in matrix of the classify golden: an isotropic plane of the
@@ -413,14 +449,18 @@ GOLDEN_STDOUT = [
 GOLDEN_PHI = {"field": {"kind": "prime", "p": 5}, "rows": [["1", "2", "0", "0"], ["0", "0", "1", "2"]]}
 # the --gram file of the left-out goldens: diag(1,1,1,2), Witt index 1 over F_3
 GOLDEN_GRAM = {"rows": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "2"]]}
+# the --in instance of the solve-congruence golden: S and A over F_7
+GOLDEN_INST = {"S": {"rows": [["1", "2"], ["2", "0"]]},
+               "A": {"rows": [["1", "0", "2", "0"], ["0", "1", "0", "3"]]}}
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT)
 def test_golden_bytes(tmp_path, capsys, argv, digest):
-    phi, gram = tmp_path / "phi.json", tmp_path / "gram.json"
+    phi, gram, inst = tmp_path / "phi.json", tmp_path / "gram.json", tmp_path / "inst.json"
     phi.write_text(json.dumps(GOLDEN_PHI))
     gram.write_text(json.dumps(GOLDEN_GRAM))
-    assert main(argv.format(phi=phi, gram=gram).split()) == 0
+    inst.write_text(json.dumps(GOLDEN_INST))
+    assert main(argv.format(phi=phi, gram=gram, inst=inst).split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -431,6 +471,10 @@ def test_golden_bytes(tmp_path, capsys, argv, digest):
         ("atlas", "--kind", "sym", "-e", "2", "-f", "4", "--field", "foo"),
         ("atlas", "--kind", "sym", "-e", "2", "-f", "4", "--field", "p=abc"),
         ("atlas", "--kind", "sym", "-e", "2", "-f", "4", "--field", "p=7,ext=3"),
+        # a key given twice does not let the later value win
+        ("atlas", "--kind", "sym", "-e", "2", "-f", "4", "--field", "p=7,p=5"),
+        ("atlas", "--kind", "sym", "-e", "2", "-f", "4", "--field", "p=7,ext=2,ext=2"),
+        ("solve-congruence", "--kind", "sym", "-f", "4", "--field", "p=7,p=5", "--in", "unread.json"),
         ("equations", "--kind", "sym", "-e", "2", "-f", "4", "--params", "1"),
         ("sample", "--kind", "sym", "-e", "2", "-f", "4", "--params", "2,x"),
         ("verify", "counts", "--kind", "sym", "-e", "1", "-f", "3", "--field", "p=3",
@@ -449,6 +493,11 @@ def test_malformed_text_is_usage_error(capsys, argv):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("isodet: error: ")
+
+
+@pytest.mark.parametrize("spec,same", [("ext=2,p=7", "p=7,ext=2"), ("P=7", "p=7"), (" Q ", "rationals")])
+def test_field_spec_order_and_case_do_not_matter(spec, same):
+    assert parse_field_spec(spec) == parse_field_spec(same)
 
 
 def test_repeated_primes_are_a_domain_error(capsys):
@@ -474,9 +523,12 @@ SOLVE = ("solve-congruence", "--kind", "alt", "-f", "4", "--field", "p=5", "--in
         (GRAM_ATLAS, "not json", True),
         (GRAM_ATLAS, json.dumps({"gram": [["0", "1"], ["-1", "0"]]}), True),
         (SOLVE, json.dumps({"A": {"rows": [["1", "0", "0", "0"], ["0", "0", "1", "0"]]}}), False),
+        # a field descriptor key that field_create does not take
+        (CLASSIFY, json.dumps({"field": {"kind": "prime", "p": 5, "ext": 2},
+                               "rows": [["0", "0", "0", "0"], ["0", "0", "0", "0"]]}), False),
     ],
     ids=["classify-not-json", "classify-bad-entry", "classify-no-rows", "classify-directory",
-         "gram-not-json", "gram-no-rows", "solve-no-S"],
+         "gram-not-json", "gram-no-rows", "solve-no-S", "classify-field-extra-key"],
 )
 def test_malformed_input_file_is_domain_error(tmp_path, capsys, prefix, content, as_gram):
     path = tmp_path / "input"
@@ -537,6 +589,7 @@ _SPEC = {
     "gram": (["split", "identity"], ["bogus", "file:missing.json"]),
     "format": (["text", "json"], ["yaml"]),
     "in": (["{phi}"], [str(_FUZZ_DIR / "missing.json"), str(_FUZZ_DIR)]),
+    "inst": (["{inst}"], [str(_FUZZ_DIR / "missing.json"), str(_FUZZ_DIR), "{phi}"]),
 }
 
 
@@ -545,16 +598,16 @@ def _argv(draw):
     """A small CLI invocation: a command, its own options and the common
     ones, each option mostly present and valid, sometimes missing or
     malformed."""
-    command = draw(st.sampled_from(["atlas", "classify", "equations", "sample", "verify"]))
+    command = draw(st.sampled_from(["atlas", "classify", "equations", "sample", "solve-congruence", "verify"]))
     argv = [command]
     if command == "verify":
         argv.append(draw(st.sampled_from(["census", "cut", "dims", "closure", "counts", "all"])))
-    options = {
-        "--kind": "kind", "-e": "int", "-f": "f", "--field": "field", "--gram": "gram",
-        "--seed": "int", "--budget": "budget", "--format": "format",
-    }
+    options = {"--kind": "kind", "-f": "f", "--field": "field", "--gram": "gram", "--format": "format"}
+    if command != "solve-congruence":
+        options.update({"-e": "int", "--seed": "int", "--budget": "budget"})
     options.update({
         "classify": {"--in": "in"},
+        "solve-congruence": {"--in": "inst"},
         "equations": {"--params": "params"},
         "sample": {"--params": "params", "--count": "int"},
         "verify": {"--params": "params", "--primes": "primes", "--samples": "int"},
@@ -576,11 +629,20 @@ def fuzz_phi(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def fuzz_inst(tmp_path_factory):
+    """An S, A instance for ``solve-congruence --in``; A fits only f = 3."""
+    path = tmp_path_factory.mktemp("fuzz") / "inst.json"
+    path.write_text(json.dumps({"S": {"rows": [["0", "1"], ["1", "0"]]},
+                                "A": {"rows": [["1", "0", "0"], ["0", "1", "0"]]}}))
+    return str(path)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(argv=_argv())
-def test_exit_code_contract(fuzz_phi, argv):
+def test_exit_code_contract(fuzz_phi, fuzz_inst, argv):
     # every run ends in a documented code; an exit 1 explains itself in JSON
-    argv = [fuzz_phi if a == "{phi}" else a for a in argv]
+    argv = [{"{phi}": fuzz_phi, "{inst}": fuzz_inst}.get(a, a) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = dispatch(argv)

@@ -49,6 +49,13 @@ def test_descriptor_roundtrip():
         assert field_from_json(F.descriptor()) == F
 
 
+@pytest.mark.parametrize("descriptor", [{"kind": "prime", "p": 5, "ext": 2}, {"p": 5}])
+def test_descriptor_keys_are_field_create_parameters(descriptor):
+    # a key field_create does not take is refused, not ignored
+    with pytest.raises(TypeError):
+        field_from_json(descriptor)
+
+
 def test_sqrt_examples():
     F5 = field_create("prime", 5)
     # oracle: 2*2 = 4 = -1 mod 5, and 2 < 3 of the two roots
