@@ -245,15 +245,7 @@ class Polynomial:
         """Exact substitution x_i -> values[i]."""
         if len(values) != self.nvars:
             raise DimensionMismatch("wrong number of values for substitution")
-        F = self.field
-        add, mul = F.add, F.mul
-        total = F.zero
-        for c, idxs in self.compiled():
-            acc = c
-            for i in idxs:
-                acc = mul(acc, values[i])
-            total = add(total, acc)
-        return total
+        return self.field.polyval(self.compiled(), values)
 
     # ------------------------------------------------------------ rendering
 
@@ -266,13 +258,14 @@ class Polynomial:
     def to_text(self, ncols: int) -> str:
         if not self.terms:
             return "0"
-        F = self.field
-        one = F.one
-        rational = F.kind == "rationals"
+        render = self.field.render
+        one = render(self.field.one)
         out = ""
         for exps, c in self.sorted_terms():
-            negative = rational and c < 0
-            mag = F.neg(c) if negative else c
+            # only a rational renders with a sign; the rest is its magnitude
+            mag = render(c)
+            negative = mag.startswith("-")
+            mag = mag.removeprefix("-")
             factors = []
             for i, k in enumerate(exps):
                 if k == 0:
@@ -281,11 +274,11 @@ class Polynomial:
                 factors.append(name if k == 1 else f"{name}^{k}")
             mono = "*".join(factors)
             if not mono:
-                piece = F.render(mag)
+                piece = mag
             elif mag == one:
                 piece = mono
             else:
-                piece = f"{F.render(mag)}*{mono}"
+                piece = f"{mag}*{mono}"
             if not out:
                 out = ("-" if negative else "") + piece
             else:
@@ -512,12 +505,10 @@ class GeneratorSet:
     def all_vanish(self, phi: Matrix) -> bool:
         if phi.rows != self.config.e or phi.cols != self.config.f:
             raise DimensionMismatch("matrix shape disagrees with the generator ring")
-        vals = phi.flat()
-        zero = self.config.field.zero
-        for g in self.generators:
-            if g.poly.evaluate(vals) != zero:
-                return False
-        return True
+        if phi.field != self.config.field:
+            raise DimensionMismatch("matrix field disagrees with the generator ring")
+        vals, zero = phi.flat(), phi.field.zero
+        return all(g.poly.evaluate(vals) == zero for g in self.generators)
 
     def to_json(self) -> list:
         return [
@@ -535,6 +526,8 @@ def evaluate(obj, phi: Matrix):
     or into a generator set (returning whether every member vanishes)."""
     if isinstance(obj, GeneratorSet):
         return obj.all_vanish(phi)
+    if phi.field != obj.field:
+        raise DimensionMismatch("matrix field disagrees with the polynomial ring")
     return obj.evaluate(phi.flat())
 
 

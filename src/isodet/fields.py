@@ -45,15 +45,15 @@ class Field:
     """Common interface of the three scalar domains.
 
     Subclasses fix the payload representation and must provide ``zero``,
-    ``one``, ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``sqrt``,
-    ``parse``, ``render`` and ``random``.  The row methods
-    (``dot``, ``axpy``, ``scale_row``, ``random_row``) are written here once
-    from those; a field may override them with the same values and draws.
+    ``one``, ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``parse``,
+    ``render`` and ``random``.  The row methods (``dot``, ``axpy``,
+    ``scale_row``, ``random_row``), ``polyval`` and the finite-field
+    ``sqrt`` are written here once from those; a field may override them
+    with the same values and draws, and the rationals bring their own sqrt.
     """
 
     kind: str = ""
     order: int | None = None  # None for infinite fields
-    char: int = 0
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -97,6 +97,27 @@ class Field:
         rand = self.random
         return [rand(rng) for _ in range(n)]
 
+    def polyval(self, terms, values):
+        """sum of c * prod values[i] over compiled terms ``(c, idxs)``
+        (see ``Polynomial.compiled``), zero for no terms."""
+        add, mul = self.add, self.mul
+        total = self.zero
+        for c, idxs in terms:
+            for i in idxs:
+                c = mul(c, values[i])
+            total = add(total, c)
+        return total
+
+    def sqrt(self, x):
+        """Canonical square root of x in a finite field, or None when x is
+        a non-residue: the smaller payload of the two roots r and -r."""
+        if x == self.zero:
+            return x
+        r = _sqrt_ladder(self, x)
+        if r is None:
+            return None
+        return min(r, self.neg(r))
+
     def elements(self):
         """Iterate all field elements in canonical order (finite fields only)."""
         raise NotImplementedError(f"{self.kind} field is not enumerable")
@@ -122,7 +143,6 @@ class PrimeField(Field):
     def __init__(self, p: int):
         self.p = p
         self.order = p
-        self.char = p
         self.zero = 0
         self.one = 1
 
@@ -157,7 +177,7 @@ class PrimeField(Field):
     def random(self, rng):
         return rng.randrange(self.p)
 
-    # the row methods on native ints, one reduction per entry
+    # the row methods and polyval on native ints, one % p per entry or factor
 
     def dot(self, u, v):
         return sum(map(operator.mul, u, v)) % self.p
@@ -174,17 +194,14 @@ class PrimeField(Field):
         draw, p = rng.randrange, self.p
         return [draw(p) for _ in range(n)]
 
-    def sqrt(self, x):
-        """Canonical square root of x, or None when x is a non-residue.
-
-        Of the two roots r and p-r the smaller residue is returned.
-        """
-        if x == 0:
-            return 0
-        r = _sqrt_ladder(self, x)
-        if r is None:
-            return None
-        return min(r, self.p - r)
+    def polyval(self, terms, values):
+        p = self.p
+        total = 0
+        for c, idxs in terms:
+            for i in idxs:
+                c = c * values[i] % p
+            total += c
+        return total % p
 
     def parse(self, s: str):
         return int(s, 10) % self.p
@@ -208,7 +225,6 @@ class QuadraticExtensionField(Field):
         self.p = p
         self.d = nonresidue % p
         self.order = p * p
-        self.char = p
         self.zero = (0, 0)
         self.one = (1, 0)
         self.w = (0, 1)
@@ -251,16 +267,6 @@ class QuadraticExtensionField(Field):
 
     def random(self, rng):
         return (rng.randrange(self.p), rng.randrange(self.p))
-
-    def sqrt(self, x):
-        """Canonical square root, or None; picks the lexicographically
-        smaller of the pair of roots."""
-        if x == self.zero:
-            return self.zero
-        r = _sqrt_ladder(self, x)
-        if r is None:
-            return None
-        return min(r, self.neg(r))
 
     _EXT_RE = re.compile(r"\s*(?:(-?\d+)\s*\+)?\s*(-?\d+)\s*\*\s*w\s*\Z")
 
@@ -392,10 +398,14 @@ def field_create(kind: str, p: int | None = None, nonresidue: int | None = None)
     generator's square ``nonresidue`` is validated or, when omitted,
     auto-searched (smallest non-residue).
     """
-    if kind == "rationals":
-        return RationalField()
-    if kind not in ("prime", "quadratic-extension"):
+    if kind not in ("prime", "quadratic-extension", "rationals"):
         raise ValueError(f"unknown field kind {kind!r}")
+    if nonresidue is not None and kind != "quadratic-extension":
+        raise TypeError(f"{kind} fields take no nonresidue")
+    if kind == "rationals":
+        if p is not None:
+            raise TypeError("rationals take no modulus p")
+        return RationalField()
     if p is None:
         raise TypeError("finite fields need a modulus p")
     if p == 2:

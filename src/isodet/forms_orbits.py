@@ -314,17 +314,14 @@ def _find_isotropic(form: BilinearForm, diag):
             s = F.sqrt(F.neg(F.div(norms[j], norms[i])))
             if s is not None:
                 return tuple(F.axpy(s, diag[i], diag[j]))
-    if F.order is None:
+    if F.order is None or n < 3:
         return None
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for t in F.elements():
-                    # d_i s^2 + d_j t^2 + d_k = 0 solved for s
-                    rhs = F.neg(F.div(F.add(F.mul(norms[j], F.mul(t, t)), norms[k]), norms[i]))
-                    s = F.sqrt(rhs)
-                    if s is not None:
-                        return tuple(F.axpy(s, diag[i], F.axpy(t, diag[j], diag[k])))
+    # over F_q, d_0 s^2 and -(d_1 t^2 + d_2) each take (q+1)/2 values, so
+    # the two sets meet and the first three vectors always carry a solution
+    for t in F.elements():
+        s = F.sqrt(F.neg(F.div(F.add(F.mul(norms[1], F.mul(t, t)), norms[2]), norms[0])))
+        if s is not None:
+            return tuple(F.axpy(s, diag[0], F.axpy(t, diag[1], diag[2])))
     return None
 
 

@@ -214,32 +214,30 @@ def classification_table(config: SpaceConfig, budget: int = DEFAULT_BUDGET):
 
 
 def _compile_for_prime(gens: GeneratorSet, p: int):
-    return [g.poly.compiled() for g in gens]
+    """(F_p, every generator's compiled terms) for :func:`_all_vanish_prime`."""
+    return gens.config.field, [g.poly.compiled() for g in gens]
 
 
 def _all_vanish_prime(compiled, vals, p) -> bool:
-    for poly in compiled:
-        total = 0
-        for c, idxs in poly:
-            acc = c
-            for i in idxs:
-                acc = acc * vals[i] % p
-            total += acc
-        if total % p:
+    return _all_vanish(*compiled, vals)
+
+
+def _all_vanish(F, polys, vals) -> bool:
+    """Whether every compiled polynomial of ``polys`` vanishes at ``vals``
+    (a loop: all() over a generator makes the sampled verdicts 1.5x slower)."""
+    polyval, zero = F.polyval, F.zero
+    for terms in polys:
+        if polyval(terms, vals) != zero:
             return False
     return True
 
 
 def _vanishing(gens: GeneratorSet, points) -> list:
     """Whether every generator vanishes, at each labelled point ``(flat
-    entries, stratum)`` of ``points``: compiled integer terms mod p on
-    prime fields, exact evaluation elsewhere."""
+    entries, stratum)`` of ``points``, through the field's ``polyval``."""
     F = gens.config.field
-    if F.kind == "prime":
-        compiled = _compile_for_prime(gens, F.p)
-        return [_all_vanish_prime(compiled, x, F.p) for x, _ in points]
-    polys = [g.poly for g in gens]
-    return [all(poly.evaluate(x) == F.zero for poly in polys) for x, _ in points]
+    polys = [g.poly.compiled() for g in gens]
+    return [_all_vanish(F, polys, x) for x, _ in points]
 
 
 def _vanish_rows(gens: GeneratorSet, config: SpaceConfig):

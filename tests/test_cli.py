@@ -526,9 +526,14 @@ SOLVE = ("solve-congruence", "--kind", "alt", "-f", "4", "--field", "p=5", "--in
         # a field descriptor key that field_create does not take
         (CLASSIFY, json.dumps({"field": {"kind": "prime", "p": 5, "ext": 2},
                                "rows": [["0", "0", "0", "0"], ["0", "0", "0", "0"]]}), False),
+        # a modulus the rationals do not use, on a run over the rationals
+        (("classify", "--kind", "sym", "-e", "2", "-f", "4", "--field", "rationals", "--in"),
+         json.dumps({"field": {"kind": "rationals", "p": 5},
+                     "rows": [["0", "0", "0", "0"], ["0", "0", "0", "0"]]}), False),
     ],
     ids=["classify-not-json", "classify-bad-entry", "classify-no-rows", "classify-directory",
-         "gram-not-json", "gram-no-rows", "solve-no-S", "classify-field-extra-key"],
+         "gram-not-json", "gram-no-rows", "solve-no-S", "classify-field-extra-key",
+         "classify-rationals-with-p"],
 )
 def test_malformed_input_file_is_domain_error(tmp_path, capsys, prefix, content, as_gram):
     path = tmp_path / "input"

@@ -8,6 +8,7 @@ import pytest
 from isodet import equations
 from isodet.errors import (
     ConsistencyCheckFailed,
+    DimensionMismatch,
     EigenvalueNotInField,
     ExceptionalNeedsSign,
     ExponentOutOfRange,
@@ -19,7 +20,7 @@ from isodet.errors import (
     StratumUnavailable,
     WrongKind,
 )
-from isodet.fields import field_create
+from isodet.fields import Field, field_create
 from isodet.forms_orbits import (
     BilinearForm,
     OrbitParams,
@@ -691,3 +692,42 @@ def test_zero_polynomial_evaluates_zero():
     cfg = split_config(2, 4, "symmetric", F5)
     z = Polynomial.zero(F5, 8)
     assert evaluate(z, Matrix.zeros(F5, 2, 4)) == F5.zero
+
+
+def test_a_matrix_over_another_field_is_refused():
+    # payloads of another field are no values of the ring: a typed error,
+    # not a verdict (an F_5 zero matrix used to pass as vanishing here)
+    cfg = split_config(2, 4, "symmetric", F7)
+    gens = generators_for(OrbitParams(1, 0), cfg)
+    poly = minor_polynomial(cfg, (0, 1), (0, 1))
+    for obj, phi in ((gens, Matrix.zeros(F5, 2, 4)), (poly, Matrix.zeros(Q, 2, 4))):
+        with pytest.raises(DimensionMismatch):
+            evaluate(obj, phi)
+    with pytest.raises(DimensionMismatch):
+        gens.all_vanish(Matrix.zeros(F5, 2, 4))
+    assert gens.all_vanish(Matrix.zeros(F7, 2, 4))
+    assert evaluate(poly, Matrix.zeros(F7, 2, 4)) == F7.zero
+
+
+@pytest.mark.parametrize("p", [3, 7])
+@pytest.mark.parametrize("kind", ["symmetric", "alternating"])
+def test_prime_polyval_matches_the_generic_kernel(kind, p):
+    # oracle for the override: Field.polyval, written from add and mul,
+    # called on the same field at seeded points
+    F = field_create("prime", p)
+    cfg = split_config(2, 4, kind, F)
+    rng = random.Random(f"polyval:{kind}:{p}")
+    points = [[F.zero] * 8] + [F.random_row(rng, 8) for _ in range(20)]
+    assert F.polyval((), points[1]) == Field.polyval(F, (), points[1]) == F.zero
+    checked = 0
+    for params in valid_params(cfg):
+        try:
+            gens = generators_for(params, cfg)
+        except StratumUnavailable:
+            continue
+        for g in gens:
+            terms = g.poly.compiled()
+            for x in points:
+                assert F.polyval(terms, x) == Field.polyval(F, terms, x), (str(params), g.label)
+            checked += 1
+    assert checked > 0

@@ -49,9 +49,15 @@ def test_descriptor_roundtrip():
         assert field_from_json(F.descriptor()) == F
 
 
-@pytest.mark.parametrize("descriptor", [{"kind": "prime", "p": 5, "ext": 2}, {"p": 5}])
+@pytest.mark.parametrize("descriptor", [
+    {"kind": "prime", "p": 5, "ext": 2},
+    {"p": 5},
+    {"kind": "rationals", "p": 5},
+    {"kind": "prime", "p": 5, "nonresidue": 2},
+])
 def test_descriptor_keys_are_field_create_parameters(descriptor):
-    # a key field_create does not take is refused, not ignored
+    # a key field_create does not take, or one its kind does not use, is
+    # refused, not ignored
     with pytest.raises(TypeError):
         field_from_json(descriptor)
 

@@ -17,6 +17,7 @@ from isodet.errors import (
 from isodet.fields import field_create
 from isodet.forms_orbits import (
     _diagonalize_restriction,
+    _find_isotropic,
     BilinearForm,
     OrbitParams,
     SpaceConfig,
@@ -731,3 +732,20 @@ def test_value_types_behave_as_frozen_records():
         "dim": 5, "codim": 3, "normal": True, "cohen_macaulay": "yes", "rational_singularities_char0": True,
         "gorenstein": "unknown", "strongly_f_regular": "yes",
     }
+
+
+@pytest.mark.parametrize("field", [field_create("prime", 3), F5, F7, field_create("quadratic-extension", 3)],
+                         ids=["F3", "F5", "F7", "F9"])
+def test_find_isotropic_on_diagonal_ternary_forms(field):
+    # every non-degenerate ternary form over F_q is isotropic, and the
+    # search over the three given vectors finds a non-zero isotropic one
+    rng = random.Random(f"isotropic:{field.order}")
+    units = [tuple(field.one if i == j else field.zero for j in range(3)) for i in range(3)]
+    nonzero = [x for x in field.elements() if x != field.zero]
+    for _ in range(25):
+        d = [rng.choice(nonzero) for _ in range(3)]
+        gram = Matrix(field, [[d[i] if i == j else field.zero for j in range(3)] for i in range(3)])
+        form = BilinearForm("symmetric", gram)
+        v = _find_isotropic(form, units)
+        assert v is not None and any(x != field.zero for x in v), d
+        assert form.beta(v, v) == field.zero, (d, v)

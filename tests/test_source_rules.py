@@ -3,7 +3,9 @@ typed errors (an ``assert`` vanishes under ``-O``), arithmetic stays
 exact (``math`` is used only for its integer functions), randomness
 comes only from seeded ``random.Random`` instances, so output is
 reproducible per seed, and a stratum the form or field cannot populate is
-caught as ``StratumUnavailable``, never as one of its subclasses.  The CLI
+caught as ``StratumUnavailable``, never as one of its subclasses.  Only
+``fields.py`` tests a field's kind; every other module reaches payloads
+through the ``Field`` methods.  The CLI
 loads neither ``dataclasses`` nor ``inspect``: every CLI process pays for
 the modules it imports."""
 
@@ -87,6 +89,26 @@ def test_strata_left_out_by_one_rule():
         if isinstance(node, ast.ExceptHandler) and node.type is not None
         and any(cls in ast.unparse(node.type) for cls in subclasses)
     ]
+    assert found == []
+
+
+def test_only_fields_branches_on_the_field_kind():
+    # a comparison of some ``<expr>.kind`` with a field kind name; the form
+    # kinds (SYMMETRIC, ALTERNATING) and the --field grammar do not match
+    field_kinds = {"prime", "quadratic-extension", "rationals"}
+
+    def names_field_kind(node):
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return any(isinstance(x, ast.Constant) and x.value in field_kinds for x in items)
+
+    found = []
+    for name, node in _nodes():
+        if name != "fields.py" and isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(x, ast.Attribute) and x.attr == "kind" for x in operands) and any(
+                names_field_kind(x) for x in operands
+            ):
+                found.append(f"{name}:{node.lineno}")
     assert found == []
 
 
