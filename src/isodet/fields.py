@@ -47,9 +47,10 @@ class Field:
     Subclasses fix the payload representation and must provide ``zero``,
     ``one``, ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``parse``,
     ``render`` and ``random``.  The row methods (``dot``, ``axpy``,
-    ``scale_row``, ``random_row``), ``polyval`` and the finite-field
-    ``sqrt`` are written here once from those; a field may override them
-    with the same values and draws, and the rationals bring their own sqrt.
+    ``scale_row``, ``random_row``, ``lincomb``), ``polyval`` and the
+    finite-field ``sqrt`` are written here once from those; a field may
+    override them with the same values and draws (``lincomb`` needs no
+    override: it runs on ``axpy``), and the rationals bring their own sqrt.
     """
 
     kind: str = ""
@@ -83,9 +84,9 @@ class Field:
         return reduce(self.add, products, next(products, self.zero))
 
     def axpy(self, a, x, y) -> list:
-        """The row y + a x."""
-        add, mul = self.add, self.mul
-        return [add(t, mul(a, s)) for s, t in zip(x, y)]
+        """The row y + a x, keeping y's entry where x is zero (cheap for sparse x)."""
+        add, mul, zero = self.add, self.mul, self.zero
+        return [t if s == zero else add(t, mul(a, s)) for s, t in zip(x, y)]
 
     def scale_row(self, c, x) -> list:
         """The row c x."""
@@ -96,6 +97,16 @@ class Field:
         """n draws of :meth:`random`, in order."""
         rand = self.random
         return [rand(rng) for _ in range(n)]
+
+    def lincomb(self, coeffs, rows, n: int) -> list:
+        """sum_i c_i rows_i over the non-zero c_i, or n zeros when there
+        are none; every row has length n."""
+        zero = self.zero
+        acc = [zero] * n
+        for c, row in zip(coeffs, rows):
+            if c != zero:
+                acc = self.axpy(c, row, acc)
+        return acc
 
     def polyval(self, terms, values):
         """sum of c * prod values[i] over compiled terms ``(c, idxs)``
@@ -162,11 +173,6 @@ class PrimeField(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def pow(self, a, n: int):
-        if n < 0:
-            return pow(self.inv(a), -n, self.p)
-        return pow(a, n, self.p)
 
     def from_int(self, n: int):
         return n % self.p

@@ -262,14 +262,7 @@ def _perp_within(form: BilinearForm, span, plane):
     F = form.field
     rows = [[form.beta(p, s) for s in span] for p in plane]
     coeffs = Matrix(F, rows, len(plane), len(span)).kernel_basis()
-    out = []
-    for y in coeffs:
-        vec = [F.zero] * form.f
-        for c, s in zip(y, span):
-            if c != F.zero:
-                vec = F.axpy(c, s, vec)
-        out.append(tuple(vec))
-    return out
+    return [tuple(F.lincomb(y, span, form.f)) for y in coeffs]
 
 
 def _diagonalize_restriction(form: BilinearForm, span):
@@ -778,11 +771,5 @@ def random_orbit_point(params: OrbitParams, config: SpaceConfig, seed=None) -> M
     rng = random.Random(seed)
     a = random_invertible(F, e, rng).data
     rows = _isometry_rows(config.form, rep, rng)
-    out = []
-    for arow in a:  # row i of A (Phi B^t), over the r1 non-zero rows
-        acc = [F.zero] * f
-        for x, row in zip(arow, rows):
-            if x != F.zero:
-                acc = F.axpy(x, row, acc)
-        out.append(acc)
-    return Matrix(F, out, e, f)
+    # row i of A (Phi B^t), over the r1 non-zero rows
+    return Matrix(F, [F.lincomb(arow, rows, f) for arow in a], e, f)

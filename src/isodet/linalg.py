@@ -3,8 +3,10 @@ condition reduces to.
 
 :func:`echelon` is Gauss-Jordan elimination to reduced row-echelon form;
 rank, determinant, minors, inverse, left inverse and null space are thin
-views of it.  The Pfaffian keeps its own expansion, which makes it an
-independent check on the determinant (pf^2 = det).
+views of it.  Elimination, products and sums reduce and combine rows
+through the ``Field`` row methods, so only :mod:`isodet.fields` does
+scalar arithmetic on rows.  The Pfaffian keeps its own scalar expansion,
+an independent check on the determinant (pf^2 = det).
 
 Entries are raw field payloads (see :mod:`isodet.fields`); a matrix never
 mixes fields.  Matrices are immutable after construction and all
@@ -139,20 +141,16 @@ class Matrix:
         self._check_same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("shape mismatch in addition")
-        add = self.field.add
+        axpy, one = self.field.axpy, self.field.one
         return Matrix(
-            self.field,
-            [[add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            self.rows,
-            self.cols,
+            self.field, [axpy(one, rb, ra) for ra, rb in zip(self.data, other.data)], self.rows, self.cols
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix(self.field, [[neg(v) for v in row] for row in self.data], self.rows, self.cols)
+        return self.scale(self.field.neg(self.field.one))
 
     def scale(self, c) -> "Matrix":
         scale_row = self.field.scale_row
@@ -164,20 +162,9 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        F = self.field
-        add, mul, zero = F.add, F.mul, F.zero
-        # row i of the product is sum_k a_ik * (row k of other), over the
-        # non-zero a_ik and the non-zero entries of row k only
-        bsupport = [[(j, b) for j, b in enumerate(brow) if b != zero] for brow in other.data]
-        out = []
-        for arow in self.data:
-            acc = [zero] * other.cols
-            for a, brow in zip(arow, bsupport):
-                if a != zero:
-                    for j, b in brow:
-                        acc[j] = add(acc[j], mul(a, b))
-            out.append(acc)
-        return Matrix(F, out, self.rows, other.cols)
+        # row i of the product is sum_k a_ik * (row k of other)
+        out = [self.field.lincomb(arow, other.data, other.cols) for arow in self.data]
+        return Matrix(self.field, out, self.rows, other.cols)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
@@ -322,7 +309,7 @@ def echelon(field: Field, rows: list) -> tuple[list[int], object]:
     (product of the pivots times the sign of the row swaps), which is the
     determinant of a square input of full rank.
     """
-    zero, one, mul, sub = field.zero, field.one, field.mul, field.sub
+    zero, one, axpy = field.zero, field.one, field.axpy
     m = len(rows)
     n = len(rows[0]) if m else 0
     pivots: list[int] = []
@@ -342,17 +329,14 @@ def echelon(field: Field, rows: list) -> tuple[list[int], object]:
             factor = field.neg(factor)
         lead = prow[c]
         if lead != one:
-            factor = mul(factor, lead)
-            pinv = field.inv(lead)
-            prow = [mul(pinv, v) for v in prow]
+            factor = field.mul(factor, lead)
+            prow = field.scale_row(field.inv(lead), prow)
         rows[r] = prow
-        support = [(j, prow[j]) for j in range(c + 1, n) if prow[j] != zero]
+        tail = prow[c:]  # the pivot row is zero before its pivot
         for i, irow in enumerate(rows):
             v = irow[c]
             if v != zero and i != r:
-                irow[c] = zero
-                for j, b in support:
-                    irow[j] = sub(irow[j], mul(v, b))
+                irow[c:] = axpy(field.neg(v), tail, irow[c:])
         pivots.append(c)
         r += 1
     return pivots, factor

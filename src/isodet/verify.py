@@ -175,9 +175,7 @@ def classification_table(config: SpaceConfig, budget: int = DEFAULT_BUDGET):
                 joined.append(space)
             row = joins[basis] = [None] * q ** f  # every position lies in one coset
             for coeffs in product(elements, repeat=len(basis)):
-                t = [zero] * f  # the coset r + t of t = sum a_i b_i, which holds a_i at pivot i
-                for a, b in zip(coeffs, basis):
-                    t = F.axpy(a, b, t)
+                t = F.lincomb(coeffs, basis, f)  # the coset r + t of t = sum a_i b_i, which holds a_i at pivot i
                 at = [0]  # the positions of r + t, digit by digit, in the residuals' order
                 for j, xs in enumerate(choices):
                     digits = [digit[F.add(x, t[j])] * q ** (f - 1 - j) for x in xs]
@@ -275,9 +273,7 @@ def _vanish_rows(gens: GeneratorSet, config: SpaceConfig):
                 continue  # g vanishes on the whole row
             key = tuple([(m, F.div(c, live[0][1])) for m, c in live])
             if key not in rows:
-                acc = columns[key[0][0]]
-                for m, c in key[1:]:
-                    acc = F.axpy(c, columns[m], acc)
+                acc = F.lincomb([c for _, c in key], [columns[m] for m, _ in key], width)
                 rows[key] = int.from_bytes(bytes(map(zero.__eq__, acc)), "big")
             vanish &= rows[key]
             if not vanish:

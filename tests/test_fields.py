@@ -237,6 +237,14 @@ def test_row_methods_match_their_scalar_definitions(field):
             assert field.dot(u, v) == total
             assert field.axpy(a, u, v) == [field.add(y, field.mul(a, x)) for x, y in zip(u, v)]
             assert field.scale_row(a, u) == [field.mul(a, x) for x in u]
+            # lincomb: a zero coefficient, an all-zero combination, no rows
+            rows, coeffs = [u, v, field.random_row(rng, n)], [a, field.zero, field.random(rng)]
+            combo = [field.zero] * n
+            for c, row in zip(coeffs, rows):
+                combo = [field.add(y, field.mul(c, x)) for x, y in zip(row, combo)]
+            assert field.lincomb(coeffs, rows, n) == combo
+            assert field.lincomb([field.zero] * 3, rows, n) == [field.zero] * n
+            assert field.lincomb([], [], n) == [field.zero] * n
         seeded, scalar = random.Random(n), random.Random(n)
         assert field.random_row(seeded, n) == [field.random(scalar) for _ in range(n)]
         assert seeded.getstate() == scalar.getstate()

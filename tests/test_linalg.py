@@ -12,7 +12,7 @@ from isodet.errors import (
     SizeMismatch,
 )
 from isodet.fields import field_create
-from isodet.linalg import Matrix, random_invertible, random_matrix
+from isodet.linalg import Matrix, echelon, random_invertible, random_matrix
 
 F5 = field_create("prime", 5)
 F7 = field_create("prime", 7)
@@ -298,6 +298,12 @@ def test_kernel_against_sympy(F):
         d = dm(m)
         rank = d.rank()
         assert m.rank() == rank, m
+        assert m @ m.T == Matrix(F, back(d * d.transpose()), m.rows, m.rows), m
+        assert m + m == Matrix(F, back(d + d), m.rows, m.cols), m
+        assert m - m == Matrix(F, back(d - d), m.rows, m.cols), m
+        rows, (reduced, pivots) = m._mutable(), d.rref()
+        assert echelon(F, rows)[0] == list(pivots), m
+        assert rows == back(reduced), m
         if m.rows == m.cols:
             assert m.det() == scalar(d.det()), m
             if rank == m.rows:

@@ -5,7 +5,8 @@ comes only from seeded ``random.Random`` instances, so output is
 reproducible per seed, and a stratum the form or field cannot populate is
 caught as ``StratumUnavailable``, never as one of its subclasses.  Only
 ``fields.py`` tests a field's kind; every other module reaches payloads
-through the ``Field`` methods.  The CLI
+through the ``Field`` methods, and in ``linalg.py`` only the Pfaffian's
+own expansion adds or subtracts entries.  The CLI
 loads neither ``dataclasses`` nor ``inspect``: every CLI process pays for
 the modules it imports."""
 
@@ -110,6 +111,20 @@ def test_only_fields_branches_on_the_field_kind():
             ):
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_linalg_leaves_row_arithmetic_to_the_field():
+    # elimination, products and sums combine rows through the Field row
+    # methods; the Pfaffian's expansion is an independent check on det
+    tree = ast.parse((SRC / "linalg.py").read_text(encoding="utf-8"))
+    defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        defs += [(f"{cls.name}.{node.name}", node) for node in cls.body if isinstance(node, ast.FunctionDef)]
+    found = sorted({
+        name for name, fn in defs for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr in ("add", "sub")
+    })
+    assert found == ["Matrix.pfaffian"]
 
 
 def test_no_dataclasses_import():
