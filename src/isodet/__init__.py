@@ -44,7 +44,6 @@ from .equations import (
     Polynomial,
     StarOperator,
     component_generators,
-    evaluate,
     generic_gram_map,
     generators_for,
     generic_matrix,

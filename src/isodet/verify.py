@@ -20,16 +20,18 @@ once.  The table is cached per configuration, and the budget gates every
 read of it.
 
 The exhaustive equation cut is composed row by row as well
-(:func:`_vanish_rows`): each generator, restricted to the last row, has one
+(:func:`_vanish_rows`): each generator, restricted to the last row, has
+coefficients evaluated once per prefix by the field's ``polyval`` and one
 cached zero row per scaled coefficient vector, so no generator is
 evaluated per matrix, yet every matrix gets its own verdict.  The sampled
 checks (sampled cuts, closure order) read one labelled sample pool,
 :func:`_sample_points`: seeded uniform and orbit points, each drawn and
 labelled once per process, as flat entry tuples with their stratum.
-:func:`_vanishing` gives the one vanishing verdict at each such point, and
-the two checks differ only in how they reduce the verdicts.  Every
-per-stratum value is built by :func:`_per_stratum`, so in ``run_all`` a
-stratum the form or field cannot populate is left out with a warning.
+:func:`_vanishing` reads the one vanishing verdict at each such point,
+:meth:`GeneratorSet.vanishes_at`, and the two checks differ only in how
+they reduce the verdicts.  Every per-stratum value is built by
+:func:`_per_stratum`, so in ``run_all`` a stratum the form or field
+cannot populate is left out with a warning.
 """
 
 from __future__ import annotations
@@ -63,12 +65,9 @@ DEFAULT_BUDGET = 10_000_000
 
 class VerificationReport(Record):
     """One check's outcome; failures always carry a concrete witness.
-    ``status`` is pass, fail or warn.  Unlike the other records, a report
-    may be updated, so it is not hashable."""
+    ``status`` is pass, fail or warn."""
 
     __slots__ = ("name", "config", "mode", "status", "witness", "tallies", "warnings", "wall_time_ms")
-    __setattr__ = object.__setattr__
-    __hash__ = None
 
     def __init__(self, name: str, config: dict, mode: dict, status: str, witness: dict | None = None,
                  tallies: dict | None = None, warnings: list | None = None, wall_time_ms: float = 0.0):
@@ -212,63 +211,50 @@ def classification_table(config: SpaceConfig, budget: int = DEFAULT_BUDGET):
 
 
 def _compile_for_prime(gens: GeneratorSet, p: int):
-    """(F_p, every generator's compiled terms) for :func:`_all_vanish_prime`."""
-    return gens.config.field, [g.poly.compiled() for g in gens]
+    """The generator set itself: :func:`_all_vanish_prime` reads its verdict."""
+    return gens
 
 
 def _all_vanish_prime(compiled, vals, p) -> bool:
-    return _all_vanish(*compiled, vals)
-
-
-def _all_vanish(F, polys, vals) -> bool:
-    """Whether every compiled polynomial of ``polys`` vanishes at ``vals``
-    (a loop: all() over a generator makes the sampled verdicts 1.5x slower)."""
-    polyval, zero = F.polyval, F.zero
-    for terms in polys:
-        if polyval(terms, vals) != zero:
-            return False
-    return True
+    return compiled.vanishes_at(vals)
 
 
 def _vanishing(gens: GeneratorSet, points) -> list:
     """Whether every generator vanishes, at each labelled point ``(flat
-    entries, stratum)`` of ``points``, through the field's ``polyval``."""
-    F = gens.config.field
-    polys = [g.poly.compiled() for g in gens]
-    return [_all_vanish(F, polys, x) for x, _ in points]
+    entries, stratum)`` of ``points``: :meth:`GeneratorSet.vanishes_at`."""
+    return [gens.vanishes_at(x) for x, _ in points]
 
 
 def _vanish_rows(gens: GeneratorSet, config: SpaceConfig):
     """For each prefix u of the first e-1 rows, in odometer order, the
     vanishing row of the generators over the q^f last rows v: an int with
     one 0/1 byte per v, big-endian.  A generator is g = sum_m c_m(u) v^m,
-    so at u it vanishes on the whole row when every c_m(u) is zero, and
-    otherwise its zero row depends only on its non-zero terms up to a
-    scalar: the cache key, scaled to a leading one.  A new zero row is
-    built as one combination of whole columns, the values of each last-row
-    monomial at every v."""
+    each c_m(u) the field's ``polyval`` of c_m's prefix terms, so at u it
+    vanishes on the whole row when every c_m(u) is zero, and otherwise its
+    zero row depends only on its non-zero terms up to a scalar: the cache
+    key, scaled to a leading one.  A new zero row is built as one
+    combination of whole columns, the values of each last-row monomial at
+    every v."""
     F, f, cut = config.field, config.f, (config.e - 1) * config.f  # the prefix's entries come first
-    zero, add, mul = F.zero, F.add, F.mul
+    zero, mul, polyval = F.zero, F.mul, F.polyval
     elements = list(F.elements())
     q, width = len(elements), len(elements) ** f
-    # per generator, per term: (last-row monomial, coefficient, prefix variables)
-    split = [[(tuple(i - cut for i in idxs if i >= cut), c, [i for i in idxs if i < cut])
-              for c, idxs in g.poly.compiled()] for g in gens]
+    split: list = []  # per generator: last-row monomial (by first appearance) -> prefix terms of its coefficient
+    for g in gens:
+        split.append(coeffs := {})
+        for c, idxs in g.poly.compiled():
+            m = tuple(i - cut for i in idxs if i >= cut)
+            coeffs.setdefault(m, []).append((c, tuple(i for i in idxs if i < cut)))
     # last-row monomial -> its value at every v; entry i of v is digit i of its position
     columns = {(i,): [x for x in elements for _ in range(q ** (f - 1 - i))] * q ** i for i in range(f)}
     columns[()] = [F.one] * width
-    for m in sorted({m[:j] for terms in split for m, _, _ in terms for j in range(2, len(m) + 1)}, key=len):
+    for m in sorted({m[:j] for coeffs in split for m in coeffs for j in range(2, len(m) + 1)}, key=len):
         columns[m] = list(map(mul, columns[m[:-1]], columns[m[-1:]]))
     rows: dict = {}  # scaled non-zero terms -> zero row
     for u in product(elements, repeat=cut):
         vanish = int.from_bytes(b"\1" * width, "big")
-        for terms in split:
-            coeffs: dict = {}
-            for m, c, idxs in terms:
-                for i in idxs:
-                    c = mul(c, u[i])
-                coeffs[m] = add(coeffs[m], c) if m in coeffs else c
-            live = [(m, c) for m, c in coeffs.items() if c != zero]
+        for coeffs in split:
+            live = [(m, c) for m, terms in coeffs.items() if (c := polyval(terms, u)) != zero]
             if not live:
                 continue  # g vanishes on the whole row
             key = tuple([(m, F.div(c, live[0][1])) for m, c in live])

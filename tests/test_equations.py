@@ -38,7 +38,6 @@ from isodet.equations import (
     Polynomial,
     StarOperator,
     component_generators,
-    evaluate,
     generators_for,
     generic_gram_map,
     generic_matrix,
@@ -105,7 +104,7 @@ def test_minor_polynomial_cross_module_agreement():
         phi = random_matrix(F7, 3, 5, rng)
         T, S = (0, 2), (1, 4)
         assert minor_polynomial(cfg, T, S).evaluate(phi.flat()) == phi.minor(T, S)
-    assert evaluate(minor_polynomial(cfg, (0, 1), (0, 1)), phi) == phi.minor((0, 1), (0, 1))
+    assert minor_polynomial(cfg, (0, 1), (0, 1)).evaluate(phi.flat()) == phi.minor((0, 1), (0, 1))
 
 
 def _random_dense_terms(rng, nvars, field):
@@ -691,7 +690,7 @@ def test_vanishing_matches_closure_order_sampled():
 def test_zero_polynomial_evaluates_zero():
     cfg = split_config(2, 4, "symmetric", F5)
     z = Polynomial.zero(F5, 8)
-    assert evaluate(z, Matrix.zeros(F5, 2, 4)) == F5.zero
+    assert z.evaluate(Matrix.zeros(F5, 2, 4).flat()) == F5.zero
 
 
 def test_a_matrix_over_another_field_is_refused():
@@ -699,14 +698,21 @@ def test_a_matrix_over_another_field_is_refused():
     # not a verdict (an F_5 zero matrix used to pass as vanishing here)
     cfg = split_config(2, 4, "symmetric", F7)
     gens = generators_for(OrbitParams(1, 0), cfg)
-    poly = minor_polynomial(cfg, (0, 1), (0, 1))
-    for obj, phi in ((gens, Matrix.zeros(F5, 2, 4)), (poly, Matrix.zeros(Q, 2, 4))):
+    for phi in (Matrix.zeros(F5, 2, 4), Matrix.zeros(Q, 2, 4)):
         with pytest.raises(DimensionMismatch):
-            evaluate(obj, phi)
-    with pytest.raises(DimensionMismatch):
-        gens.all_vanish(Matrix.zeros(F5, 2, 4))
+            gens.all_vanish(phi)
     assert gens.all_vanish(Matrix.zeros(F7, 2, 4))
-    assert evaluate(poly, Matrix.zeros(F7, 2, 4)) == F7.zero
+
+
+def test_a_matrix_of_another_shape_is_refused():
+    # a 4x2 matrix has the 8 entries of a 2x4 one, but read flat it is no
+    # point of the ring: the minor x11*x22 + 6*x12*x21 takes the value 1
+    # there, so the generator set refuses the shape instead of a verdict
+    cfg = split_config(2, 4, "symmetric", F7)
+    tall = Matrix(F7, [[1, 0], [0, 0], [0, 1], [0, 0]])
+    assert minor_polynomial(cfg, (0, 1), (0, 1)).evaluate(tall.flat()) == F7.one
+    with pytest.raises(DimensionMismatch):
+        generators_for(OrbitParams(1, 0), cfg).all_vanish(tall)
 
 
 @pytest.mark.parametrize("p", [3, 7])

@@ -197,9 +197,9 @@ def test_unexpected_strata_appended_as_the_oracle_does(dropped, monkeypatch):
 @pytest.mark.parametrize("kind", ["symmetric", "alternating"])
 @pytest.mark.parametrize("field", [F7, F49, Q], ids=["F7", "F49", "Q"])
 def test_evaluator_agrees_with_generator_set(kind, field):
-    # the sampled checks' vanishing verdicts against GeneratorSet.all_vanish,
-    # on uniform points and on points of every stratum, for every stratum's
-    # generators
+    # the sampled checks' vanishing verdicts against each generator's own
+    # Polynomial.evaluate, on uniform points and on points of every stratum,
+    # for every stratum's generators
     cfg = split_config(2, 4, kind, field)
     rng = random.Random(11)
     points = [random_matrix(field, 2, 4, rng) for _ in range(10)]
@@ -208,7 +208,8 @@ def test_evaluator_agrees_with_generator_set(kind, field):
     for params in valid_params(cfg):
         gens = generators_for(params, cfg)
         answers = _vanishing(gens, [(phi.flat(), None) for phi in points])
-        assert answers == [gens.all_vanish(phi) for phi in points], str(params)
+        expected = [all(g.poly.evaluate(phi.flat()) == field.zero for g in gens) for phi in points]
+        assert answers == expected, str(params)
         seen.update(answers)
     assert seen == {True, False}
 
@@ -333,6 +334,34 @@ def test_row_cut_matches_oracle_on_sampled_positions():
         rows = list(verify._vanish_rows(gens, cfg))
         got = [bool(rows[pos // width] >> 8 * (width - 1 - pos % width) & 1) for pos in positions]
         assert got == _per_point_cut(params, cfg, gens, positions)[2], str(params)
+
+
+def test_row_cut_evaluates_through_polyval(monkeypatch):
+    # one evaluator: the per-prefix coefficients of the row cut come from
+    # the field's polyval, never from a scalar add loop of the cut's own;
+    # at e=3 the prefix has two rows, so coefficients have several terms
+    F = field_create("prime", 3)  # fresh, so counting its methods counts only this cut
+    cfg = split_config(3, 3, "symmetric", F)
+    calls = {"add": 0, "polyval": 0}
+
+    def counted(name):
+        method = getattr(F, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return wrapper
+
+    sets = [generators_for(params, cfg) for params in valid_params(cfg)]
+    for g in (g for gens in sets for g in gens):
+        g.poly.compiled()  # expand first: building the polynomials adds
+    for name in calls:
+        monkeypatch.setattr(F, name, counted(name))
+    for gens in sets:
+        list(verify._vanish_rows(gens, cfg))
+    assert calls["add"] == 0
+    assert calls["polyval"] > 0
 
 
 def _mutations(config, params):
