@@ -198,112 +198,93 @@ def atlas_text(atlas: dict) -> str:
 # --------------------------------------------------------------------------
 # subcommands
 
-def _cmd_atlas(args) -> int:
+def _matrix_text(m: Matrix) -> str:
+    return "; ".join(" ".join(m.field.render(v) for v in row) for row in m.data)
+
+
+# Each handler returns (exit code, docs, text); ``dispatch`` prints a line per
+# JSON document of ``docs()`` or each line of ``text()``, and calls only one.
+
+def _cmd_atlas(args):
     config = resolve_config(args)
     atlas = render_atlas(config)
-    if args.format == "json":
-        print(json.dumps(atlas, sort_keys=True))
-    else:
-        print(echo_config(args, config))
-        print(atlas_text(atlas))
-    return 0
+    return 0, lambda: [atlas], lambda: [echo_config(args, config), atlas_text(atlas)]
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     config = resolve_config(args)
     phi = load_input(args.infile, lambda obj: Matrix.from_json(obj, field=config.field))
     params = classify(phi, config)
-    if args.format == "json":
-        print(json.dumps({"config": config.to_json(), "params": params.to_json()}, sort_keys=True))
-    else:
-        print(echo_config(args, config))
-        print(f"params: {params}")
-    return 0
+    return (0, lambda: [{"config": config.to_json(), "params": params.to_json()}],
+            lambda: [echo_config(args, config), f"params: {params}"])
 
 
-def _cmd_equations(args) -> int:
+def _cmd_equations(args):
     config = resolve_config(args)
     params = parse_params_spec(args.params)
     gens = generators_for(params, config)
-    if args.format == "json":
-        payload = {"config": config.to_json(), "params": params.to_json(), "generators": gens.to_json()}
-        text = json.dumps(payload, sort_keys=True)
-    else:
-        head = echo_config(args, config) + f"\n# params {params}, {len(gens)} generators"
-        text = f"{head}\n{gens.to_text()}" if len(gens) else head
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 0
+    doc = {"config": config.to_json(), "params": params.to_json()}
+    head = [echo_config(args, config), f"# params {params}, {len(gens)} generators"]
+    return (0, lambda: [{**doc, "generators": gens.to_json()}],
+            lambda: (head + [gens.to_text()] if len(gens) else head))
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args):
     if args.count < 1:
         raise UsageError(f"--count: expected a positive integer, got {args.count}")
     config = resolve_config(args)
     params = parse_params_spec(args.params)
     points = [random_orbit_point(params, config, seed=f"{args.seed}:{i}") for i in range(args.count)]
-    if args.format == "json":
-        payload = {"config": config.to_json(), "params": params.to_json(), "seed": args.seed}
-        print(json.dumps({**payload, "points": [m.to_json() for m in points]}, sort_keys=True))
-    else:
-        print(echo_config(args, config))
-        for m in points:
-            print("; ".join(" ".join(config.field.render(v) for v in row) for row in m.data))
-    return 0
+    doc = {"config": config.to_json(), "params": params.to_json(), "seed": args.seed}
+    return (0, lambda: [{**doc, "points": [m.to_json() for m in points]}],
+            lambda: [echo_config(args, config), *map(_matrix_text, points)])
 
 
-def _cmd_solve_congruence(args) -> int:
+def _cmd_solve_congruence(args):
     form = resolve_form(args)
     field = form.field
     S, A = load_input(args.infile, lambda obj: tuple(Matrix.from_json(obj[k], field) for k in "SA"))
     B = solve_congruence(S, A, form)
     residual = (A @ form.gram @ B.T) + (B @ form.gram @ A.T) - S
     residual_zero = all(field.is_zero(v) for row in residual.data for v in row)
-    payload = {"B": B.to_json(), "residual_zero": residual_zero}
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"# isodet solve-congruence kind={form.kind} f={args.f}")
-        print("; ".join(" ".join(field.render(v) for v in row) for row in B.data))
-        print(f"residual_zero: {residual_zero}")
-    return 0
+    head = f"# isodet solve-congruence kind={form.kind} f={args.f}"
+    return (0, lambda: [{"B": B.to_json(), "residual_zero": residual_zero}],
+            lambda: [head, _matrix_text(B), f"residual_zero: {residual_zero}"])
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     if args.samples < 1:
         raise UsageError(f"--samples: expected a positive integer, got {args.samples}")
+    if args.budget < 0:
+        raise UsageError(f"--budget: expected a non-negative integer, got {args.budget}")
+    if args.params and args.check not in ("cut", "counts"):
+        raise UsageError(f"--params: only the cut and counts checks take one stratum, not {args.check}")
     config = resolve_config(args)
     primes = parse_primes_spec(args.primes)
-
-    def targets():
-        return [parse_params_spec(args.params)] if args.params else valid_params(config)
-
+    targets = [parse_params_spec(args.params)] if args.params else valid_params(config)
     checks = {
         "all": lambda: run_all(config, budget=args.budget, samples=args.samples, seed=args.seed, primes=primes),
         "census": lambda: [exhaustive_census(config, budget=args.budget)],
         "dims": lambda: [check_dimensions(config)],
         "closure": lambda: [check_closure_order(config, samples=args.samples, seed=args.seed)],
-        "cut": lambda: [check_equation_cut(p, config, budget=args.budget, seed=args.seed) for p in targets()],
+        "cut": lambda: [check_equation_cut(p, config, budget=args.budget, seed=args.seed) for p in targets],
         "counts": lambda: [
-            point_count_dimension_estimate(p, config, primes, budget=args.budget) for p in targets()
+            point_count_dimension_estimate(p, config, primes, budget=args.budget) for p in targets
         ],
     }
     reports = checks[args.check]()
-    if args.format == "json":
-        for r in reports:
-            print(json.dumps(r.to_json(include_timing=args.timing), sort_keys=True))
-    else:
-        print(echo_config(args, config))
+
+    def text():
+        lines = [echo_config(args, config)]
         for r in reports:
             extra = f" witness={json.dumps(r.witness, sort_keys=True)}" if r.witness else ""
             tall = json.dumps(r.tallies, sort_keys=True)
-            print(f"{r.status.upper():4}  {r.name:14} {tall}{extra}")
-            for w in r.warnings:
-                print(f"      warning: {w}")
-    return 0 if all(r.ok for r in reports) else 3
+            lines.append(f"{r.status.upper():4}  {r.name:14} {tall}{extra}")
+            lines += [f"      warning: {w}" for w in r.warnings]
+        return lines
+
+    code = 0 if all(r.ok for r in reports) else 3
+    return code, lambda: [r.to_json(include_timing=args.timing) for r in reports], text
 
 
 # --------------------------------------------------------------------------
@@ -320,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, parents=[form])
     common.add_argument("-e", type=int, required=True, help="dimension of E (rows)")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     parser = argparse.ArgumentParser(prog="isodet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -344,6 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common], help="run verification checks")
     p_verify.add_argument("check", choices=("census", "cut", "dims", "closure", "counts", "all"))
     p_verify.add_argument("--params", help="restrict cut/counts to one stratum: r1,r2[,sign]")
+    p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                          help="most matrices a check sweeps exhaustively; 0 forces sampling")
     p_verify.add_argument("--samples", type=int, default=100,
                           help="closure-check orbit points per stratum (sampled cut: 2000 uniform + 100 per stratum)")
     p_verify.add_argument("--primes", default="3,5")
@@ -375,8 +357,17 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code = _HANDLERS[args.command](args)
-        sys.stdout.flush()
+        code, docs, text = _HANDLERS[args.command](args)
+        lines = [json.dumps(d, sort_keys=True) for d in docs()] if args.format == "json" else text()
+        out = "\n".join(lines)
+        if getattr(args, "out", None):
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out + "\n")
+        else:
+            # print writes the newline on its own: one large write into a
+            # pipe whose reader has left can end short without raising
+            print(out)
+            sys.stdout.flush()
         return code
     except UsageError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

@@ -19,7 +19,6 @@ Characteristic two is rejected globally: the symmetric theory needs
 
 from __future__ import annotations
 
-import operator
 import re
 from fractions import Fraction
 from functools import reduce
@@ -48,9 +47,10 @@ class Field:
     ``one``, ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``parse``,
     ``render`` and ``random``.  The row methods (``dot``, ``axpy``,
     ``scale_row``, ``random_row``, ``lincomb``), ``polyval`` and the
-    finite-field ``sqrt`` are written here once from those; a field may
-    override them with the same values and draws (``lincomb`` needs no
-    override: it runs on ``axpy``), and the rationals bring their own sqrt.
+    finite-field ``sqrt`` are written here once from those, and the
+    rationals bring their own sqrt.  A field overrides one of them, with
+    the same values, only where that pays on the benchmarks: F_p overrides
+    ``axpy`` (which ``lincomb`` runs on) and ``polyval``.
     """
 
     kind: str = ""
@@ -183,22 +183,13 @@ class PrimeField(Field):
     def random(self, rng):
         return rng.randrange(self.p)
 
-    # the row methods and polyval on native ints, one % p per entry or factor
-
-    def dot(self, u, v):
-        return sum(map(operator.mul, u, v)) % self.p
+    # axpy and polyval on native ints, one % p per entry or factor; CPU
+    # medians without them on a 2-vCPU host: verify all sym e2f3/F_7
+    # 0.12 -> 0.17 s (axpy), sym e3f6/F_7 1.36 -> 2.38 s (polyval)
 
     def axpy(self, a, x, y) -> list:
         p = self.p
         return [(t + a * s) % p for s, t in zip(x, y)]
-
-    def scale_row(self, c, x) -> list:
-        p = self.p
-        return [c * s % p for s in x]
-
-    def random_row(self, rng, n: int) -> list:
-        draw, p = rng.randrange, self.p
-        return [draw(p) for _ in range(n)]
 
     def polyval(self, terms, values):
         p = self.p

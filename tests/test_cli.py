@@ -442,6 +442,19 @@ GOLDEN_STDOUT = [
     # of its own
     ("solve-congruence --kind sym -f 4 --field p=7 --gram identity --in {inst}",
      "dad30d7c6939d60efe386d7a364ddc0f7e06abd6758bd74b32470d2ebd685b69"),
+    # recorded while each subcommand printed its own output: verify's text
+    # summary with left-out strata and with sampled-fallback warnings, and
+    # the JSON of the sample, classify and solve-congruence goldens above
+    ("verify all --kind sym -e 2 -f 4 --field p=3 --gram file:{gram}",
+     "915ee2ede5945c686def655f5d61b54a5f3d10aebd9ac436195aca5a7e6815d0"),
+    ("verify all --kind sym -e 2 -f 3 --field p=3 --budget 100",
+     "f6a36870abdfc61dad7ddbcf067542152ef00aa1dd789060c3e846c3aa2e242a"),
+    ("sample --kind sym -e 2 -f 4 --field p=7 --gram identity --params 2,0,+ --count 5 --seed 1 --format json",
+     "bae6a9d4e95fb6d14d78222e10b008414014f8d2757331b30b938ffa479cb05e"),
+    ("classify --kind sym -e 2 -f 4 --field p=5 --gram identity --in {phi} --format json",
+     "d8712d69e26b1efac83dd22d8eb6d6c3b9b237acbc0bc7a437191e9a248e5af7"),
+    ("solve-congruence --kind sym -f 4 --field p=7 --gram identity --in {inst} --format json",
+     "d25331f5cc83fba3765c15b3d2fc7f570c5a5cd497cc57d1f4407f3489d06bcf"),
 ]
 
 # the --in matrix of the classify golden: an isotropic plane of the
@@ -455,12 +468,12 @@ GOLDEN_INST = {"S": {"rows": [["1", "2"], ["2", "0"]]},
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT)
-def test_golden_bytes(tmp_path, capsys, argv, digest):
-    phi, gram, inst = tmp_path / "phi.json", tmp_path / "gram.json", tmp_path / "inst.json"
-    phi.write_text(json.dumps(GOLDEN_PHI))
-    gram.write_text(json.dumps(GOLDEN_GRAM))
-    inst.write_text(json.dumps(GOLDEN_INST))
-    assert main(argv.format(phi=phi, gram=gram, inst=inst).split()) == 0
+def test_golden_bytes(tmp_path, capsys, monkeypatch, argv, digest):
+    # relative paths: the text header echoes --gram, file path included
+    monkeypatch.chdir(tmp_path)
+    for name, doc in (("phi", GOLDEN_PHI), ("gram", GOLDEN_GRAM), ("inst", GOLDEN_INST)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    assert main(argv.format(phi="phi.json", gram="gram.json", inst="inst.json").split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -485,6 +498,11 @@ def test_golden_bytes(tmp_path, capsys, argv, digest):
         ("verify", "all", "--kind", "sym", "-e", "2", "-f", "3", "--field", "p=3", "--samples", "0"),
         ("sample", "--kind", "sym", "-e", "2", "-f", "3", "--params", "1,1", "--count", "0"),
         ("sample", "--kind", "sym", "-e", "2", "-f", "3", "--params", "1,1", "--count", "-1"),
+        # a negative budget sweeps nothing and falls back to sampling
+        ("verify", "cut", "--kind", "sym", "-e", "2", "-f", "3", "--field", "p=3", "--budget", "-1"),
+        # only cut and counts restrict themselves to one stratum
+        ("verify", "closure", "--kind", "alt", "-e", "2", "-f", "4", "--field", "p=3", "--params", "1,0"),
+        ("verify", "all", "--kind", "alt", "-e", "2", "-f", "4", "--field", "p=3", "--params", "1,0"),
     ],
 )
 def test_malformed_text_is_usage_error(capsys, argv):
@@ -493,6 +511,21 @@ def test_malformed_text_is_usage_error(capsys, argv):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("isodet: error: ")
+
+
+@pytest.mark.parametrize("own", [("atlas",), ("classify", "--in", "unread.json"),
+                                 ("equations", "--params", "1,0"), ("sample", "--params", "1,0")])
+def test_budget_is_a_verify_option(capsys, own):
+    code, out, err = run(capsys, *own, "--kind", "sym", "-e", "2", "-f", "4", "--budget", "100")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --budget 100\n")
+
+
+def test_zero_budget_forces_sampling(capsys):
+    code, out, _ = run(capsys, "verify", "cut", "--kind", "sym", "-e", "2", "-f", "3", "--field", "p=3",
+                       "--params", "1,0", "--budget", "0")
+    assert code == 0
+    assert "falling back to sampled mode" in out
 
 
 @pytest.mark.parametrize("spec,same", [("ext=2,p=7", "p=7,ext=2"), ("P=7", "p=7"), (" Q ", "rationals")])
@@ -609,14 +642,16 @@ def _argv(draw):
         argv.append(draw(st.sampled_from(["census", "cut", "dims", "closure", "counts", "all"])))
     options = {"--kind": "kind", "-f": "f", "--field": "field", "--gram": "gram", "--format": "format"}
     if command != "solve-congruence":
-        options.update({"-e": "int", "--seed": "int", "--budget": "budget"})
+        options.update({"-e": "int", "--seed": "int"})
     options.update({
         "classify": {"--in": "in"},
         "solve-congruence": {"--in": "inst"},
         "equations": {"--params": "params"},
         "sample": {"--params": "params", "--count": "int"},
-        "verify": {"--params": "params", "--primes": "primes", "--samples": "int"},
+        "verify": {"--budget": "budget", "--primes": "primes", "--samples": "int"},
     }.get(command, {}))
+    if argv[-1] in ("cut", "counts"):  # the checks that take one stratum
+        options["--params"] = "params"
     for flag, spec in options.items():
         roll = draw(st.integers(0, 39))
         if roll == 0:

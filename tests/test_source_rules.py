@@ -8,7 +8,8 @@ caught as ``StratumUnavailable``, never as one of its subclasses.  Only
 through the ``Field`` methods, and in ``linalg.py`` only the Pfaffian's
 own expansion adds or subtracts entries.  The CLI
 loads neither ``dataclasses`` nor ``inspect``: every CLI process pays for
-the modules it imports."""
+the modules it imports; and it has one way out, ``dispatch``, which alone
+picks the output format and writes stdout or ``--out``."""
 
 import ast
 import os
@@ -144,3 +145,42 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     code = "import sys, isodet.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _cli_output(node):
+    """What ``node`` of cli.py does with the program's output, if anything."""
+    text = ast.unparse(node) if isinstance(node, (ast.Attribute, ast.Call)) else ""
+    if text in ("args.format", "sys.stdout", "sys.stderr"):
+        return text
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        keywords = {k.arg: k.value for k in node.keywords}
+        if node.func.id == "print" and "file" not in keywords:
+            return "sys.stdout"
+        mode = node.args[1:2] or [v for k, v in keywords.items() if k == "mode"]
+        if node.func.id == "open" and mode and "r" not in ast.literal_eval(mode[0]):
+            return "open for writing"
+    return None
+
+
+def test_cli_has_one_way_out():
+    # subcommands return their documents and text lines; stderr carries
+    # only _diagnose's JSON and dispatch's usage line
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    found = set()
+    for fn in (node for node in tree.body if isinstance(node, ast.FunctionDef)):
+        usage = {
+            id(node) for handler in ast.walk(fn)
+            if isinstance(handler, ast.ExceptHandler) and ast.unparse(handler.type or handler) == "UsageError"
+            for node in ast.walk(handler)
+        }
+        for node in ast.walk(fn):
+            what = _cli_output(node)
+            if what:
+                found.add((fn.name + (" usage branch" if id(node) in usage else ""), what))
+    assert found == {
+        ("dispatch", "args.format"),
+        ("dispatch", "sys.stdout"),
+        ("dispatch", "open for writing"),
+        ("dispatch usage branch", "sys.stderr"),
+        ("_diagnose", "sys.stderr"),
+    }
