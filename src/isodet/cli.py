@@ -31,7 +31,6 @@ from .forms_orbits import (
 )
 from .linalg import Matrix
 from .verify import (
-    DEFAULT_BUDGET,
     check_closure_order,
     check_dimensions,
     check_equation_cut,
@@ -252,39 +251,51 @@ def _cmd_solve_congruence(args):
             lambda: [head, _matrix_text(B), f"residual_zero: {residual_zero}"])
 
 
+# Each verify check: the options it reads, and the call that reads them.  An
+# option not given is not passed, so the library's default holds.
+VERIFY_CHECKS = {
+    "census": (("budget",), lambda config, strata, seed, **kw: [exhaustive_census(config, **kw)]),
+    "cut": (("params", "budget"), lambda config, strata, seed, **kw: [
+        check_equation_cut(p, config, seed=seed, **kw) for p in strata]),
+    "dims": ((), lambda config, strata, seed: [check_dimensions(config)]),
+    "closure": (("samples",), lambda config, strata, seed, **kw: [check_closure_order(config, seed=seed, **kw)]),
+    "counts": (("params", "budget", "primes"), lambda config, strata, seed, **kw: [
+        point_count_dimension_estimate(p, config, **kw) for p in strata]),
+    "all": (("budget", "samples", "primes"), lambda config, strata, seed, **kw: run_all(config, seed=seed, **kw)),
+}
+VERIFY_OPTIONS = dict.fromkeys(name for reads, _ in VERIFY_CHECKS.values() for name in reads)
+
+
 def _cmd_verify(args):
-    if args.samples < 1:
+    reads, run = VERIFY_CHECKS[args.check]
+    given = {k: v for k, v in vars(args).items() if k in VERIFY_OPTIONS}
+    unread = next((k for k in given if k not in reads), None)
+    if unread:
+        raise UsageError(f"--{unread}: the {args.check} check does not read it")
+    if "samples" in given and args.samples < 1:
         raise UsageError(f"--samples: expected a positive integer, got {args.samples}")
-    if args.budget < 0:
+    if "budget" in given and args.budget < 0:
         raise UsageError(f"--budget: expected a non-negative integer, got {args.budget}")
-    if args.params and args.check not in ("cut", "counts"):
-        raise UsageError(f"--params: only the cut and counts checks take one stratum, not {args.check}")
     config = resolve_config(args)
-    primes = parse_primes_spec(args.primes)
-    targets = [parse_params_spec(args.params)] if args.params else valid_params(config)
-    checks = {
-        "all": lambda: run_all(config, budget=args.budget, samples=args.samples, seed=args.seed, primes=primes),
-        "census": lambda: [exhaustive_census(config, budget=args.budget)],
-        "dims": lambda: [check_dimensions(config)],
-        "closure": lambda: [check_closure_order(config, samples=args.samples, seed=args.seed)],
-        "cut": lambda: [check_equation_cut(p, config, budget=args.budget, seed=args.seed) for p in targets],
-        "counts": lambda: [
-            point_count_dimension_estimate(p, config, primes, budget=args.budget) for p in targets
-        ],
-    }
-    reports = checks[args.check]()
+    if "primes" in given:
+        given["primes"] = parse_primes_spec(given["primes"])
+    params = given.pop("params", None)
+    strata = [parse_params_spec(params)] if params else valid_params(config)
+    reports = run(config, strata, args.seed, **given)
+    docs = [r.to_json(include_timing=args.timing) for r in reports]
 
     def text():
         lines = [echo_config(args, config)]
-        for r in reports:
+        for r, doc in zip(reports, docs):
             extra = f" witness={json.dumps(r.witness, sort_keys=True)}" if r.witness else ""
+            extra += f" wall_time_ms={doc['wall_time_ms']}" if args.timing else ""
             tall = json.dumps(r.tallies, sort_keys=True)
             lines.append(f"{r.status.upper():4}  {r.name:14} {tall}{extra}")
             lines += [f"      warning: {w}" for w in r.warnings]
         return lines
 
     code = 0 if all(r.ok for r in reports) else 3
-    return code, lambda: [r.to_json(include_timing=args.timing) for r in reports], text
+    return code, lambda: docs, text
 
 
 # --------------------------------------------------------------------------
@@ -300,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False, parents=[form])
     common.add_argument("-e", type=int, required=True, help="dimension of E (rows)")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=int, default=0, help="read by sample and verify cut, closure, all")
 
     parser = argparse.ArgumentParser(prog="isodet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -322,14 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--in", dest="infile", required=True)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run verification checks")
-    p_verify.add_argument("check", choices=("census", "cut", "dims", "closure", "counts", "all"))
-    p_verify.add_argument("--params", help="restrict cut/counts to one stratum: r1,r2[,sign]")
-    p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                          help="most matrices a check sweeps exhaustively; 0 forces sampling")
-    p_verify.add_argument("--samples", type=int, default=100,
-                          help="closure-check orbit points per stratum (sampled cut: 2000 uniform + 100 per stratum)")
-    p_verify.add_argument("--primes", default="3,5")
-    p_verify.add_argument("--timing", action="store_true", help="include wall times in JSON output")
+    p_verify.add_argument("check", choices=tuple(VERIFY_CHECKS))
+    for option, kind, text in (("params", str, "one stratum r1,r2[,sign]"),
+                               ("budget", int, "most matrices a check sweeps exhaustively; 0 forces sampling"),
+                               ("samples", int, "closure-check orbit points per stratum"),
+                               ("primes", str, "point-count primes p,q,...")):
+        readers = ", ".join(c for c, (reads, _) in VERIFY_CHECKS.items() if option in reads)
+        p_verify.add_argument(f"--{option}", type=kind, default=argparse.SUPPRESS, help=f"{text}; read by {readers}")
+    p_verify.add_argument("--timing", action="store_true", help="add each report's wall_time_ms, in both formats")
 
     return parser
 

@@ -51,6 +51,7 @@ from .forms_orbits import (
     closure_leq,
     codimension,
     dimension,
+    params_valid,
     random_orbit_point,
     representative,
     split_config,
@@ -319,26 +320,41 @@ def _report(name, config, mode, status, witness, tallies, warnings, t0):
     )
 
 
+def _rank_count(config: SpaceConfig, r: int) -> int:
+    """The number of e x f matrices of rank r over F_q, whatever the form:
+    prod over i < r of (q^e - q^i)(q^f - q^i) / (q^r - q^i)."""
+    q, num, den = config.field.order, 1, 1
+    for i in range(r):
+        num *= (q ** config.e - q ** i) * (q ** config.f - q ** i)
+        den *= q ** r - q ** i
+    return num // den
+
+
 def exhaustive_census(
     config: SpaceConfig,
     budget: int = DEFAULT_BUDGET,
     valid_params_override=None,
 ) -> VerificationReport:
     """Classify every matrix of the space and tally per stratum; every
-    matrix must land in an admissible stratum and tallies must sum to the
-    space size."""
+    matrix must land in an admissible stratum, and the strata of each rank
+    r1 must together hold :func:`_rank_count` matrices."""
     t0 = time.perf_counter()
     classes, codes = classification_table(config, budget)
     counts = [codes.count(i) for i in range(len(classes))]
     expected = set(valid_params_override if valid_params_override is not None else valid_params(config))
     tallies = {str(classes[i]): counts[i] for i in range(len(classes)) if counts[i]}
+    by_rank = [0] * (min(config.e, config.f) + 1)
+    for c, cnt in zip(classes, counts):
+        by_rank[c.r1] += cnt
     witness = None
     stray = next((i for i, cnt in enumerate(counts) if cnt and classes[i] not in expected), None)
+    off = next((r for r, cnt in enumerate(by_rank) if cnt != _rank_count(config, r)), None)
     if stray is not None:
         witness = {"reason": "matrix classified outside the admissible strata", "params": str(classes[stray]),
                    "matrix": _rows(config, _entries_at(config, codes.index(stray)))}
-    elif sum(counts) != len(codes):
-        witness = {"reason": "tallies do not sum to the space size", "sum": sum(counts)}
+    elif off is not None:
+        witness = {"reason": "strata of rank r1 do not hold every matrix of that rank", "r1": off,
+                   "tally": by_rank[off], "expected": _rank_count(config, off)}
     status = "pass" if witness is None else "fail"
     tallies["total"] = sum(counts)
     return _report(
@@ -493,7 +509,11 @@ def point_count_dimension_estimate(
     """Heuristic dimension cross-check: the locus point count over F_q
     should grow like q^dim.  Deviations beyond 1 are WARN only; the hard
     dimension check is the tangent-space one.  Counts always use the
-    split form over each prime; repeated primes count once."""
+    split form over each prime; repeated primes count once.  A stratum
+    the space does not admit raises InvalidParams before anything is
+    counted."""
+    if not params_valid(params, config):
+        raise InvalidParams(f"{params} is not admissible here")
     t0 = time.perf_counter()
     admissible = []
     for q in dict.fromkeys(primes):

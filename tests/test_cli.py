@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isodet import equations
-from isodet.cli import dispatch, main, parse_field_spec, render_atlas
+from isodet.cli import VERIFY_CHECKS, dispatch, main, parse_field_spec, render_atlas
 from isodet.errors import ConsistencyCheckFailed
 from isodet.fields import field_create
 from isodet.forms_orbits import split_config, valid_params
@@ -362,7 +363,7 @@ def test_verification_failure_exits_3(capsys, monkeypatch):
     import isodet.cli as cli_mod
     from isodet.verify import VerificationReport
 
-    def broken_census(config, budget):
+    def broken_census(config, **options):
         return VerificationReport(
             name="census", config=config.to_json(), mode={"kind": "exhaustive"},
             status="fail", witness={"reason": "synthetic"},
@@ -521,6 +522,46 @@ def test_budget_is_a_verify_option(capsys, own):
     assert err.endswith("error: unrecognized arguments: --budget 100\n")
 
 
+# a value each verify option accepts; run on a space small enough for every check
+VERIFY_VALUES = {"params": "1,0", "budget": "1000", "samples": "2", "primes": "3,5"}
+VERIFY_SMALL = ("--kind", "sym", "-e", "1", "-f", "3", "--field", "p=3")
+
+
+@pytest.mark.parametrize("check", sorted(VERIFY_CHECKS))
+@pytest.mark.parametrize("option", sorted(VERIFY_VALUES))
+def test_each_check_accepts_only_the_options_it_reads(capsys, check, option):
+    code, out, err = run(capsys, "verify", check, *VERIFY_SMALL, f"--{option}", VERIFY_VALUES[option])
+    if option in VERIFY_CHECKS[check][0]:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"isodet: error: --{option}: the {check} check does not read it\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_timing_adds_wall_time_to_every_report(capsys, fmt):
+    argv = ("verify", "all", *VERIFY_SMALL, "--format", fmt)
+    _, plain, _ = run(capsys, *argv)
+    code, timed, _ = run(capsys, *argv, "--timing")
+    assert code == 0 and "wall_time_ms" not in plain
+    if fmt == "json":
+        assert all("wall_time_ms" in json.loads(line) for line in timed.splitlines())
+    else:
+        reports = [line for line in timed.splitlines()[1:] if not line.startswith(" ")]
+        assert len(reports) == 9
+        assert all(re.search(r" wall_time_ms=[0-9.]+$", line) for line in reports)
+
+
+@pytest.mark.parametrize("form,params", [(("-f", "3"), "9,9"), (("-f", "4"), "2,0")])
+def test_counts_refuses_an_inadmissible_stratum_as_cut_does(capsys, form, params):
+    argv = ("--kind", "sym", "-e", "2", *form, "--field", "p=3", "--params", params)
+    cut = run(capsys, "verify", "cut", *argv)
+    counts = run(capsys, "verify", "counts", *argv)
+    assert counts == cut
+    assert counts[:2] == (1, "")
+    assert json.loads(counts[2]) == {"error": "InvalidParams", "message": f"({params}) is not admissible here"}
+
+
 def test_zero_budget_forces_sampling(capsys):
     code, out, _ = run(capsys, "verify", "cut", "--kind", "sym", "-e", "2", "-f", "3", "--field", "p=3",
                        "--params", "1,0", "--budget", "0")
@@ -630,6 +671,8 @@ _SPEC = {
     "inst": (["{inst}"], [str(_FUZZ_DIR / "missing.json"), str(_FUZZ_DIR), "{phi}"]),
 }
 
+_VERIFY_SPEC = {"params": "params", "budget": "budget", "samples": "int", "primes": "primes"}
+
 
 @st.composite
 def _argv(draw):
@@ -648,10 +691,9 @@ def _argv(draw):
         "solve-congruence": {"--in": "inst"},
         "equations": {"--params": "params"},
         "sample": {"--params": "params", "--count": "int"},
-        "verify": {"--budget": "budget", "--primes": "primes", "--samples": "int"},
     }.get(command, {}))
-    if argv[-1] in ("cut", "counts"):  # the checks that take one stratum
-        options["--params"] = "params"
+    if command == "verify":  # the options the check reads
+        options.update({f"--{name}": _VERIFY_SPEC[name] for name in VERIFY_CHECKS[argv[-1]][0]})
     for flag, spec in options.items():
         roll = draw(st.integers(0, 39))
         if roll == 0:

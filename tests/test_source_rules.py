@@ -9,7 +9,8 @@ through the ``Field`` methods, and in ``linalg.py`` only the Pfaffian's
 own expansion adds or subtracts entries.  The CLI
 loads neither ``dataclasses`` nor ``inspect``: every CLI process pays for
 the modules it imports; and it has one way out, ``dispatch``, which alone
-picks the output format and writes stdout or ``--out``."""
+picks the output format and writes stdout or ``--out``.  A ``verify``
+option that is not given is not set, so only the library states defaults."""
 
 import ast
 import os
@@ -184,3 +185,15 @@ def test_cli_has_one_way_out():
         ("dispatch usage branch", "sys.stderr"),
         ("_diagnose", "sys.stderr"),
     }
+
+
+def test_verify_options_leave_defaults_to_the_library():
+    # a verify option not given is not passed on, so the checks' own
+    # signatures state the defaults; only the check and --timing are set
+    from isodet.cli import VERIFY_CHECKS, build_parser
+
+    form = ["--kind", "sym", "-e", "1", "-f", "3"]
+    atlas = vars(build_parser().parse_args(["atlas", *form]))
+    for check in VERIFY_CHECKS:
+        verify = vars(build_parser().parse_args(["verify", check, *form]))
+        assert verify.keys() - atlas.keys() == {"check", "timing"}

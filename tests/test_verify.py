@@ -79,6 +79,23 @@ def test_census_mutation_detects_missing_class():
     assert rep.witness["matrix"] == [["0", "0", "0", "1"], ["0", "1", "0", "0"]]
 
 
+def test_census_counts_each_rank_by_its_closed_form(monkeypatch):
+    # (1,1) relabelled (2,1): every matrix still lands in an admissible
+    # stratum, but rank 1 keeps only the 128 matrices of (1,0)
+    cfg = split_config(2, 4, "symmetric", F3)
+
+    def relabel(phi, config):
+        params = classify(phi, config)
+        return OrbitParams(2, 1) if params == OrbitParams(1, 1) else params
+
+    monkeypatch.setattr(verify, "classify", relabel)
+    monkeypatch.setattr(verify, "_CLASS_CACHE", {})
+    rep = exhaustive_census(cfg)
+    assert rep.status == "fail"
+    assert rep.witness == {"reason": "strata of rank r1 do not hold every matrix of that rank",
+                           "r1": 1, "tally": 128, "expected": (9 - 1) * (81 - 1) // (3 - 1)}
+
+
 def test_prime_fast_path_agrees_with_generic_classifier():
     # exhaustive agreement on a small space; the table is the fast path
     cfg = split_config(2, 3, "symmetric", F3)
@@ -523,6 +540,14 @@ def test_point_count_prime_order_and_repeats():
     with pytest.raises(BudgetExceeded):
         point_count_dimension_estimate(OrbitParams(1, 0), sym, primes=(3, 3))
     assert point_count_dimension_estimate(OrbitParams(1, 0), sym, primes=(3, 3, 5)).mode["primes"] == [3, 5]
+
+
+def test_point_count_refuses_an_inadmissible_stratum_before_counting(monkeypatch):
+    monkeypatch.setattr(verify, "classification_table", None)  # any count would raise TypeError
+    for cfg, params in ((split_config(2, 3, "symmetric", F3), OrbitParams(9, 9)),
+                        (split_config(2, 4, "symmetric", F3), OrbitParams(2, 0))):
+        with pytest.raises(InvalidParams, match="is not admissible here"):
+            point_count_dimension_estimate(params, cfg)
 
 
 def test_growth_exponent_matches_float_rounding():
