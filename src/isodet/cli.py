@@ -279,8 +279,7 @@ def _cmd_verify(args):
     config = resolve_config(args)
     if "primes" in given:
         given["primes"] = parse_primes_spec(given["primes"])
-    params = given.pop("params", None)
-    strata = [parse_params_spec(params)] if params else valid_params(config)
+    strata = [parse_params_spec(given.pop("params"))] if "params" in given else valid_params(config)
     reports = run(config, strata, args.seed, **given)
     docs = [r.to_json(include_timing=args.timing) for r in reports]
 

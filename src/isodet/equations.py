@@ -49,8 +49,8 @@ from .forms_orbits import (
     OrbitParams,
     Record,
     SpaceConfig,
-    params_valid,
     representative,
+    require_valid,
     valid_params,
 )
 from .linalg import Matrix, check_minor_selection
@@ -547,8 +547,7 @@ def rank_condition_generators(params: OrbitParams, config: SpaceConfig) -> Gener
     zero, so each has the degree of its family: r1+1, 2(r2+1) and r2+2.
     The members are labels with degrees; their polynomials come from the
     memoised tables on first use."""
-    if not params_valid(params, config):
-        raise InvalidParams(f"{params} is not admissible here")
+    require_valid(params, config)
     if params.sign is not None:
         raise ExceptionalNeedsSign(
             "the two-component stratum needs component_generators(sign, config)"
@@ -582,6 +581,7 @@ def rank_condition_generators(params: OrbitParams, config: SpaceConfig) -> Gener
 def generators_for(params: OrbitParams, config: SpaceConfig) -> GeneratorSet:
     """The defining generators of a stratum closure: component generators
     for a signed stratum, rank-condition generators otherwise."""
+    require_valid(params, config)
     if params.sign is not None:
         return component_generators(params.sign, config)
     return rank_condition_generators(params, config)
@@ -708,16 +708,9 @@ def component_generators(sign: str, config: SpaceConfig) -> GeneratorSet:
 
     The labelling is pinned so that component_generators('+') vanishes on
     representative((f/2, 0, '+'))."""
-    if sign not in ("+", "-"):
-        raise InvalidParams(f"sign must be '+' or '-', got {sign!r}")
     e, f = config.e, config.f
-    if config.kind != SYMMETRIC:
-        raise WrongKind("component generators need a symmetric form")
-    if f % 2 != 0:
-        raise OddDimension("component generators need f even")
     m = f // 2
-    if m > e:
-        raise InvalidParams("stratum (f/2, 0) is empty when f/2 > e")
+    require_valid(OrbitParams(m, 0, sign), config)
     F = config.field
     star = star_operator(config.form)
     lam = _reference_eigenvalue(star, config)

@@ -77,10 +77,6 @@ class SignUndefinedForForm(IsodetError):
     field, so the two-component sign cannot be evaluated."""
 
 
-class ConfigMismatch(IsodetError):
-    """Orbit parameters belong to different or wrong configurations."""
-
-
 class SymmetryMismatch(IsodetError):
     """Right-hand side has the wrong symmetry for the congruence."""
 

@@ -29,7 +29,6 @@ from math import comb
 from operator import attrgetter
 
 from .errors import (
-    ConfigMismatch,
     ConsistencyCheckFailed,
     DimensionMismatch,
     InsufficientWittIndex,
@@ -433,7 +432,8 @@ def params_valid(params: OrbitParams, config: SpaceConfig) -> bool:
     return params.sign is None
 
 
-def _require_valid(params: OrbitParams, config: SpaceConfig):
+def require_valid(params: OrbitParams, config: SpaceConfig):
+    """The one refusal of a stratum label the configuration does not admit."""
     if not params_valid(params, config):
         raise InvalidParams(f"{params} is not admissible for e={config.e}, f={config.f}, {config.kind}")
 
@@ -467,7 +467,7 @@ def representative(params: OrbitParams, config: SpaceConfig) -> Matrix:
     signed stratum the minus representative swaps the last a-vector for
     its hyperbolic partner, moving the row space to the other family.
     """
-    _require_valid(params, config)
+    require_valid(params, config)
     rows = _representative_rows(params, config)
     zero_row = (config.field.zero,) * config.f
     return Matrix(config.field, [*rows, *[zero_row] * (config.e - len(rows))], config.e, config.f)
@@ -517,7 +517,7 @@ def _representative_rows(params: OrbitParams, config: SpaceConfig) -> tuple:
 def codimension(params: OrbitParams, config: SpaceConfig) -> int:
     """(e-r1)(f-r1) + C(r1-r2, 2) for alternating forms and
     (e-r1)(f-r1) + C(r1-r2+1, 2) for symmetric ones."""
-    _require_valid(params, config)
+    require_valid(params, config)
     base = (config.e - params.r1) * (config.f - params.r1)
     gap = params.r1 - params.r2
     if config.kind == ALTERNATING:
@@ -533,8 +533,8 @@ def closure_leq(p: OrbitParams, q: OrbitParams, config: SpaceConfig) -> bool:
     """Whether the closure of the q-stratum contains the p-stratum:
     componentwise r1/r2 comparison, with equal signs required when both
     labels are the signed stratum."""
-    if not params_valid(p, config) or not params_valid(q, config):
-        raise ConfigMismatch("parameters are not admissible for this configuration")
+    require_valid(p, config)
+    require_valid(q, config)
     if p.sign is not None and q.sign is not None and p.sign != q.sign:
         return False
     return p.r1 <= q.r1 and p.r2 <= q.r2
@@ -566,7 +566,7 @@ class OrbitFacts(Record):
 
 
 def facts(params: OrbitParams, config: SpaceConfig) -> OrbitFacts:
-    _require_valid(params, config)
+    require_valid(params, config)
     e, f = config.e, config.f
     r1, r2 = params.r1, params.r2
     cd = codimension(params, config)
@@ -763,7 +763,7 @@ def random_orbit_point(params: OrbitParams, config: SpaceConfig, seed=None) -> M
     :func:`random_isometry`.  B is never formed: its maps are applied to
     the r1 non-zero rows of Phi, and A to the result.  The zero stratum
     draws nothing."""
-    _require_valid(params, config)
+    require_valid(params, config)
     F, e, f = config.field, config.e, config.f
     rep = _representative_rows(params, config)
     if not rep:

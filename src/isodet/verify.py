@@ -51,9 +51,9 @@ from .forms_orbits import (
     closure_leq,
     codimension,
     dimension,
-    params_valid,
     random_orbit_point,
     representative,
+    require_valid,
     split_config,
     tangent_dimension,
     valid_params,
@@ -375,7 +375,9 @@ def check_equation_cut(
     rank-condition locus.  Exhaustive within budget; otherwise falls back
     to seeded sampling (uniform matrices plus points of every stratum)
     with a warning; ``partial`` leaves out, with a warning each, the
-    strata the form cannot populate."""
+    strata the form cannot populate.  A stratum the space does not admit
+    raises InvalidParams before anything is built or read."""
+    require_valid(params, config)
     t0 = time.perf_counter()
     gens = generators_override if generators_override is not None else generators_for(params, config)
     warnings = []
@@ -512,8 +514,7 @@ def point_count_dimension_estimate(
     split form over each prime; repeated primes count once.  A stratum
     the space does not admit raises InvalidParams before anything is
     counted."""
-    if not params_valid(params, config):
-        raise InvalidParams(f"{params} is not admissible here")
+    require_valid(params, config)
     t0 = time.perf_counter()
     admissible = []
     for q in dict.fromkeys(primes):

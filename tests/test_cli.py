@@ -559,7 +559,27 @@ def test_counts_refuses_an_inadmissible_stratum_as_cut_does(capsys, form, params
     counts = run(capsys, "verify", "counts", *argv)
     assert counts == cut
     assert counts[:2] == (1, "")
-    assert json.loads(counts[2]) == {"error": "InvalidParams", "message": f"({params}) is not admissible here"}
+    message = f"({params}) is not admissible for e=2, f={form[1]}, symmetric"
+    assert json.loads(counts[2]) == {"error": "InvalidParams", "message": message}
+
+
+@pytest.mark.parametrize("command", [("equations",), ("verify", "cut")])
+@pytest.mark.parametrize("e,params", [("2", "1,0,+"), ("3", "3,3,+")])
+def test_a_sign_off_the_signed_stratum_is_refused(capsys, command, e, params):
+    # the sign once chose the (f/2, 0) component generators whatever r1, r2
+    code, out, err = run(capsys, *command, "--kind", "sym", "-e", e, "-f", "4", "--field", "p=3",
+                         "--params", params)
+    assert (code, out) == (1, "")
+    message = f"({params}) is not admissible for e={e}, f=4, symmetric"
+    assert json.loads(err) == {"error": "InvalidParams", "message": message}
+
+
+@pytest.mark.parametrize("check", ["cut", "counts"])
+def test_empty_params_is_a_usage_error(capsys, check):
+    code, out, err = run(capsys, "verify", check, "--kind", "sym", "-e", "1", "-f", "3", "--field", "p=3",
+                         "--params", "")
+    assert (code, out) == (2, "")
+    assert err == "isodet: error: --params: expected r1,r2[,sign], got ''\n"
 
 
 def test_zero_budget_forces_sampling(capsys):

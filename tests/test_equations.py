@@ -654,7 +654,7 @@ def test_component_det_split_in_orthonormal_coordinates():
 
 
 def test_component_errors():
-    with pytest.raises(WrongKind):
+    with pytest.raises(InvalidParams):
         component_generators("+", split_config(2, 4, "alternating", F5))
     with pytest.raises(InvalidParams):
         component_generators("+", split_config(1, 4, "symmetric", F5))

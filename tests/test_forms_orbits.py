@@ -6,7 +6,6 @@ from itertools import product
 import pytest
 
 from isodet.errors import (
-    ConfigMismatch,
     ConsistencyCheckFailed,
     InvalidForm,
     InvalidParams,
@@ -383,7 +382,7 @@ def test_closure_examples():
     assert closure_leq(OrbitParams(1, 0), OrbitParams(2, 0, "+"), sym)
     assert closure_leq(OrbitParams(1, 0), OrbitParams(2, 0, "-"), sym)
     assert not closure_leq(OrbitParams(1, 1), OrbitParams(2, 0, "+"), sym)
-    with pytest.raises(ConfigMismatch):
+    with pytest.raises(InvalidParams):
         closure_leq(OrbitParams(3, 0), OrbitParams(2, 2), sym)
 
 

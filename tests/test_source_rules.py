@@ -10,7 +10,9 @@ own expansion adds or subtracts entries.  The CLI
 loads neither ``dataclasses`` nor ``inspect``: every CLI process pays for
 the modules it imports; and it has one way out, ``dispatch``, which alone
 picks the output format and writes stdout or ``--out``.  A ``verify``
-option that is not given is not set, so only the library states defaults."""
+option that is not given is not set, so only the library states defaults.
+Only ``forms_orbits.py`` calls ``params_valid``: every other module refuses
+a bad stratum label through ``require_valid``."""
 
 import ast
 import os
@@ -197,3 +199,15 @@ def test_verify_options_leave_defaults_to_the_library():
     for check in VERIFY_CHECKS:
         verify = vars(build_parser().parse_args(["verify", check, *form]))
         assert verify.keys() - atlas.keys() == {"check", "timing"}
+
+
+def test_only_forms_orbits_tests_a_label():
+    # every other module refuses a bad stratum label through require_valid,
+    # so the label rule and its message are stated once
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _nodes()
+        if name != "forms_orbits.py" and isinstance(node, ast.Call)
+        and ast.unparse(node.func).split(".")[-1] == "params_valid"
+    ]
+    assert found == []

@@ -18,7 +18,14 @@ from isodet.forms_orbits import (
     split_config,
     valid_params,
 )
-from isodet.equations import Generator, GeneratorSet, Polynomial, generators_for, rank_condition_generators
+from isodet.equations import (
+    Generator,
+    GeneratorSet,
+    Polynomial,
+    component_generators,
+    generators_for,
+    rank_condition_generators,
+)
 from isodet import forms_orbits, verify
 from isodet.linalg import Matrix, echelon, random_matrix
 from isodet.verify import (
@@ -546,8 +553,63 @@ def test_point_count_refuses_an_inadmissible_stratum_before_counting(monkeypatch
     monkeypatch.setattr(verify, "classification_table", None)  # any count would raise TypeError
     for cfg, params in ((split_config(2, 3, "symmetric", F3), OrbitParams(9, 9)),
                         (split_config(2, 4, "symmetric", F3), OrbitParams(2, 0))):
-        with pytest.raises(InvalidParams, match="is not admissible here"):
+        with pytest.raises(InvalidParams, match="is not admissible for"):
             point_count_dimension_estimate(params, cfg)
+
+
+def _inadmissible_grid():
+    """(config, label) for every label with r1, r2 <= e+1 and sign in
+    (None, +, -, x) that a sym or alt form over F_3 with e <= 3 and
+    3 <= f <= 6 does not admit."""
+    for kind in ("symmetric", "alternating"):
+        for e, f in product((1, 2, 3), (3, 4, 5, 6)):
+            if kind == "alternating" and f % 2:
+                continue
+            cfg = split_config(e, f, kind, F3)
+            admitted = set(valid_params(cfg))
+            for r1, r2, sign in product(range(e + 2), range(e + 2), (None, "+", "-", "x")):
+                if OrbitParams(r1, r2, sign) not in admitted:
+                    yield cfg, OrbitParams(r1, r2, sign)
+
+
+def test_every_label_taker_refuses_an_inadmissible_label_with_one_message(monkeypatch):
+    monkeypatch.setattr(verify, "classification_table", None)  # any table read would raise TypeError
+    takers = {
+        "generators_for": generators_for,
+        "rank_condition_generators": rank_condition_generators,
+        "representative": forms_orbits.representative,
+        "codimension": codimension,
+        "facts": forms_orbits.facts,
+        "closure_leq(p, zero)": lambda p, cfg: closure_leq(p, OrbitParams(0, 0), cfg),
+        "closure_leq(zero, p)": lambda p, cfg: closure_leq(OrbitParams(0, 0), p, cfg),
+        "cut": check_equation_cut,
+        "cut with override": lambda p, cfg: check_equation_cut(p, cfg, generators_override=GeneratorSet(cfg, [])),
+        "counts": point_count_dimension_estimate,
+    }
+    cases = [(cfg, p, takers) for cfg, p in _inadmissible_grid()]
+    # component generators take a sign, and refuse the label (f/2, 0, sign)
+    component = {"component_generators": lambda p, cfg: component_generators(p.sign, cfg)}
+    for sign, e, f, kind in (("x", 2, 4, "symmetric"), ("+", 2, 4, "alternating"),
+                             ("+", 2, 3, "symmetric"), ("+", 1, 4, "symmetric")):
+        cases.append((split_config(e, f, kind, F3), OrbitParams(f // 2, 0, sign), component))
+    calls, deviations = 0, []
+    for cfg, p, calls_of in cases:
+        refusal = f"{p} is not admissible for e={cfg.e}, f={cfg.f}, {cfg.kind}"
+        for name, take in calls_of.items():
+            if name == "rank_condition_generators" and p.sign is not None:
+                continue
+            calls += 1
+            try:
+                outcome = take(p, cfg)
+            except InvalidParams as exc:
+                if str(exc) == refusal:
+                    continue
+                outcome = f"InvalidParams: {exc}"
+            except Exception as exc:
+                outcome = f"{type(exc).__name__}: {exc}"
+            deviations.append((name, cfg.e, cfg.f, cfg.kind, str(p), repr(outcome)[:80]))
+    assert calls == 10170
+    assert deviations == []
 
 
 def test_growth_exponent_matches_float_rounding():
