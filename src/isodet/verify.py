@@ -30,8 +30,8 @@ labelled once per process, as flat entry tuples with their stratum.
 :func:`_vanishing` reads the one vanishing verdict at each such point,
 :meth:`GeneratorSet.vanishes_at`, and the two checks differ only in how
 they reduce the verdicts.  Every per-stratum value is built by
-:func:`_per_stratum`, so in ``run_all`` a stratum the form or field
-cannot populate is left out with a warning.
+:func:`_per_stratum`, so a stratum the form or field cannot populate is
+left out with a warning, whether a check runs alone or in ``run_all``.
 """
 
 from __future__ import annotations
@@ -268,17 +268,15 @@ def _vanish_rows(gens: GeneratorSet, config: SpaceConfig):
         yield vanish
 
 
-def _per_stratum(config: SpaceConfig, build, left: dict | None) -> dict:
+def _per_stratum(config: SpaceConfig, build, left: dict) -> dict:
     """``{p: build(p)}`` over the strata of ``config``, in order.  Where
-    ``build`` raises StratumUnavailable, re-raise, or, given a dict
-    ``left``, leave the stratum out and set ``left[p]`` to the message."""
+    ``build`` raises StratumUnavailable, leave the stratum out and set
+    ``left[p]`` to the message."""
     built = {}
     for p in valid_params(config):
         try:
             built[p] = build(p)
         except StratumUnavailable as exc:
-            if left is None:
-                raise
             left[p] = str(exc)
     return built
 
@@ -288,7 +286,7 @@ def _left_out(config: SpaceConfig, left: dict) -> list:
     return [f"stratum {p} left out: {left[p]}" for p in valid_params(config) if p in left]
 
 
-def _sample_points(config: SpaceConfig, seed, uniform: int, per_stratum: int, left: dict | None = None):
+def _sample_points(config: SpaceConfig, seed, uniform: int, per_stratum: int, left: dict):
     """The labelled points ``(flat entries, stratum)`` of the sampled
     checks: ``uniform`` matrices drawn from ``random.Random(seed)`` and
     labelled by ``classify``, then ``per_stratum`` orbit points of every
@@ -369,14 +367,13 @@ def check_equation_cut(
     samples: int = 2000,
     seed: int = 0,
     generators_override: GeneratorSet | None = None,
-    partial: bool = False,
 ) -> VerificationReport:
     """Set-theoretic check that the stratum's generators cut exactly the
     rank-condition locus.  Exhaustive within budget; otherwise falls back
     to seeded sampling (uniform matrices plus points of every stratum)
-    with a warning; ``partial`` leaves out, with a warning each, the
-    strata the form cannot populate.  A stratum the space does not admit
-    raises InvalidParams before anything is built or read."""
+    with a warning, leaving out, with a warning each, the strata without
+    orbit points.  A stratum the space does not admit raises InvalidParams
+    before anything is built or read."""
     require_valid(params, config)
     t0 = time.perf_counter()
     gens = generators_override if generators_override is not None else generators_for(params, config)
@@ -386,7 +383,7 @@ def check_equation_cut(
     except BudgetExceeded as exc:
         warnings.append(f"{exc}; falling back to sampled mode")
         left: dict = {}
-        points = _sample_points(config, seed, samples, max(1, samples // 20), left if partial else None)
+        points = _sample_points(config, seed, samples, max(1, samples // 20), left)
         warnings += _left_out(config, left)
         verdicts = [(x, closure_leq(c, params, config), v) for (x, c), v in zip(points, _vanishing(gens, points))]
         n_locus, n_vanish = sum(m for _, m, _ in verdicts), sum(v for _, _, v in verdicts)
@@ -417,18 +414,17 @@ def check_equation_cut(
     return _report("equation-cut", config, mode, status, witness, tallies, warnings, t0)
 
 
-def check_dimensions(config: SpaceConfig, codim_override=None, partial: bool = False) -> VerificationReport:
+def check_dimensions(config: SpaceConfig, codim_override=None) -> VerificationReport:
     """Tangent-space oracle for the codimension formula: for every
     stratum, the rank of the linearized action at the representative must
-    equal e*f - codim, exactly.  With ``partial``, a stratum without a
-    representative (too small a Witt index) is left out, with one
-    warning."""
+    equal e*f - codim, exactly.  A stratum without a representative (too
+    small a Witt index) is left out, with one warning."""
     t0 = time.perf_counter()
     codim_fn = codim_override if codim_override is not None else codimension
     witness = None
     checked = 0
     left: dict = {}
-    reps = _per_stratum(config, lambda p: representative(p, config), left if partial else None)
+    reps = _per_stratum(config, lambda p: representative(p, config), left)
     for params, rep in reps.items():
         tangent = tangent_dimension(rep, config)
         expected = config.e * config.f - codim_fn(params, config)
@@ -450,20 +446,19 @@ def check_closure_order(
     seed: int = 0,
     generators_override=None,
     order_override=None,
-    partial: bool = False,
 ) -> VerificationReport:
     """Sampled points of each stratum vanish on another stratum's
-    generators exactly when the closure order says they should.  With
-    ``partial``, a stratum without generators over this field, or without
-    orbit points, is left out, with one warning."""
+    generators exactly when the closure order says they should.  A
+    stratum without generators over this field, or without orbit points,
+    is left out, with one warning."""
     if samples < 1:
         raise InvalidParams(f"closure order needs at least one sample per stratum, got {samples}")
     t0 = time.perf_counter()
     order_fn = order_override if order_override is not None else closure_leq
     build = generators_override if generators_override is not None else generators_for
     left: dict = {}
-    uppers = _per_stratum(config, lambda q: build(q, config), left if partial else None)
-    points = _sample_points(config, seed, 0, samples, left if partial else None)
+    uppers = _per_stratum(config, lambda q: build(q, config), left)
+    points = _sample_points(config, seed, 0, samples, left)
     verdicts = {q: _vanishing(gens, points) for q, gens in uppers.items()}
     at: dict = {}  # stratum with points, in order -> its positions in the pool
     for i, (_, c) in enumerate(points):
@@ -511,19 +506,19 @@ def point_count_dimension_estimate(
     """Heuristic dimension cross-check: the locus point count over F_q
     should grow like q^dim.  Deviations beyond 1 are WARN only; the hard
     dimension check is the tangent-space one.  Counts always use the
-    split form over each prime; repeated primes count once.  A stratum
-    the space does not admit raises InvalidParams before anything is
-    counted."""
+    split form over each prime; repeated primes count once, and a prime
+    over budget is left out, with one warning.  A stratum the space does
+    not admit raises InvalidParams before anything is counted."""
     require_valid(params, config)
     t0 = time.perf_counter()
-    admissible = []
+    admissible, warnings = [], []
     for q in dict.fromkeys(primes):
         try:
             cfg_q = split_config(config.e, config.f, config.kind, field_create("prime", q))
             enumeration_space(cfg_q, budget)
             admissible.append((q, cfg_q))
-        except BudgetExceeded:
-            continue
+        except BudgetExceeded as exc:
+            warnings.append(f"prime {q} left out: {exc}")
     if len(admissible) < 2:
         raise BudgetExceeded("need at least two admissible primes within budget")
     counts = {}
@@ -545,7 +540,7 @@ def point_count_dimension_estimate(
                    "estimates": estimates, "dim": dim}
     tallies = {"params": str(params), "counts": {str(q): counts[q] for q in qs}, "estimates": estimates, "dim": dim}
     return _report(
-        "point-count", config, {"kind": "exhaustive", "primes": qs}, status, witness, tallies, [], t0
+        "point-count", config, {"kind": "exhaustive", "primes": qs}, status, witness, tallies, warnings, t0
     )
 
 
@@ -560,9 +555,9 @@ def run_all(
     per-stratum point counts.  A check that cannot run on this space (over
     budget, an infinite field, too small a Witt index, an involution
     eigenvalue outside the field) degrades to a skipped warning carrying
-    the error's message instead of aborting the batch; the dimension and
-    closure checks and the sampled cuts leave out only the strata they
-    cannot use, with one warning each."""
+    the error's message instead of aborting the batch.  Each check leaves
+    out the strata and primes it cannot use, with one warning each, as it
+    does when run alone."""
 
     def guarded(name, tallies, check, *args, **kwargs):
         t0 = time.perf_counter()
@@ -574,10 +569,9 @@ def run_all(
     strata = valid_params(config)
     return [
         guarded("census", {}, exhaustive_census, config, budget),
-        guarded("dimensions", {}, check_dimensions, config, partial=True),
-        guarded("closure-order", {}, check_closure_order, config, samples=samples, seed=seed, partial=True),
-        *(guarded("equation-cut", {"params": str(p)}, check_equation_cut, p, config, budget=budget, seed=seed,
-                  partial=True)
+        guarded("dimensions", {}, check_dimensions, config),
+        guarded("closure-order", {}, check_closure_order, config, samples=samples, seed=seed),
+        *(guarded("equation-cut", {"params": str(p)}, check_equation_cut, p, config, budget=budget, seed=seed)
           for p in strata),
         *(guarded("point-count", {"params": str(p)}, point_count_dimension_estimate, p, config, primes, budget)
           for p in strata),

@@ -264,10 +264,10 @@ def test_verify_all_skips_checks_the_form_cannot_run(capsys):
         assert all("hyperbolic pairs" in w for w in left)
     counts = [r for r in reports if r["check"] == "point-count"]
     assert counts and all(r["status"] == "pass" for r in counts)
-    # a single check still reports the error itself
-    code, _, err = run(capsys, "verify", "dims", *form)
-    assert code == 1
-    assert json.loads(err)["error"] == "InsufficientWittIndex"
+    # a single check leaves out the same strata and prints the same report
+    code, out, _ = run(capsys, "verify", "dims", *form, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == dims
 
 
 def test_verify_all_leaves_out_strata_per_check(tmp_path, capsys):
@@ -286,10 +286,10 @@ def test_verify_all_leaves_out_strata_per_check(tmp_path, capsys):
     assert [w.split(" left out: ")[0] for w in closure["warnings"]] == ["stratum (2,0,+)", "stratum (2,0,-)"]
     skipped = {r["check"] for r in reports if r["mode"] == {"kind": "skipped"}}
     assert skipped == {"equation-cut"}
-    # the single check still reports the error itself
-    code, _, err = run(capsys, "verify", "closure", *form)
-    assert code == 1
-    assert json.loads(err)["error"] == "EigenvalueNotInField"
+    # the single check leaves out the same strata and prints the same report
+    code, out, _ = run(capsys, "verify", "closure", *form, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == closure
 
 
 def test_verify_all_leaves_out_strata_without_representatives(tmp_path, capsys):
@@ -310,6 +310,46 @@ def test_verify_all_leaves_out_strata_without_representatives(tmp_path, capsys):
         assert dims["tallies"] == {"strata": strata}
         assert [w.split(" left out: ")[0] for w in dims["warnings"]] == [f"stratum {p}" for p in left]
         assert all("hyperbolic pairs" in w for w in dims["warnings"])
+
+
+@pytest.mark.parametrize("form,samples,budget,cuts", [
+    (("-e", "2", "-f", "3", "--field", "rationals", "--gram", "identity"), ("--samples", "5"), (),
+     ["(0,0)", "(1,0)", "(1,1)", "(2,1)", "(2,2)"]),
+    (("-e", "2", "-f", "4", "--field", "p=3", "--gram", "file:gram.json"), (), (),
+     ["(0,0)", "(1,0)", "(1,1)", "(2,1)", "(2,2)"]),
+    # every cut sampled, so each leaves out (2,0,+) and (2,0,-) as well
+    (("-e", "2", "-f", "4", "--field", "p=3", "--gram", "file:gram.json"), (), ("--budget", "0"),
+     ["(0,0)", "(1,0)", "(1,1)", "(2,1)", "(2,2)"]),
+], ids=["identity-Q", "diag-F3", "diag-F3-sampled"])
+def test_single_check_prints_its_verify_all_report(tmp_path, capsys, monkeypatch, form, samples, budget, cuts):
+    # a check run alone leaves out the strata it cannot use exactly as in
+    # verify all; the cuts of (2,0,+) and (2,0,-) have no generators over F_3
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gram.json").write_text(json.dumps(GOLDEN_GRAM))
+    form = ("--kind", "sym", *form, "--format", "json")
+    code, out, _ = run(capsys, "verify", "all", *form, *samples, *budget)
+    assert code == 0
+    reports = {(r["check"], r["tallies"].get("params")): r for r in map(json.loads, out.splitlines())}
+    assert [p for (check, p), r in reports.items()
+            if check == "equation-cut" and r["mode"] != {"kind": "skipped"}] == cuts
+    runs = [("dims", "dimensions", None, ()), ("closure", "closure-order", None, samples)]
+    runs += [("cut", "equation-cut", p, ("--params", p.strip("()"), *budget)) for p in cuts]
+    for check, name, params, options in runs:
+        code, out, _ = run(capsys, "verify", check, *form, *options)
+        assert code == 0
+        assert json.loads(out) == reports[name, params]
+
+
+def test_point_count_names_the_primes_it_leaves_out(capsys):
+    form = ("--kind", "sym", "-e", "2", "-f", "3", "--field", "p=3", "--params", "1,0")
+    code, out, _ = run(capsys, "verify", "counts", *form, "--primes", "3,5,7", "--budget", "100000",
+                       "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["mode"]["primes"] == [3, 5]
+    assert report["warnings"] == [
+        "prime 7 left out: 117649 matrices exceed the budget of 100000; raise --budget to override"
+    ]
 
 
 def test_verify_text_output_shows_warnings(capsys):

@@ -12,7 +12,10 @@ the modules it imports; and it has one way out, ``dispatch``, which alone
 picks the output format and writes stdout or ``--out``.  A ``verify``
 option that is not given is not set, so only the library states defaults.
 Only ``forms_orbits.py`` calls ``params_valid``: every other module refuses
-a bad stratum label through ``require_valid``."""
+a bad stratum label through ``require_valid``.  In ``verify.py`` only
+``_per_stratum`` and ``run_all`` catch ``StratumUnavailable``, and
+``_per_stratum`` never re-raises it, so a check leaves out a stratum it
+cannot populate whether it runs alone or in ``run_all``."""
 
 import ast
 import os
@@ -95,6 +98,22 @@ def test_strata_left_out_by_one_rule():
         and any(cls in ast.unparse(node.type) for cls in subclasses)
     ]
     assert found == []
+
+
+def test_verify_leaves_out_strata_in_one_place():
+    # _per_stratum leaves a stratum out and never re-raises; run_all alone
+    # turns the error of a whole check into a skipped report
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    catchers, raising = [], []
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None \
+                    and "StratumUnavailable" in ast.unparse(node.type):
+                catchers.append(name)
+                raising += [name for x in ast.walk(node) if isinstance(x, ast.Raise)]
+    assert catchers == ["_per_stratum", "run_all"]
+    assert raising == []
 
 
 def test_only_fields_branches_on_the_field_kind():

@@ -493,7 +493,7 @@ def test_closure_order_leaves_out_strata_without_generators_or_points():
     # over Q the identity form has Witt index 0: four strata have orbit
     # points, seven have generators, and the rest are left out one by one
     cfg = SpaceConfig(3, 4, Q, BilinearForm("symmetric", Matrix.identity(Q, 4)))
-    rep = check_closure_order(cfg, samples=2, partial=True)
+    rep = check_closure_order(cfg, samples=2)
     assert rep.status == "pass" and rep.tallies["pairs"] == 28
     left = [w.split(" left out: ")[0] for w in rep.warnings]
     assert left == [f"stratum {p}" for p in ("(1,0)", "(2,0,+)", "(2,0,-)", "(2,1)", "(3,2)")]
@@ -682,8 +682,9 @@ def test_orbit_point_pool_forms_no_isometry_matrix(monkeypatch):
     monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
     monkeypatch.setattr(forms_orbits, "random_isometry", counted_isometry)
     monkeypatch.setattr(random, "Random", SeededRandom)
-    points = verify._sample_points(cfg, 0, 0, 100)
-    assert len(points) == 100 * len(valid_params(cfg))
+    left: dict = {}
+    points = verify._sample_points(cfg, 0, 0, 100, left)
+    assert len(points) == 100 * len(valid_params(cfg)) and left == {}
     assert counts == {"matmul": 0, "isometry": 0}
     orbit_seeds = [s for s in seeds if isinstance(s, str)]  # the uniform stream is random.Random(0)
     assert orbit_seeds == [f"0:{p}:{i}" for p in valid_params(cfg)[1:] for i in range(100)]
@@ -779,6 +780,7 @@ def test_orbit_point_pool_computes_each_reflection_once(monkeypatch):
     cfg = split_config(2, 4, "symmetric", F)
     monkeypatch.setattr(verify, "_POINT_CACHE", {})
     calls = _counted(monkeypatch, F, "div")
-    points = verify._sample_points(cfg, 0, 0, 100)
-    assert len(points) == 100 * len(valid_params(cfg))
+    left: dict = {}
+    points = verify._sample_points(cfg, 0, 0, 100, left)
+    assert len(points) == 100 * len(valid_params(cfg)) and left == {}
     assert 0 < calls[0] <= 3**4
