@@ -35,6 +35,7 @@ from .verify import (
     check_dimensions,
     check_equation_cut,
     exhaustive_census,
+    guarded,
     point_count_dimension_estimate,
     run_all,
 )
@@ -251,16 +252,20 @@ def _cmd_solve_congruence(args):
             lambda: [head, _matrix_text(B), f"residual_zero: {residual_zero}"])
 
 
-# Each verify check: the options it reads, and the call that reads them.  An
-# option not given is not passed, so the library's default holds.
+# Each verify check: the options it reads, and the call that reads them, with
+# the --params stratum, or none.  An option not given is not passed, so the
+# library's default holds.  The cut of every stratum skips one the form or
+# field cannot populate, as verify all does.
 VERIFY_CHECKS = {
     "census": (("budget",), lambda config, strata, seed, **kw: [exhaustive_census(config, **kw)]),
     "cut": (("params", "budget"), lambda config, strata, seed, **kw: [
-        check_equation_cut(p, config, seed=seed, **kw) for p in strata]),
+        check_equation_cut(p, config, seed=seed, **kw) for p in strata] if strata else [
+        guarded("equation-cut", config, {"params": str(p)}, check_equation_cut, p, config, seed=seed, **kw)
+        for p in valid_params(config)]),
     "dims": ((), lambda config, strata, seed: [check_dimensions(config)]),
     "closure": (("samples",), lambda config, strata, seed, **kw: [check_closure_order(config, seed=seed, **kw)]),
     "counts": (("params", "budget", "primes"), lambda config, strata, seed, **kw: [
-        point_count_dimension_estimate(p, config, **kw) for p in strata]),
+        point_count_dimension_estimate(p, config, **kw) for p in strata or valid_params(config)]),
     "all": (("budget", "samples", "primes"), lambda config, strata, seed, **kw: run_all(config, seed=seed, **kw)),
 }
 VERIFY_OPTIONS = dict.fromkeys(name for reads, _ in VERIFY_CHECKS.values() for name in reads)
@@ -279,7 +284,7 @@ def _cmd_verify(args):
     config = resolve_config(args)
     if "primes" in given:
         given["primes"] = parse_primes_spec(given["primes"])
-    strata = [parse_params_spec(given.pop("params"))] if "params" in given else valid_params(config)
+    strata = [parse_params_spec(given.pop("params"))] if "params" in given else []
     reports = run(config, strata, args.seed, **given)
     docs = [r.to_json(include_timing=args.timing) for r in reports]
 

@@ -247,6 +247,28 @@ class Polynomial:
             raise DimensionMismatch("wrong number of values for substitution")
         return self.field.polyval(self.compiled(), values)
 
+    def substitute(self, images) -> "Polynomial":
+        """Exact substitution x_i -> images[i], polynomials of one ring over
+        this field: sum of c * prod images[i]^k_i, in the images' ring."""
+        if len(images) != self.nvars:
+            raise DimensionMismatch("wrong number of images for substitution")
+        nvars = images[0].nvars if images else 0
+        if any(p.field != self.field or p.nvars != nvars for p in images):
+            raise DimensionMismatch("images live in different rings")
+        F, degrees = self.field, [max(p.degree(), 0) for p in images]
+        out: dict = {}
+        for m, c in self.terms.items():
+            exps = _unpack(m, self.nvars)
+            if sum(map(int.__mul__, exps, degrees)) > MAX_DEGREE:
+                raise ExponentOutOfRange(f"substituted degree exceeds {MAX_DEGREE}")
+            factors = [images[i].terms for i, k in enumerate(exps) for _ in range(k)]
+            acc = {0: c}
+            for factor in factors[:-1]:
+                acc, prev = {}, acc
+                _add_product(F, acc, prev, factor)
+            _add_product(F, out, acc, factors[-1] if factors else {0: F.one})
+        return Polynomial._packed(F, nvars, _nonzero(out, F.zero))
+
     # ------------------------------------------------------------ rendering
 
     def _var_name(self, i: int, ncols: int) -> str:

@@ -7,26 +7,33 @@ entries (row-major, last entry fastest), so positions, tables and
 witnesses agree between checks; :func:`_entries_at` decodes a position.
 
 The stratum of a matrix depends only on its row space W: r1 = dim W, r2
-is the rank of the form on W, and the sign is read off dim(W meet L0).
-The classification table therefore never reduces a matrix: it is
-composed one row at a time, since the row space of (v_1, ..., v_e) is
-the join of span(v_1..v_(e-1)) with v_e.  Every subspace S met as a
-prefix gets one cached row of joins over all vectors, built per coset of
-S: the join depends only on the residual of v modulo S, so each residual
-is reduced once and its join written at every vector of its coset.  The
-last level of joins becomes rows of stratum codes, and the table is those
-byte rows joined in odometer order; each distinct row space is classified
-once.  The table is cached per configuration, and the budget gates every
-read of it.
+is the rank of the form on W, and the sign is read off dim(W meet L0);
+and exactly prod over i < dim W of (q^e - q^i) matrices share W.  So the
+exhaustive checks sweep row spaces, not matrices:
+:func:`_row_space_strata` classifies each reduced row-echelon basis of
+dimension at most min(e, f) once, and the census and the point counts
+sum those weights per stratum.  The per-matrix classification table
+takes its strata from the same classifier and is composed one row at a
+time, since the row space of (v_1, ..., v_e) is the join of
+span(v_1..v_(e-1)) with v_e; the checks read it only to name the first
+matrix, in odometer order, of a failure.  Both are cached per
+configuration, and the budget on q^(ef) gates every read.
 
-The exhaustive equation cut is composed row by row as well
-(:func:`_vanish_rows`): each generator, restricted to the last row, has
-coefficients evaluated once per prefix by the field's ``polyval`` and one
-cached zero row per scaled coefficient vector, so no generator is
-evaluated per matrix, yet every matrix gets its own verdict.  The sampled
-checks (sampled cuts, closure order) read one labelled sample pool,
-:func:`_sample_points`: seeded uniform and orbit points, each drawn and
-labelled once per process, as flat entry tuples with their stratum.
+The exhaustive equation cut sums over row spaces as well, once
+:func:`_moved_generator` has proven the span of the generators stable
+under generators of GL_e(F_q): the zero set is then a union of row-space
+classes, so the verdict at a basis holds at every matrix with that row
+space.  An unstable span is cut matrix by matrix, with a warning, by
+:func:`_vanish_rows`: each generator, restricted to the last row, has
+coefficients evaluated once per prefix by the field's ``polyval`` and
+one cached zero row per scaled coefficient vector.  The same sweep finds
+the first mismatch of a failing cut, so witnesses do not depend on which
+sum counted them.
+
+The sampled checks (sampled cuts, closure order) read one labelled
+sample pool, :func:`_sample_points`: seeded uniform and orbit points,
+each drawn and labelled once per process, as flat entry tuples with
+their stratum.
 :func:`_vanishing` reads the one vanishing verdict at each such point,
 :meth:`GeneratorSet.vanishes_at`, and the two checks differ only in how
 they reduce the verdicts.  Every per-stratum value is built by
@@ -39,9 +46,9 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
-from .equations import GeneratorSet, generators_for
+from .equations import GeneratorSet, Polynomial, generators_for
 from .errors import BudgetExceeded, InvalidParams, StratumUnavailable
 from .forms_orbits import (
     OrbitParams,
@@ -97,7 +104,7 @@ class VerificationReport(Record):
 # --------------------------------------------------------------------------
 # exhaustive classification of a full matrix space, cached per config
 
-_CLASS_CACHE: dict = {}
+_CLASS_CACHE: dict = {}  # config -> classification table; ("row-spaces", config) -> row-space strata
 _POINT_CACHE: dict = {}  # config -> {seed string: flat entries of an orbit point}
 
 
@@ -126,6 +133,49 @@ def _rows(config: SpaceConfig, entries) -> list:
     return [[render(v) for v in entries[i * f : (i + 1) * f]] for i in range(config.e)]
 
 
+def _row_space_strata(config: SpaceConfig, budget: int = DEFAULT_BUDGET) -> dict:
+    """{W: stratum} over the row spaces of the e x f matrices, that is every
+    subspace W of F^f of dimension at most min(e, f), each as its reduced
+    row-echelon basis (a tuple of rows), with the stratum ``classify``
+    gives that basis padded with zero rows.  The exhaustive checks
+    classify here and nowhere else.  Cached per configuration; the budget
+    gates every read."""
+    enumeration_space(config, budget)
+    key = ("row-spaces", config)
+    strata = _CLASS_CACHE.get(key)
+    if strata is None:
+        F, e, f = config.field, config.e, config.f
+        zero, elements = F.zero, list(F.elements())
+        strata = _CLASS_CACHE[key] = {}
+        for d in range(min(e, f) + 1):
+            for pivots in combinations(range(f), d):
+                rows = [[zero] * c + [F.one] + [zero] * (f - 1 - c) for c in pivots]
+                free = [(i, j) for i, c in enumerate(pivots) for j in range(c + 1, f) if j not in pivots]
+                for values in product(elements, repeat=len(free)):
+                    for (i, j), x in zip(free, values):
+                        rows[i][j] = x
+                    basis = tuple(map(tuple, rows))
+                    strata[basis] = classify(Matrix(F, [*basis, *[(zero,) * f] * (e - d)], e, f), config)
+    return strata
+
+
+def _space_weights(config: SpaceConfig) -> list:
+    """Entry d: the number of e x f matrices with a given row space of
+    dimension d, prod over i < d of (q^e - q^i)."""
+    q, weights = config.field.order, [1]
+    for i in range(min(config.e, config.f)):
+        weights.append(weights[-1] * (q ** config.e - q ** i))
+    return weights
+
+
+def _stratum_sizes(config: SpaceConfig, budget: int = DEFAULT_BUDGET) -> dict:
+    """{stratum: number of e x f matrices in it}, summed over row spaces."""
+    weights, sizes = _space_weights(config), {}
+    for space, params in _row_space_strata(config, budget).items():
+        sizes[params] = sizes.get(params, 0) + weights[len(space)]
+    return sizes
+
+
 def classification_table(config: SpaceConfig, budget: int = DEFAULT_BUDGET):
     """(classes, codes): stratum labels and, for every matrix in odometer
     order, the index of its stratum in ``classes``.  Raises
@@ -142,11 +192,11 @@ def classification_table(config: SpaceConfig, budget: int = DEFAULT_BUDGET):
     residual's space is written at every v = r + sum a_i b_i of its coset,
     at positions summed from the digits of each entry in ``elements()``.
     Prefixes are composed level by level, and each distinct last-level row
-    becomes bytes of stratum codes.  ``classify`` runs on the padded basis
-    of each row space the first time it is met in odometer order, so
-    unexpected strata are appended in that order.
+    becomes bytes of stratum codes.  Each row space takes its stratum from
+    :func:`_row_space_strata`; strata outside ``valid_params`` are
+    appended in order of first occurrence in odometer order.
     """
-    enumeration_space(config, budget)
+    strata = _row_space_strata(config, budget)
     cached = _CLASS_CACHE.get(config)
     if cached is not None:
         return cached
@@ -198,8 +248,7 @@ def classification_table(config: SpaceConfig, budget: int = DEFAULT_BUDGET):
         row = join_row(prefix)
         for space in row:
             if space not in code_of:
-                padded = [*space, *[(zero,) * f] * (e - len(space))]
-                params = classify(Matrix(F, padded, e, f), config)
+                params = strata[space]
                 code = index.get(params)
                 if code is None:  # defensive: record unexpected strata
                     index[params] = code = len(classes)
@@ -268,6 +317,85 @@ def _vanish_rows(gens: GeneratorSet, config: SpaceConfig):
         yield vanish
 
 
+def _gl_generators(config: SpaceConfig):
+    """Generators of GL_e(F_q) acting on the left, Phi -> g Phi, each as
+    (its e x e rows, the row it moves, the images of the coordinates
+    x_ij): the transvections I + E_ij (row i gains row j) for i != j, then
+    diag(lam, 1, ..., 1) for the first generator lam of F_q^x in
+    ``elements()``.  They generate GL_e(F_q) over any F_q: conjugating by
+    powers of the diagonal one scales E_0j and E_i0 by powers of lam,
+    whose sums are all of F_q, and commutators of those reach every
+    I + c E_ij."""
+    F, e, f = config.field, config.e, config.f
+    q, x = F.order, [Polynomial.variable(F, e * f, i) for i in range(e * f)]
+    primes = [r for r in range(2, q) if (q - 1) % r == 0 and all(r % s for s in range(2, r))]
+    lam = next(a for a in F.elements() if a != F.zero and all(F.pow(a, (q - 1) // r) != F.one for r in primes))
+    for i, j in [*((i, j) for i in range(e) for j in range(e) if i != j), (0, 0)]:
+        rows = [[F.one if k == l else F.zero for l in range(e)] for k in range(e)]
+        rows[i][j] = lam if i == j else F.one
+        images = x[:]
+        for k in range(f):
+            images[i * f + k] = x[k].scale(lam) if i == j else x[i * f + k] + x[j * f + k]
+        yield rows, i, images
+
+
+def _moved_generator(gens: GeneratorSet, config: SpaceConfig):
+    """None when the span of the generators is proven stable under
+    GL_e(F_q): each generator, substituted by each of
+    :func:`_gl_generators`, reduces to zero against the span's reduced
+    row-echelon basis over the generators' monomials.  Otherwise (the
+    first generator moved out of the span, the rows of the group generator
+    that moves it)."""
+    F, f = config.field, config.f
+    polys = [g.poly for g in gens]
+    column = {m: k for k, m in enumerate(dict.fromkeys(m for p in polys for m in p.terms))}
+
+    def coefficients(p):  # None when p has a monomial that no generator has
+        row = [F.zero] * len(column)
+        for m, c in p.terms.items():
+            if m not in column:
+                return None
+            row[column[m]] = c
+        return row
+
+    basis = [coefficients(p) for p in polys]
+    pivots, _ = echelon(F, basis)
+    basis = basis[: len(pivots)]
+    touched = [{i // f for _, idxs in p.compiled() for i in idxs} for p in polys]
+    for rows, moved, images in _gl_generators(config):
+        for g, p, at in zip(gens, polys, touched):
+            if moved not in at:
+                continue  # the group generator fixes every variable of g
+            row = coefficients(p.substitute(images))
+            if row is None or F.lincomb([row[c] for c in pivots], basis, len(column)) != row:
+                return g, rows
+    return None
+
+
+def _per_matrix_cut(params: OrbitParams, gens: GeneratorSet, config: SpaceConfig, budget: int, first_only: bool):
+    """(locus, vanishing, mismatches, first) of the cut at every matrix, in
+    odometer order: the rows of :func:`_vanish_rows` against the codes of
+    :func:`classification_table`.  ``first`` is (entries, in locus) of
+    the first mismatch, or None; with ``first_only`` the sweep stops
+    there, and the counts cover only the rows read."""
+    classes, codes = classification_table(config, budget)
+    member = bytes(closure_leq(c, params, config) for c in classes).ljust(256, b"\0")
+    width, pos = config.field.order ** config.f, None
+    n_locus = n_vanish = mismatches = 0
+    for k, vanish in enumerate(_vanish_rows(gens, config)):
+        locus = codes[k * width : (k + 1) * width].translate(member)  # same layout as vanish
+        diff = vanish ^ int.from_bytes(locus, "big")
+        n_locus += locus.count(1)
+        n_vanish += vanish.bit_count()
+        mismatches += diff.bit_count()
+        if diff and pos is None:  # the first mismatch is the highest set byte
+            pos = (k + 1) * width - 1 - (diff.bit_length() - 1) // 8
+            if first_only:
+                break
+    first = None if pos is None else (_entries_at(config, pos), bool(member[codes[pos]]))
+    return n_locus, n_vanish, mismatches, first
+
+
 def _per_stratum(config: SpaceConfig, build, left: dict) -> dict:
     """``{p: build(p)}`` over the strata of ``config``, in order.  Where
     ``build`` raises StratumUnavailable, leave the stratum out and set
@@ -333,30 +461,33 @@ def exhaustive_census(
     budget: int = DEFAULT_BUDGET,
     valid_params_override=None,
 ) -> VerificationReport:
-    """Classify every matrix of the space and tally per stratum; every
-    matrix must land in an admissible stratum, and the strata of each rank
-    r1 must together hold :func:`_rank_count` matrices."""
+    """Tally every matrix of the space per stratum, summed over row spaces
+    (:func:`_stratum_sizes`); every matrix must land in an admissible
+    stratum, and the strata of each rank r1 must together hold
+    :func:`_rank_count` matrices.  A stray matrix is reported as the
+    first in odometer order, read off :func:`classification_table`."""
     t0 = time.perf_counter()
-    classes, codes = classification_table(config, budget)
-    counts = [codes.count(i) for i in range(len(classes))]
+    space = enumeration_space(config, budget)
+    sizes = _stratum_sizes(config, budget)
     expected = set(valid_params_override if valid_params_override is not None else valid_params(config))
-    tallies = {str(classes[i]): counts[i] for i in range(len(classes)) if counts[i]}
     by_rank = [0] * (min(config.e, config.f) + 1)
-    for c, cnt in zip(classes, counts):
+    for c, cnt in sizes.items():
         by_rank[c.r1] += cnt
     witness = None
-    stray = next((i for i, cnt in enumerate(counts) if cnt and classes[i] not in expected), None)
     off = next((r for r, cnt in enumerate(by_rank) if cnt != _rank_count(config, r)), None)
-    if stray is not None:
+    if any(c not in expected for c in sizes):
+        classes, codes = classification_table(config, budget)
+        stray = next(i for i, c in enumerate(classes) if c in sizes and c not in expected)
         witness = {"reason": "matrix classified outside the admissible strata", "params": str(classes[stray]),
                    "matrix": _rows(config, _entries_at(config, codes.index(stray)))}
     elif off is not None:
         witness = {"reason": "strata of rank r1 do not hold every matrix of that rank", "r1": off,
                    "tally": by_rank[off], "expected": _rank_count(config, off)}
     status = "pass" if witness is None else "fail"
-    tallies["total"] = sum(counts)
+    tallies = {str(c): cnt for c, cnt in sizes.items()}
+    tallies["total"] = sum(sizes.values())
     return _report(
-        "census", config, {"kind": "exhaustive", "space": len(codes)}, status, witness, tallies, [], t0
+        "census", config, {"kind": "exhaustive", "space": space}, status, witness, tallies, [], t0
     )
 
 
@@ -379,7 +510,7 @@ def check_equation_cut(
     gens = generators_override if generators_override is not None else generators_for(params, config)
     warnings = []
     try:
-        classes, codes = classification_table(config, budget)
+        space = enumeration_space(config, budget)
     except BudgetExceeded as exc:
         warnings.append(f"{exc}; falling back to sampled mode")
         left: dict = {}
@@ -391,19 +522,25 @@ def check_equation_cut(
         mismatches, first = len(misses), (misses[0] if misses else None)
         mode = {"kind": "sampled", "n": len(points), "seed": seed}
     else:
-        member = bytes(closure_leq(c, params, config) for c in classes).ljust(256, b"\0")
-        width, pos = config.field.order ** config.f, None
-        n_locus = n_vanish = mismatches = 0
-        for k, vanish in enumerate(_vanish_rows(gens, config)):
-            locus = codes[k * width : (k + 1) * width].translate(member)  # same layout as vanish
-            diff = vanish ^ int.from_bytes(locus, "big")
-            n_locus += locus.count(1)
-            n_vanish += vanish.bit_count()
-            mismatches += diff.bit_count()
-            if diff and pos is None:  # the first mismatch is the highest set byte
-                pos = (k + 1) * width - 1 - (diff.bit_length() - 1) // 8
-        first = None if pos is None else (_entries_at(config, pos), bool(member[codes[pos]]))
-        mode = {"kind": "exhaustive", "space": len(codes)}
+        moved = _moved_generator(gens, config)
+        if moved is None:  # the zero set is a union of row-space classes: sum over row spaces
+            strata, weights, zero = _row_space_strata(config, budget), _space_weights(config), config.field.zero
+            member = {c: closure_leq(c, params, config) for c in set(strata.values())}
+            n_locus = n_vanish = mismatches = 0
+            for W, c in strata.items():
+                n, m = weights[len(W)], member[c]
+                v = gens.vanishes_at([x for row in W for x in row] + [zero] * (config.f * (config.e - len(W))))
+                n_locus += n * m
+                n_vanish += n * v
+                mismatches += n * (m != v)
+            first = _per_matrix_cut(params, gens, config, budget, True)[3] if mismatches else None
+        else:
+            g, rows = moved
+            shown = "; ".join(" ".join(map(config.field.render, row)) for row in rows)
+            warnings.append(f"generator {g.label_text()} leaves the span of the set under g = [{shown}], "
+                            "so the cut is evaluated matrix by matrix")
+            n_locus, n_vanish, mismatches, first = _per_matrix_cut(params, gens, config, budget, False)
+        mode = {"kind": "exhaustive", "space": space}
     witness = None if first is None else {
         "reason": "zero set disagrees with the rank-condition locus", "in_locus": first[1],
         "generators_vanish": not first[1], "matrix": _rows(config, first[0]),
@@ -523,8 +660,7 @@ def point_count_dimension_estimate(
         raise BudgetExceeded("need at least two admissible primes within budget")
     counts = {}
     for q, cfg_q in admissible:
-        classes, codes = classification_table(cfg_q, budget)
-        counts[q] = sum(codes.count(i) for i, c in enumerate(classes) if closure_leq(c, params, cfg_q))
+        counts[q] = sum(n for c, n in _stratum_sizes(cfg_q, budget).items() if closure_leq(c, params, cfg_q))
     dim_fn = dim_override if dim_override is not None else dimension
     dim = dim_fn(params, config)
     qs = [q for q, _ in admissible]
@@ -544,6 +680,18 @@ def point_count_dimension_estimate(
     )
 
 
+def guarded(name: str, config: SpaceConfig, tallies: dict, check, *args, **kwargs) -> VerificationReport:
+    """``check(*args, **kwargs)``; when the check cannot run on this space
+    (over budget, an infinite field, too small a Witt index, an involution
+    eigenvalue outside the field), a skipped warning report ``name`` with
+    ``tallies`` and the error's message instead."""
+    t0 = time.perf_counter()
+    try:
+        return check(*args, **kwargs)
+    except (BudgetExceeded, StratumUnavailable) as exc:
+        return _report(name, config, {"kind": "skipped"}, "warn", None, tallies, [str(exc)], t0)
+
+
 def run_all(
     config: SpaceConfig,
     budget: int = DEFAULT_BUDGET,
@@ -557,22 +705,14 @@ def run_all(
     eigenvalue outside the field) degrades to a skipped warning carrying
     the error's message instead of aborting the batch.  Each check leaves
     out the strata and primes it cannot use, with one warning each, as it
-    does when run alone."""
-
-    def guarded(name, tallies, check, *args, **kwargs):
-        t0 = time.perf_counter()
-        try:
-            return check(*args, **kwargs)
-        except (BudgetExceeded, StratumUnavailable) as exc:
-            return _report(name, config, {"kind": "skipped"}, "warn", None, tallies, [str(exc)], t0)
-
+    does when run alone; each check goes through :func:`guarded`."""
     strata = valid_params(config)
     return [
-        guarded("census", {}, exhaustive_census, config, budget),
-        guarded("dimensions", {}, check_dimensions, config),
-        guarded("closure-order", {}, check_closure_order, config, samples=samples, seed=seed),
-        *(guarded("equation-cut", {"params": str(p)}, check_equation_cut, p, config, budget=budget, seed=seed)
-          for p in strata),
-        *(guarded("point-count", {"params": str(p)}, point_count_dimension_estimate, p, config, primes, budget)
-          for p in strata),
+        guarded("census", config, {}, exhaustive_census, config, budget),
+        guarded("dimensions", config, {}, check_dimensions, config),
+        guarded("closure-order", config, {}, check_closure_order, config, samples=samples, seed=seed),
+        *(guarded("equation-cut", config, {"params": str(p)}, check_equation_cut, p, config, budget=budget,
+                  seed=seed) for p in strata),
+        *(guarded("point-count", config, {"params": str(p)}, point_count_dimension_estimate, p, config, primes,
+                  budget) for p in strata),
     ]

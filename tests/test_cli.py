@@ -340,6 +340,30 @@ def test_single_check_prints_its_verify_all_report(tmp_path, capsys, monkeypatch
         assert json.loads(out) == reports[name, params]
 
 
+def test_cut_of_every_stratum_skips_the_strata_verify_all_skips(tmp_path, capsys, monkeypatch):
+    # on diag(1,1,1,2) over F_3, (2,0,+) and (2,0,-) have no generators: the
+    # cut of every stratum prints the seven cut reports of verify all
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gram.json").write_text(json.dumps(GOLDEN_GRAM))
+    form = ("--kind", "sym", "-e", "2", "-f", "4", "--field", "p=3", "--gram", "file:gram.json")
+    for fmt in ("json", "text"):
+        _, every, _ = run(capsys, "verify", "all", *form, "--format", fmt)
+        code, out, err = run(capsys, "verify", "cut", *form, "--format", fmt)
+        assert (code, err) == (0, "")
+        blocks, keep = [], True  # verify all's header and cut reports, each with its warnings
+        for line in every.splitlines():
+            keep = keep if line.startswith(" ") else line.startswith("#") or "equation-cut" in line
+            blocks += [line] if keep else []
+        assert out.splitlines() == blocks
+        assert sum("equation-cut" in line for line in blocks) == 7
+    _, out, _ = run(capsys, "verify", "cut", *form, "--format", "json")
+    skipped = [r["tallies"]["params"] for r in map(json.loads, out.splitlines()) if r["mode"]["kind"] == "skipped"]
+    assert skipped == ["(2,0,+)", "(2,0,-)"]
+    # the stratum asked for is not skipped
+    code, _, err = run(capsys, "verify", "cut", *form, "--params", "2,0,+")
+    assert code == 1 and json.loads(err)["error"] == "EigenvalueNotInField"
+
+
 def test_point_count_names_the_primes_it_leaves_out(capsys):
     form = ("--kind", "sym", "-e", "2", "-f", "3", "--field", "p=3", "--params", "1,0")
     code, out, _ = run(capsys, "verify", "counts", *form, "--primes", "3,5,7", "--budget", "100000",

@@ -151,6 +151,54 @@ def test_oversize_exponent_raises():
         x * x
 
 
+def _random_images(rng, nvars, ring_vars, field):
+    """``nvars`` random polynomials of degree at most 2 in ``ring_vars`` variables."""
+    images = []
+    for _ in range(nvars):
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            exps = [0] * ring_vars
+            for _ in range(rng.randint(0, 2)):
+                exps[rng.randrange(ring_vars)] += 1
+            terms[tuple(exps)] = field.from_int(rng.randint(-3, 3))
+        images.append(Polynomial(field, ring_vars, terms))
+    return images
+
+
+@pytest.mark.parametrize("field", [Q, F7], ids=["Q", "F7"])
+def test_substitute_matches_polynomial_arithmetic(field):
+    # sum of c * prod images[i]^k_i, built with + and *, into a ring of
+    # another size; the variables themselves substitute to the polynomial
+    rng = random.Random(21)
+    for nvars, ring_vars in ((1, 1), (3, 2), (4, 6)):
+        for _ in range(40):
+            poly = Polynomial(field, nvars, _random_dense_terms(rng, nvars, field))
+            images = _random_images(rng, nvars, ring_vars, field)
+            expected = Polynomial.zero(field, ring_vars)
+            for exps, c in poly.sorted_terms():
+                term = Polynomial.constant(field, ring_vars, c)
+                for i, k in enumerate(exps):
+                    for _ in range(k):
+                        term = term * images[i]
+                expected = expected + term
+            assert poly.substitute(images) == expected
+            assert poly.substitute([Polynomial.variable(field, nvars, i) for i in range(nvars)]) == poly
+
+
+def test_substitute_refusals():
+    x = Polynomial.variable(Q, 2, 0)
+    with pytest.raises(DimensionMismatch):
+        x.substitute([x])
+    with pytest.raises(DimensionMismatch):
+        x.substitute([x, Polynomial.variable(Q, 3, 0)])
+    with pytest.raises(DimensionMismatch):
+        x.substitute([Polynomial.variable(F7, 2, 0)] * 2)
+    high = Polynomial(Q, 1, {(200,): Q.one})
+    with pytest.raises(ExponentOutOfRange):
+        Polynomial(Q, 1, {(2,): Q.one}).substitute([high])
+    assert Polynomial.constant(Q, 0, Q.one).substitute([]) == Polynomial.constant(Q, 0, Q.one)
+
+
 # ---------------------------------------------------------------- sympy oracle
 
 def _sympy_terms(sympy, expr, symbols, field):
@@ -214,6 +262,22 @@ def test_gram_pfaffian_matches_sympy(field):
     assert pfaffian.label == ("gram-pfaffian", (0, 1, 2, 3))
     assert dict(pfaffian.poly.sorted_terms()) == _sympy_terms(sympy, pf, symbols, field)
     assert poly_pfaffian(generic_gram_map(cfg)) == pfaffian.poly
+
+
+def test_substitute_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(22)
+    xs, ys = sympy.symbols("x0:3"), sympy.symbols("y0:2")
+
+    def expr(poly, symbols):
+        return sympy.Add(*(sympy.Rational(c.numerator, c.denominator) * sympy.prod(s**k for s, k in zip(symbols, exps))
+                           for exps, c in poly.sorted_terms()))
+
+    for _ in range(30):
+        poly = Polynomial(Q, 3, _random_dense_terms(rng, 3, Q))
+        images = _random_images(rng, 3, 2, Q)
+        expected = sympy.expand(expr(poly, xs).subs(dict(zip(xs, [expr(p, ys) for p in images])), simultaneous=True))
+        assert sympy.expand(expr(poly.substitute(images), ys) - expected) == 0
 
 
 # ---------------------------------------------------------------- rank-condition generators

@@ -13,9 +13,11 @@ picks the output format and writes stdout or ``--out``.  A ``verify``
 option that is not given is not set, so only the library states defaults.
 Only ``forms_orbits.py`` calls ``params_valid``: every other module refuses
 a bad stratum label through ``require_valid``.  In ``verify.py`` only
-``_per_stratum`` and ``run_all`` catch ``StratumUnavailable``, and
+``_per_stratum`` and ``guarded`` catch ``StratumUnavailable``, and
 ``_per_stratum`` never re-raises it, so a check leaves out a stratum it
-cannot populate whether it runs alone or in ``run_all``."""
+cannot populate whether it runs alone or in ``run_all``.  ``verify.py``
+calls ``classify`` in two places only: the row-space classifier of the
+exhaustive checks and the uniform draws of the sample pool."""
 
 import ast
 import os
@@ -101,7 +103,7 @@ def test_strata_left_out_by_one_rule():
 
 
 def test_verify_leaves_out_strata_in_one_place():
-    # _per_stratum leaves a stratum out and never re-raises; run_all alone
+    # _per_stratum leaves a stratum out and never re-raises; guarded alone
     # turns the error of a whole check into a skipped report
     tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
     catchers, raising = [], []
@@ -112,8 +114,19 @@ def test_verify_leaves_out_strata_in_one_place():
                     and "StratumUnavailable" in ast.unparse(node.type):
                 catchers.append(name)
                 raising += [name for x in ast.walk(node) if isinstance(x, ast.Raise)]
-    assert catchers == ["_per_stratum", "run_all"]
+    assert catchers == ["_per_stratum", "guarded"]
     assert raising == []
+
+
+def test_verify_classifies_in_two_places():
+    # every exhaustive check reads row spaces classified once by
+    # _row_space_strata; only the sample pool's uniform draws classify too
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    callers = [
+        getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "classify"
+    ]
+    assert callers == ["_row_space_strata", "_sample_points"]
 
 
 def test_only_fields_branches_on_the_field_kind():

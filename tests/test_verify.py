@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from isodet.errors import BudgetExceeded, InvalidParams
+from isodet.errors import BudgetExceeded, InvalidParams, StratumUnavailable
 from isodet.fields import field_create
 from isodet.forms_orbits import (
     BilinearForm,
@@ -343,8 +343,9 @@ CUT_ORACLE_CONFIGS = [
          "sym-e2f4-F3-identity", "alt-e1f4-F9"],
 )
 def test_row_cut_matches_per_point_oracle(config):
+    # every set is proven GL_e-stable, so the tallies are row-space sums
     for params in valid_params(config):
-        _assert_cut_matches_oracle(params, config)
+        assert _assert_cut_matches_oracle(params, config).warnings == []
 
 
 def test_row_cut_matches_oracle_on_sampled_positions():
@@ -431,6 +432,129 @@ def test_row_cut_matches_oracle_on_mutated_generators(config, params, dropped):
         "dropped-minor": dropped, "empty": "fail", "zero-polynomial": "pass", "non-zero-constant": "fail",
         "minor-plus-one": "fail", "minor-times-3": times_3, "duplicated": "pass",
     }
+
+
+def _diag_1112(field):
+    # Witt index 1 over F_3, where 1/det K = 2 is not a square
+    gram = Matrix.from_ints(field, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])
+    return SpaceConfig(2, 4, field, BilinearForm("symmetric", gram))
+
+
+ROW_SPACE_CONFIGS = [*CUT_ORACLE_CONFIGS, split_config(2, 3, "symmetric", F9), _diag_1112(F3)]
+ROW_SPACE_IDS = ["sym-e2f3-F7", "sym-e2f4-F3", "alt-e2f4-F3", "sym-e3f3-F3", "sym-e1f4-F5",
+                 "sym-e2f4-F3-identity", "alt-e1f4-F9", "sym-e2f3-F9", "sym-e2f4-F3-diag1112"]
+
+
+@pytest.mark.parametrize("config", ROW_SPACE_CONFIGS, ids=ROW_SPACE_IDS)
+def test_row_space_tallies_match_the_table(config):
+    # census tallies and every locus count, summed over row spaces, equal
+    # the per-matrix table's
+    classes, codes = classification_table(config)
+    table = {c: codes.count(i) for i, c in enumerate(classes) if codes.count(i)}
+    rep = exhaustive_census(config)
+    assert rep.status == "pass"
+    assert rep.tallies == {**{str(c): n for c, n in table.items()}, "total": len(codes)}
+    sizes = verify._stratum_sizes(config)
+    assert sizes == table
+    for params in valid_params(config):
+        locus = sum(n for c, n in table.items() if closure_leq(c, params, config))
+        assert sum(n for c, n in sizes.items() if closure_leq(c, params, config)) == locus, str(params)
+
+
+def test_point_counts_match_the_table():
+    for cfg in (split_config(2, 3, "symmetric", F3), split_config(2, 4, "alternating", F3),
+                split_config(2, 4, "symmetric", F3)):
+        tables = {q: classification_table(split_config(cfg.e, cfg.f, cfg.kind, field_create("prime", q)))
+                  for q in (3, 5)}
+        for params in valid_params(cfg):
+            rep = point_count_dimension_estimate(params, cfg, primes=(3, 5))
+            expected = {str(q): sum(codes.count(i) for i, c in enumerate(classes) if closure_leq(c, params, cfg))
+                        for q, (classes, codes) in tables.items()}
+            assert rep.tallies["counts"] == expected, str(params)
+
+
+@pytest.mark.parametrize("config", ROW_SPACE_CONFIGS[-2:], ids=ROW_SPACE_IDS[-2:])
+def test_row_space_cut_matches_the_per_matrix_cut(config):
+    # every real generator set is proven stable, so each cut sums over row
+    # spaces, with no warning; over F_9 the per-point oracle would take
+    # minutes, so the row-by-row per-matrix cut stands in for it
+    for params in valid_params(config):
+        try:
+            gens = generators_for(params, config)
+        except StratumUnavailable:
+            continue
+        rep = check_equation_cut(params, config)
+        assert rep.warnings == [] and rep.status == "pass", str(params)
+        if config.field.order == 3:
+            assert (rep.tallies, rep.witness) == _per_point_cut(params, config, gens)[:2]
+        else:
+            locus, vanishing, mismatches, first = verify._per_matrix_cut(params, gens, config, 10**7, False)
+            assert rep.tallies == {"params": str(params), "generators": len(gens), "locus": locus,
+                                   "vanishing": vanishing, "mismatches": mismatches}
+            assert first is None
+
+
+def _without(config, params, label):
+    gens = generators_for(params, config)
+    kept = [g for g in gens if g.label != label]
+    assert len(kept) == len(gens) - 1
+    return GeneratorSet(config, kept)
+
+
+def test_stable_mutant_sums_over_row_spaces_and_keeps_the_first_witness():
+    # on e = 2 every 2-minor spans a GL_2-stable line (g scales it by det g)
+    cfg = split_config(2, 4, "alternating", F3)
+    params = OrbitParams(1, 0)
+    gens = _without(cfg, params, ("minor", (0, 1), (0, 2)))
+    assert verify._moved_generator(gens, cfg) is None
+    rep = _assert_cut_matches_oracle(params, cfg, gens)
+    assert rep.warnings == []
+    assert rep.witness["matrix"] == [["0", "0", "1", "0"], ["1", "0", "0", "0"]]
+
+
+def test_unstable_mutant_is_cut_matrix_by_matrix():
+    # without one 2-minor on rows (0,1), a transvection moves a minor on
+    # rows (1,2) out of the span; a sum over row spaces would report 624
+    # mismatches, the matrices themselves hold 48
+    cfg = split_config(3, 3, "symmetric", F3)
+    params = OrbitParams(1, 1)
+    gens = _without(cfg, params, ("minor", (0, 1), (0, 1)))
+    moved, g = verify._moved_generator(gens, cfg)
+    assert (moved.label, g) == (("minor", (1, 2), (0, 1)), [[1, 0, 0], [0, 1, 0], [1, 0, 1]])
+    rep = _assert_cut_matches_oracle(params, cfg, gens)
+    assert rep.tallies["mismatches"] == 48
+    assert rep.warnings == ["generator minor([1,2],[0,1]) leaves the span of the set under g = [1 0 0; 0 1 0; 1 0 1], "
+                            "so the cut is evaluated matrix by matrix"]
+
+
+STABILITY_CONFIGS = [split_config(e, f, kind, F) for F in (F3, F5, F7, F9)
+                     for kind, e, f in (("symmetric", 2, 3), ("symmetric", 2, 4), ("alternating", 2, 4))]
+STABILITY_CONFIGS += [_diag_1112(F3), _diag_1112(F9)]
+
+
+@pytest.mark.parametrize("config", STABILITY_CONFIGS, ids=[
+    f"{c.kind[:3]}-e{c.e}f{c.f}-{c.field.order}" for c in STABILITY_CONFIGS[:-2]] + ["diag1112-F3", "diag1112-F9"])
+def test_every_generator_set_is_proven_stable(config):
+    # no golden cut gains a warning: each real set spans a GL_e-stable space
+    for params in valid_params(config):
+        try:
+            gens = generators_for(params, config)
+        except StratumUnavailable:
+            continue
+        assert verify._moved_generator(gens, config) is None, str(params)
+
+
+def test_non_homogeneous_mutant_is_unstable():
+    # minor + 1: diag(lam, 1) scales the minor, not the constant
+    for cfg, params in ((split_config(2, 4, "alternating", F3), OrbitParams(1, 0)),
+                        (split_config(2, 3, "symmetric", F9), OrbitParams(1, 1))):
+        gens = list(generators_for(params, cfg))
+        k = next(i for i, g in enumerate(gens) if g.label == ("minor", (0, 1), (0, 2)))
+        one = Polynomial.constant(cfg.field, cfg.e * cfg.f, cfg.field.one)
+        gens[k] = Generator(gens[k].label, gens[k].poly + one)
+        moved, g = verify._moved_generator(GeneratorSet(cfg, gens), cfg)
+        assert moved.label == ("minor", (0, 1), (0, 2))
+        assert g[1][1] == cfg.field.one and g[0][0] not in (cfg.field.zero, cfg.field.one)
 
 
 def test_check_dimensions_pass_and_mutation():
