@@ -3,8 +3,8 @@ sampling that tie every formula in the library back to an independent
 check, emitting machine-readable reports.
 
 Every exhaustive check reads the space in one odometer order over the
-entries (row-major, last entry fastest), so positions, tables and
-witnesses agree between checks; :func:`_entries_at` decodes a position.
+entries (row-major, last entry fastest), :func:`_odometer`, so positions,
+tables and witnesses agree between checks.
 
 The stratum of a matrix depends only on its row space W: r1 = dim W, r2
 is the rank of the form on W, and the sign is read off dim(W meet L0);
@@ -15,20 +15,19 @@ dimension at most min(e, f) once, and the census and the point counts
 sum those weights per stratum.  The per-matrix classification table
 takes its strata from the same classifier and is composed one row at a
 time, since the row space of (v_1, ..., v_e) is the join of
-span(v_1..v_(e-1)) with v_e; the checks read it only to name the first
-matrix, in odometer order, of a failure.  Both are cached per
-configuration, and the budget on q^(ef) gates every read.
+span(v_1..v_(e-1)) with v_e: one :func:`echelon` per prefix space and
+last row.  Both are cached per configuration, and the budget on q^(ef)
+gates every read.
 
 The exhaustive equation cut sums over row spaces as well, once
 :func:`_moved_generator` has proven the span of the generators stable
 under generators of GL_e(F_q): the zero set is then a union of row-space
 classes, so the verdict at a basis holds at every matrix with that row
 space.  An unstable span is cut matrix by matrix, with a warning, by
-:func:`_vanish_rows`: each generator, restricted to the last row, has
-coefficients evaluated once per prefix by the field's ``polyval`` and
-one cached zero row per scaled coefficient vector.  The same sweep finds
-the first mismatch of a failing cut, so witnesses do not depend on which
-sum counted them.
+:func:`_per_matrix_cut`: the verdict of :meth:`GeneratorSet.vanishes_at`
+at each matrix against its code in the table.  The same sweep finds the
+first mismatch of a failing cut, so witnesses do not depend on which sum
+counted them.
 
 The sampled checks (sampled cuts, closure order) read one labelled
 sample pool, :func:`_sample_points`: seeded uniform and orbit points,
@@ -119,12 +118,10 @@ def enumeration_space(config: SpaceConfig, budget: int = DEFAULT_BUDGET) -> int:
     return total
 
 
-def _entries_at(config: SpaceConfig, pos: int) -> list:
-    """Flat entries of the matrix at odometer position ``pos``: its base-q
-    digits over ``field.elements()``, most significant first."""
-    elements = list(config.field.elements())
-    q, n = len(elements), config.e * config.f
-    return [elements[pos // q ** (n - 1 - i) % q] for i in range(n)]
+def _odometer(config: SpaceConfig):
+    """The flat entries of every e x f matrix, in odometer order: row-major,
+    the last entry fastest, each over ``field.elements()``."""
+    return product(config.field.elements(), repeat=config.e * config.f)
 
 
 def _rows(config: SpaceConfig, entries) -> list:
@@ -181,80 +178,47 @@ def classification_table(config: SpaceConfig, budget: int = DEFAULT_BUDGET):
     order, the index of its stratum in ``classes``.  Raises
     BudgetExceeded when the space exceeds the budget, cached or not.
 
-    The matrix with rows (v_1, ..., v_e) sits at position
-    sum idx(v_i) q^(f(e-i)), and its row space is span(v_1..v_(e-1)) + v_e.
-    So each prefix subspace S (a reduced row-echelon basis b_i with pivots
-    c_i) gets one cached row v -> S + v over the q^f vectors.  S + v
-    depends only on the residual r = v - sum v[c_i] b_i, zero on the
-    pivots, and residuals span the same join exactly when they are
-    proportional.  So each of the q^(f - dim S) residuals is scaled to a
-    leading one once, :func:`echelon` runs once per new row space, and the
-    residual's space is written at every v = r + sum a_i b_i of its coset,
-    at positions summed from the digits of each entry in ``elements()``.
-    Prefixes are composed level by level, and each distinct last-level row
-    becomes bytes of stratum codes.  Each row space takes its stratum from
-    :func:`_row_space_strata`; strata outside ``valid_params`` are
-    appended in order of first occurrence in odometer order.
+    The row space of (v_1, ..., v_e) is span(v_1..v_(e-1)) + v_e, so the
+    table is composed one row at a time: each distinct prefix subspace S,
+    as its reduced row-echelon basis, gets one row of the bases of S + v,
+    one :func:`echelon` per last row v in odometer order.  Each distinct
+    prefix of e-1 rows keeps one row of stratum codes, as bytes.  Each row
+    space takes its stratum from :func:`_row_space_strata`; strata outside
+    ``valid_params`` are appended in order of first occurrence in odometer
+    order.
     """
     strata = _row_space_strata(config, budget)
     cached = _CLASS_CACHE.get(config)
     if cached is not None:
         return cached
     F, e, f = config.field, config.e, config.f
-    zero, elements = F.zero, list(F.elements())
-    q, digit = len(elements), {x: i for i, x in enumerate(elements)}
+    vectors = list(product(F.elements(), repeat=f))
     joins: dict = {}  # basis of S -> [basis of S + v for v in odometer order]
-    spaces: dict = {}  # one shared tuple per row space
 
     def join_row(basis):
-        row = joins.get(basis)
-        if row is None:
-            pivots = [next(j for j, x in enumerate(b) if x != zero) for b in basis]
-            choices = [[zero] if j in pivots else elements for j in range(f)]  # a residual's entries
-            by_unit: dict = {(): basis}  # the zero residual joins to S itself
-            joined = []  # S + r for each residual r, in odometer order
-            for r in product(*choices):
-                lead = next((x for x in r if x != zero), None)
-                unit = () if lead is None else tuple(F.scale_row(F.inv(lead), r))
-                space = by_unit.get(unit)
-                if space is None:
-                    rows = [*map(list, basis), list(unit)]
-                    echelon(F, rows)
-                    space = tuple(map(tuple, rows))
-                    space = by_unit[unit] = spaces.setdefault(space, space)
-                joined.append(space)
-            row = joins[basis] = [None] * q ** f  # every position lies in one coset
-            for coeffs in product(elements, repeat=len(basis)):
-                t = F.lincomb(coeffs, basis, f)  # the coset r + t of t = sum a_i b_i, which holds a_i at pivot i
-                at = [0]  # the positions of r + t, digit by digit, in the residuals' order
-                for j, xs in enumerate(choices):
-                    digits = [digit[F.add(x, t[j])] * q ** (f - 1 - j) for x in xs]
-                    at = [s + d for s in at for d in digits]
-                for pos, space in zip(at, joined):
-                    row[pos] = space
-        return row
+        if basis not in joins:
+            joins[basis] = []
+            for v in vectors:
+                rows = [*map(list, basis), list(v)]
+                pivots, _ = echelon(F, rows)
+                joins[basis].append(tuple(map(tuple, rows[: len(pivots)])))
+        return joins[basis]
 
     prefixes = [()]
     for _ in range(e - 1):
-        level: list = []
-        for basis in prefixes:
-            level += join_row(basis)
-        prefixes = level
+        prefixes = [space for basis in prefixes for space in join_row(basis)]
     classes = list(valid_params(config))
     index = {p: i for i, p in enumerate(classes)}
-    code_of: dict = {}    # basis of a row space -> stratum code
     last_rows: dict = {}  # basis of a prefix -> bytes of stratum codes
     for prefix in dict.fromkeys(prefixes):  # distinct, by first occurrence
-        row = join_row(prefix)
-        for space in row:
-            if space not in code_of:
-                params = strata[space]
-                code = index.get(params)
-                if code is None:  # defensive: record unexpected strata
-                    index[params] = code = len(classes)
-                    classes.append(params)
-                code_of[space] = code
-        last_rows[prefix] = bytes(map(code_of.__getitem__, row))
+        row = []
+        for space in join_row(prefix):
+            params = strata[space]
+            if params not in index:  # defensive: record unexpected strata
+                index[params] = len(classes)
+                classes.append(params)
+            row.append(index[params])
+        last_rows[prefix] = bytes(row)
     result = (classes, b"".join(map(last_rows.__getitem__, prefixes)))
     _CLASS_CACHE[config] = result
     return result
@@ -273,48 +237,6 @@ def _vanishing(gens: GeneratorSet, points) -> list:
     """Whether every generator vanishes, at each labelled point ``(flat
     entries, stratum)`` of ``points``: :meth:`GeneratorSet.vanishes_at`."""
     return [gens.vanishes_at(x) for x, _ in points]
-
-
-def _vanish_rows(gens: GeneratorSet, config: SpaceConfig):
-    """For each prefix u of the first e-1 rows, in odometer order, the
-    vanishing row of the generators over the q^f last rows v: an int with
-    one 0/1 byte per v, big-endian.  A generator is g = sum_m c_m(u) v^m,
-    each c_m(u) the field's ``polyval`` of c_m's prefix terms, so at u it
-    vanishes on the whole row when every c_m(u) is zero, and otherwise its
-    zero row depends only on its non-zero terms up to a scalar: the cache
-    key, scaled to a leading one.  A new zero row is built as one
-    combination of whole columns, the values of each last-row monomial at
-    every v."""
-    F, f, cut = config.field, config.f, (config.e - 1) * config.f  # the prefix's entries come first
-    zero, mul, polyval = F.zero, F.mul, F.polyval
-    elements = list(F.elements())
-    q, width = len(elements), len(elements) ** f
-    split: list = []  # per generator: last-row monomial (by first appearance) -> prefix terms of its coefficient
-    for g in gens:
-        split.append(coeffs := {})
-        for c, idxs in g.poly.compiled():
-            m = tuple(i - cut for i in idxs if i >= cut)
-            coeffs.setdefault(m, []).append((c, tuple(i for i in idxs if i < cut)))
-    # last-row monomial -> its value at every v; entry i of v is digit i of its position
-    columns = {(i,): [x for x in elements for _ in range(q ** (f - 1 - i))] * q ** i for i in range(f)}
-    columns[()] = [F.one] * width
-    for m in sorted({m[:j] for coeffs in split for m in coeffs for j in range(2, len(m) + 1)}, key=len):
-        columns[m] = list(map(mul, columns[m[:-1]], columns[m[-1:]]))
-    rows: dict = {}  # scaled non-zero terms -> zero row
-    for u in product(elements, repeat=cut):
-        vanish = int.from_bytes(b"\1" * width, "big")
-        for coeffs in split:
-            live = [(m, c) for m, terms in coeffs.items() if (c := polyval(terms, u)) != zero]
-            if not live:
-                continue  # g vanishes on the whole row
-            key = tuple([(m, F.div(c, live[0][1])) for m, c in live])
-            if key not in rows:
-                acc = F.lincomb([c for _, c in key], [columns[m] for m, _ in key], width)
-                rows[key] = int.from_bytes(bytes(map(zero.__eq__, acc)), "big")
-            vanish &= rows[key]
-            if not vanish:
-                break
-        yield vanish
 
 
 def _gl_generators(config: SpaceConfig):
@@ -374,25 +296,24 @@ def _moved_generator(gens: GeneratorSet, config: SpaceConfig):
 
 def _per_matrix_cut(params: OrbitParams, gens: GeneratorSet, config: SpaceConfig, budget: int, first_only: bool):
     """(locus, vanishing, mismatches, first) of the cut at every matrix, in
-    odometer order: the rows of :func:`_vanish_rows` against the codes of
+    odometer order: :meth:`GeneratorSet.vanishes_at` against the codes of
     :func:`classification_table`.  ``first`` is (entries, in locus) of
     the first mismatch, or None; with ``first_only`` the sweep stops
-    there, and the counts cover only the rows read."""
+    there, and the counts cover only the matrices read."""
     classes, codes = classification_table(config, budget)
-    member = bytes(closure_leq(c, params, config) for c in classes).ljust(256, b"\0")
-    width, pos = config.field.order ** config.f, None
+    member = [closure_leq(c, params, config) for c in classes]
     n_locus = n_vanish = mismatches = 0
-    for k, vanish in enumerate(_vanish_rows(gens, config)):
-        locus = codes[k * width : (k + 1) * width].translate(member)  # same layout as vanish
-        diff = vanish ^ int.from_bytes(locus, "big")
-        n_locus += locus.count(1)
-        n_vanish += vanish.bit_count()
-        mismatches += diff.bit_count()
-        if diff and pos is None:  # the first mismatch is the highest set byte
-            pos = (k + 1) * width - 1 - (diff.bit_length() - 1) // 8
-            if first_only:
-                break
-    first = None if pos is None else (_entries_at(config, pos), bool(member[codes[pos]]))
+    first = None
+    for code, x in zip(codes, _odometer(config)):
+        m, v = member[code], gens.vanishes_at(x)
+        n_locus += m
+        n_vanish += v
+        if m != v:
+            mismatches += 1
+            if first is None:
+                first = (x, m)
+                if first_only:
+                    break
     return n_locus, n_vanish, mismatches, first
 
 
@@ -478,8 +399,9 @@ def exhaustive_census(
     if any(c not in expected for c in sizes):
         classes, codes = classification_table(config, budget)
         stray = next(i for i, c in enumerate(classes) if c in sizes and c not in expected)
+        matrix = next(x for code, x in zip(codes, _odometer(config)) if code == stray)
         witness = {"reason": "matrix classified outside the admissible strata", "params": str(classes[stray]),
-                   "matrix": _rows(config, _entries_at(config, codes.index(stray)))}
+                   "matrix": _rows(config, matrix)}
     elif off is not None:
         witness = {"reason": "strata of rank r1 do not hold every matrix of that rank", "r1": off,
                    "tally": by_rank[off], "expected": _rank_count(config, off)}

@@ -17,7 +17,9 @@ a bad stratum label through ``require_valid``.  In ``verify.py`` only
 ``_per_stratum`` never re-raises it, so a check leaves out a stratum it
 cannot populate whether it runs alone or in ``run_all``.  ``verify.py``
 calls ``classify`` in two places only: the row-space classifier of the
-exhaustive checks and the uniform draws of the sample pool."""
+exhaustive checks and the uniform draws of the sample pool.  ``verify.py``
+never calls ``polyval``: every vanishing verdict goes through
+``GeneratorSet.vanishes_at``."""
 
 import ast
 import os
@@ -127,6 +129,18 @@ def test_verify_classifies_in_two_places():
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "classify"
     ]
     assert callers == ["_row_space_strata", "_sample_points"]
+
+
+def test_verify_reads_one_vanishing_verdict():
+    # no evaluator of verify's own: each cut, exhaustive or sampled, and
+    # the closure check read GeneratorSet.vanishes_at
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    found = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "polyval"
+        or isinstance(node, ast.Name) and node.id == "polyval"
+    ]
+    assert found == []
 
 
 def test_only_fields_branches_on_the_field_kind():

@@ -282,19 +282,16 @@ def test_equation_cut_sampled_fallback():
     assert repq.mode["kind"] == "sampled" and repq.status == "pass"
 
 
-def _per_point_cut(params, config, gens, positions=None):
-    """Oracle: the point-by-point exhaustive cut the row-by-row cut
-    replaced.  Evaluate the generators at every matrix in odometer order
-    (or at the sorted ``positions`` only), tally against the closure
-    order and keep the first mismatch as the witness.  Returns (tallies,
-    witness, verdicts) with the per-position vanishing verdicts."""
+def _per_point_cut(params, config, gens):
+    """Oracle: the point-by-point exhaustive cut.  Evaluate the generators
+    at every matrix in odometer order, each decoded digit by digit from
+    its position, tally against the closure order and keep the first
+    mismatch as the witness.  Returns (tallies, witness)."""
     F, e, f = config.field, config.e, config.f
     classes, codes = classification_table(config)
     member_of = [closure_leq(c, params, config) for c in classes]
     elements = list(F.elements())
-    if positions is None:
-        positions = range(len(codes))
-    points = [(_oracle_entries(elements, e * f, pos), pos) for pos in positions]
+    points = [(_oracle_entries(elements, e * f, pos), pos) for pos in range(len(codes))]
     verdicts = _vanishing(gens, points)
     n_locus = n_vanish = mismatches = 0
     witness = None
@@ -313,13 +310,13 @@ def _per_point_cut(params, config, gens, positions=None):
                 }
     tallies = {"params": str(params), "generators": len(gens), "locus": n_locus, "vanishing": n_vanish,
                "mismatches": mismatches}
-    return tallies, witness, verdicts
+    return tallies, witness
 
 
 def _assert_cut_matches_oracle(params, config, gens=None):
     rep = check_equation_cut(params, config, generators_override=gens)
     gens = generators_for(params, config) if gens is None else gens
-    tallies, witness, _ = _per_point_cut(params, config, gens)
+    tallies, witness = _per_point_cut(params, config, gens)
     assert rep.mode["kind"] == "exhaustive"
     assert (rep.tallies, rep.witness) == (tallies, witness), str(params)
     assert rep.status == ("pass" if witness is None else "fail")
@@ -346,47 +343,6 @@ def test_row_cut_matches_per_point_oracle(config):
     # every set is proven GL_e-stable, so the tallies are row-space sums
     for params in valid_params(config):
         assert _assert_cut_matches_oracle(params, config).warnings == []
-
-
-def test_row_cut_matches_oracle_on_sampled_positions():
-    # sym e2f3 over F_9: 9^6 matrices are too many for the per-point
-    # oracle, so it checks the vanishing verdict at seeded positions
-    cfg = split_config(2, 3, "symmetric", F9)
-    width = 9**3
-    positions = sorted(random.Random(8).sample(range(9**6), 3000))
-    for params in valid_params(cfg):
-        gens = generators_for(params, cfg)
-        rows = list(verify._vanish_rows(gens, cfg))
-        got = [bool(rows[pos // width] >> 8 * (width - 1 - pos % width) & 1) for pos in positions]
-        assert got == _per_point_cut(params, cfg, gens, positions)[2], str(params)
-
-
-def test_row_cut_evaluates_through_polyval(monkeypatch):
-    # one evaluator: the per-prefix coefficients of the row cut come from
-    # the field's polyval, never from a scalar add loop of the cut's own;
-    # at e=3 the prefix has two rows, so coefficients have several terms
-    F = field_create("prime", 3)  # fresh, so counting its methods counts only this cut
-    cfg = split_config(3, 3, "symmetric", F)
-    calls = {"add": 0, "polyval": 0}
-
-    def counted(name):
-        method = getattr(F, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return method(*args)
-
-        return wrapper
-
-    sets = [generators_for(params, cfg) for params in valid_params(cfg)]
-    for g in (g for gens in sets for g in gens):
-        g.poly.compiled()  # expand first: building the polynomials adds
-    for name in calls:
-        monkeypatch.setattr(F, name, counted(name))
-    for gens in sets:
-        list(verify._vanish_rows(gens, cfg))
-    assert calls["add"] == 0
-    assert calls["polyval"] > 0
 
 
 def _mutations(config, params):
@@ -477,7 +433,8 @@ def test_point_counts_match_the_table():
 def test_row_space_cut_matches_the_per_matrix_cut(config):
     # every real generator set is proven stable, so each cut sums over row
     # spaces, with no warning; over F_9 the per-point oracle would take
-    # minutes, so the row-by-row per-matrix cut stands in for it
+    # minutes, so the per-matrix cut, vanishes_at at every matrix against
+    # the classification table, stands in for it
     for params in valid_params(config):
         try:
             gens = generators_for(params, config)
@@ -486,12 +443,35 @@ def test_row_space_cut_matches_the_per_matrix_cut(config):
         rep = check_equation_cut(params, config)
         assert rep.warnings == [] and rep.status == "pass", str(params)
         if config.field.order == 3:
-            assert (rep.tallies, rep.witness) == _per_point_cut(params, config, gens)[:2]
+            assert (rep.tallies, rep.witness) == _per_point_cut(params, config, gens)
         else:
             locus, vanishing, mismatches, first = verify._per_matrix_cut(params, gens, config, 10**7, False)
             assert rep.tallies == {"params": str(params), "generators": len(gens), "locus": locus,
                                    "vanishing": vanishing, "mismatches": mismatches}
             assert first is None
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        split_config(2, 3, "symmetric", F7),
+        split_config(2, 4, "symmetric", F3),
+        split_config(2, 4, "alternating", F3),
+        split_config(2, 3, "symmetric", F9),
+    ],
+    ids=["sym-e2f3-F7", "sym-e2f4-F3", "alt-e2f4-F3", "sym-e2f3-F9"],
+)
+def test_run_all_reads_only_the_row_space_sweep(config, monkeypatch):
+    # every real generator set is proven stable, so no report of run_all
+    # reads the per-matrix table or the per-matrix cut
+    expected = [r.to_json() for r in run_all(config)]
+
+    def unreached(*args, **kwargs):
+        raise RuntimeError("run_all reached the per-matrix path")
+
+    monkeypatch.setattr(verify, "_per_matrix_cut", unreached)
+    monkeypatch.setattr(verify, "classification_table", unreached)
+    assert [r.to_json() for r in run_all(config)] == expected
 
 
 def _without(config, params, label):
@@ -853,7 +833,7 @@ def test_sampled_run_classifies_each_uniform_point_once(monkeypatch):
 
 def test_composed_table_matches_oracle_where_prefixes_span_everything():
     # sym e4f3 over F_3: prefixes of three rows reach dimension f, where
-    # the only residual is zero and its coset is the whole space
+    # every last row joins to the whole space
     cfg = split_config(4, 3, "symmetric", F3)
     classes, codes = classification_table(cfg)
     positions = sorted(random.Random(7).sample(range(len(codes)), 3000))
@@ -873,28 +853,6 @@ def _counted(monkeypatch, field, name):
 
     monkeypatch.setattr(field, name, counted)
     return calls
-
-
-def test_table_normalizes_each_residual_once(monkeypatch):
-    # counts, not times: per distinct prefix space S, each non-zero
-    # residual modulo S is scaled to a leading one once, not each vector;
-    # sym e2f3 over F_7 has the zero prefix and 57 lines
-    F = field_create("prime", 7)
-    cfg = split_config(2, 3, "symmetric", F)
-    monkeypatch.setattr(verify, "_CLASS_CACHE", {})
-    calls = _counted(monkeypatch, F, "scale_row")
-    classify = verify.classify
-
-    def uncounted(phi, config):  # the Gram-rank pivots of classify are not residuals
-        before = calls[0]
-        try:
-            return classify(phi, config)
-        finally:
-            calls[0] = before
-
-    monkeypatch.setattr(verify, "classify", uncounted)
-    classification_table(cfg)
-    assert 0 < calls[0] <= (7**3 - 1) + (7**3 - 1) // 6 * (7**2 - 1) == 3078
 
 
 def test_orbit_point_pool_computes_each_reflection_once(monkeypatch):
