@@ -54,16 +54,27 @@ from .equations import (
     rebuild_generator,
     star_operator,
 )
-from .verify import (
-    DEFAULT_BUDGET,
-    VerificationReport,
-    check_closure_order,
-    check_dimensions,
-    check_equation_cut,
-    classification_table,
-    exhaustive_census,
-    point_count_dimension_estimate,
-    run_all,
-)
 
 __version__ = "0.1.0"
+
+# The verify harness is loaded on first use (PEP 562), so importing the
+# package, or the CLI for any other command, does not compile it.
+_VERIFY_NAMES = frozenset({
+    "DEFAULT_BUDGET",
+    "VerificationReport",
+    "check_closure_order",
+    "check_dimensions",
+    "check_equation_cut",
+    "classification_table",
+    "exhaustive_census",
+    "point_count_dimension_estimate",
+    "run_all",
+})
+
+
+def __getattr__(name):
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,15 +30,6 @@ from .forms_orbits import (
     valid_params,
 )
 from .linalg import Matrix
-from .verify import (
-    check_closure_order,
-    check_dimensions,
-    check_equation_cut,
-    exhaustive_census,
-    guarded,
-    point_count_dimension_estimate,
-    run_all,
-)
 
 KINDS = {"sym": "symmetric", "symmetric": "symmetric", "alt": "alternating", "alternating": "alternating"}
 
@@ -96,6 +87,8 @@ def load_input(path: str, build):
             return build(json.load(fh))
     except FileNotFoundError:
         raise
+    except MalformedInput as exc:
+        raise MalformedInput(f"{path}: {exc}") from None
     except (OSError, ValueError, LookupError, TypeError, ZeroDivisionError) as exc:
         raise MalformedInput(f"{path}: {type(exc).__name__}: {exc}") from None
 
@@ -253,20 +246,21 @@ def _cmd_solve_congruence(args):
 
 
 # Each verify check: the options it reads, and the call that reads them, with
-# the --params stratum, or none.  An option not given is not passed, so the
-# library's default holds.  The cut of every stratum skips one the form or
-# field cannot populate, as verify all does.
+# the verify module, the --params stratum, or none.  An option not given is
+# not passed, so the library's default holds.  The cut of every stratum skips
+# one the form or field cannot populate, as verify all does.  Only this
+# subcommand imports the verify module, so no other command pays for it.
 VERIFY_CHECKS = {
-    "census": (("budget",), lambda config, strata, seed, **kw: [exhaustive_census(config, **kw)]),
-    "cut": (("params", "budget"), lambda config, strata, seed, **kw: [
-        check_equation_cut(p, config, seed=seed, **kw) for p in strata] if strata else [
-        guarded("equation-cut", config, {"params": str(p)}, check_equation_cut, p, config, seed=seed, **kw)
+    "census": (("budget",), lambda v, config, strata, seed, **kw: [v.exhaustive_census(config, **kw)]),
+    "cut": (("params", "budget"), lambda v, config, strata, seed, **kw: [
+        v.check_equation_cut(p, config, seed=seed, **kw) for p in strata] if strata else [
+        v.guarded("equation-cut", config, {"params": str(p)}, v.check_equation_cut, p, config, seed=seed, **kw)
         for p in valid_params(config)]),
-    "dims": ((), lambda config, strata, seed: [check_dimensions(config)]),
-    "closure": (("samples",), lambda config, strata, seed, **kw: [check_closure_order(config, seed=seed, **kw)]),
-    "counts": (("params", "budget", "primes"), lambda config, strata, seed, **kw: [
-        point_count_dimension_estimate(p, config, **kw) for p in strata or valid_params(config)]),
-    "all": (("budget", "samples", "primes"), lambda config, strata, seed, **kw: run_all(config, seed=seed, **kw)),
+    "dims": ((), lambda v, config, strata, seed: [v.check_dimensions(config)]),
+    "closure": (("samples",), lambda v, config, strata, seed, **kw: [v.check_closure_order(config, seed=seed, **kw)]),
+    "counts": (("params", "budget", "primes"), lambda v, config, strata, seed, **kw: [
+        v.point_count_dimension_estimate(p, config, **kw) for p in strata or valid_params(config)]),
+    "all": (("budget", "samples", "primes"), lambda v, config, strata, seed, **kw: v.run_all(config, seed=seed, **kw)),
 }
 VERIFY_OPTIONS = dict.fromkeys(name for reads, _ in VERIFY_CHECKS.values() for name in reads)
 
@@ -285,7 +279,9 @@ def _cmd_verify(args):
     if "primes" in given:
         given["primes"] = parse_primes_spec(given["primes"])
     strata = [parse_params_spec(given.pop("params"))] if "params" in given else []
-    reports = run(config, strata, args.seed, **given)
+    from . import verify
+
+    reports = run(verify, config, strata, args.seed, **given)
     docs = [r.to_json(include_timing=args.timing) for r in reports]
 
     def text():

@@ -615,20 +615,47 @@ def generators_for(params: OrbitParams, config: SpaceConfig) -> GeneratorSet:
 class StarOperator(Record):
     """The involution (up to scalar) on the middle exterior power of F
     induced by the form: on the basis {e_S} of f/2-subsets it satisfies
-    matrix^2 = (-1)^{f/2} / det(K) * identity = mu^2 * identity, and its two
+    star^2 = (-1)^{f/2} / det(K) * identity = mu^2 * identity, and its two
     eigenspaces are the halves that split the maximal minors.  The fields
-    are the field, f, the subsets, the matrix and the scalar payload mu."""
+    are the field, f, the subsets, the columns and the scalar payload mu.
+    Column k holds the non-zero entries of star(e_S) for S = subsets[k], as
+    (row index, value) pairs with the rows ascending: one entry for the
+    split form and every diagonal Gram, up to all of them otherwise."""
 
-    __slots__ = ("field", "f", "subsets", "matrix", "mu")
+    __slots__ = ("field", "f", "subsets", "columns", "mu")
 
-    def projector(self, eigenvalue) -> Matrix:
-        """(identity + eigenvalue^{-1} * matrix) / 2 projects onto the
-        eigenvalue's eigenspace."""
+    def image(self, vec) -> dict:
+        """star applied to the sparse vector ``vec`` of (index, value)
+        pairs, as {index: value}; cancelled entries stay as zeros."""
         F = self.field
-        n = len(self.subsets)
-        ident = Matrix.identity(F, n)
-        half = F.inv(F.from_int(2))
-        return (ident + self.matrix.scale(F.inv(eigenvalue))).scale(half)
+        mul, add = F.mul, F.add
+        out: dict = {}
+        for k, a in vec:
+            for u, s in self.columns[k]:
+                t = mul(s, a)
+                got = out.get(u)
+                out[u] = t if got is None else add(got, t)
+        return out
+
+    def projector(self, eigenvalue) -> list:
+        """The non-zero rows of (identity + eigenvalue^{-1} * star) / 2,
+        which projects onto the eigenvalue's eigenspace, as pairs
+        (u, [(k, entry), ...]) with k ascending."""
+        F = self.field
+        zero, add, mul = F.zero, F.add, F.mul
+        half, inv = F.inv(F.from_int(2)), F.inv(eigenvalue)
+        rows = [{u: F.one} for u in range(len(self.subsets))]
+        for k, col in enumerate(self.columns):
+            for u, s in col:
+                t = mul(inv, s)
+                row = rows[u]
+                row[k] = add(row[k], t) if k in row else t
+        out = []
+        for u, row in enumerate(rows):
+            entries = [(k, mul(half, c)) for k, c in sorted(row.items()) if c != zero]
+            if entries:
+                out.append((u, entries))
+        return out
 
 
 def _shuffle_sign(field: Field, subset, f: int):
@@ -641,8 +668,11 @@ def _shuffle_sign(field: Field, subset, f: int):
     return field.one if inversions % 2 == 0 else field.neg(field.one), tuple(comp)
 
 
-# One involution per form: both signs of a configuration share it.
+# One involution per form: both signs of a configuration share it.  So do
+# they share the reference eigenvalue, which reads only the form's
+# (f/2, 0, +) representative rows.
 _STARS: dict = {}
+_REFERENCE: dict = {}
 
 
 def star_operator(form: BilinearForm) -> StarOperator:
@@ -669,7 +699,6 @@ def star_operator(form: BilinearForm) -> StarOperator:
             "retry with a quadratic-extension field descriptor"
         )
     subsets = tuple(combinations(range(f), m))
-    n = len(subsets)
     # star = Lambda^m(K)^{-1} P for the wedge pairing P[S^c][S] = sgn(S, S^c),
     # and Lambda^m(K)^{-1} = Lambda^m(K^{-1}) by Cauchy-Binet: its column V
     # is the wedge of the columns of K^{-1} indexed by V, as {row set U: det}
@@ -690,15 +719,16 @@ def star_operator(form: BilinearForm) -> StarOperator:
         return w
 
     at = {S: k for k, S in enumerate(subsets)}
-    grid = [[F.zero] * n for _ in range(n)]
-    for k, S in enumerate(subsets):
+    star_columns = []
+    for S in subsets:
         sgn, comp = _shuffle_sign(F, S, f)
-        for U, c in wedge(comp).items():
-            grid[at[U]][k] = F.mul(sgn, c)
-    star_matrix = Matrix(F, grid, n, n)
-    if star_matrix @ star_matrix != Matrix.identity(F, n).scale(mu_sq):
-        raise ConsistencyCheckFailed("the half-form involution does not square to mu^2")
-    star = _STARS[form] = StarOperator(F, f, subsets, star_matrix, mu)
+        star_columns.append(tuple(sorted((at[U], F.mul(sgn, c)) for U, c in wedge(comp).items() if c != F.zero)))
+    star = StarOperator(F, f, subsets, tuple(star_columns), mu)
+    # star^2 = mu^2 * identity, one column at a time
+    for k, col in enumerate(star.columns):
+        if _nonzero(star.image(col), F.zero) != {k: mu_sq}:
+            raise ConsistencyCheckFailed("the half-form involution does not square to mu^2")
+    _STARS[form] = star
     return star
 
 
@@ -706,18 +736,17 @@ def _reference_eigenvalue(star: StarOperator, config: SpaceConfig):
     """Involution eigenvalue of the decomposable vector spanned by the
     plus representative's row space; pins which eigenspace belongs to
     which component."""
+    F = config.field
     m = star.f // 2
     rep = representative(OrbitParams(m, 0, "+"), config)
     T0 = tuple(range(m))
-    v0 = [rep.minor(T0, S) for S in star.subsets]
-    col = Matrix(config.field, [[x] for x in v0], len(v0), 1)
-    image = star.matrix @ col
-    F = config.field
-    i0 = next(i for i, x in enumerate(v0) if x != F.zero)
-    lam = F.div(image.data[i0][0], v0[i0])
+    v0 = [(k, x) for k, S in enumerate(star.subsets) if (x := rep.minor(T0, S)) != F.zero]
+    image = star.image(v0)
+    i0, x0 = v0[0]
+    lam = F.div(image.get(i0, F.zero), x0)
     if lam not in (star.mu, F.neg(star.mu)):
         raise ConsistencyCheckFailed("the reference ratio is not an involution eigenvalue")
-    if image != col.scale(lam):
+    if _nonzero(image, F.zero) != {k: F.mul(lam, x) for k, x in v0}:
         raise ConsistencyCheckFailed("the reference maximal minors are not an eigenvector")
     return lam
 
@@ -735,10 +764,11 @@ def component_generators(sign: str, config: SpaceConfig) -> GeneratorSet:
     require_valid(OrbitParams(m, 0, sign), config)
     F = config.field
     star = star_operator(config.form)
-    lam = _reference_eigenvalue(star, config)
+    lam = _REFERENCE.get(config.form)
+    if lam is None:
+        lam = _REFERENCE[config.form] = _reference_eigenvalue(star, config)
     # vanishing on the sign component means projecting onto the OTHER family
-    target = F.neg(lam) if sign == "+" else lam
-    proj = star.projector(target)
+    rows = star.projector(F.neg(lam) if sign == "+" else lam)
 
     gens: list[Generator] = []
     G = _gram_table(config).grid
@@ -753,15 +783,13 @@ def component_generators(sign: str, config: SpaceConfig) -> GeneratorSet:
     def projection(T, prow):
         """Projector row ``prow`` applied to the maximal minors on rows T."""
         acc: dict = {}
-        for c, S in zip(prow, star.subsets):
-            if c != zero:
-                _add_product(F, acc, {0: c}, X.minor(T, S).terms)
+        for k, c in prow:
+            _add_product(F, acc, {0: c}, X.minor(T, star.subsets[k]).terms)
         return Polynomial._packed(F, nvars, _nonzero(acc, zero))
 
     # the maximal minors on rows T are linearly independent (each alone
     # holds its diagonal monomial), so a projected row is non-zero exactly
-    # when its projector row is
-    rows = [(u, prow) for u, prow in enumerate(proj.data) if any(c != zero for c in prow)]
+    # when its projector row is: the projector keeps only those
     for T in combinations(range(e), m):
         for u, prow in rows:
             gens.append(Generator(("component", sign, T, u), degree=m, build=partial(projection, T, prow)))

@@ -23,6 +23,7 @@ from __future__ import annotations
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    MalformedInput,
     NonSquare,
     NotSkewSymmetric,
     OddDimension,
@@ -79,13 +80,17 @@ class Matrix:
 
     @classmethod
     def from_json(cls, obj: dict, field: Field | None = None) -> "Matrix":
+        rows = obj.get("rows") if isinstance(obj, dict) else None
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(isinstance(s, str) for s in row) for row in rows
+        ):
+            raise MalformedInput('expected a matrix as {"rows": [["<entry>", ...], ...]}')
         ffield = field_from_json(obj["field"]) if "field" in obj else field
         if ffield is None:
             raise DimensionMismatch("matrix JSON carries no field and none was supplied")
         if field is not None and ffield != field:
             raise DimensionMismatch("matrix JSON field disagrees with the expected field")
-        rows = [[ffield.parse(s) for s in row] for row in obj["rows"]]
-        return cls(ffield, rows)
+        return cls(ffield, [[ffield.parse(s) for s in row] for row in rows])
 
     def to_json(self) -> dict:
         render = self.field.render

@@ -424,7 +424,7 @@ def test_gram_file_over_another_field_is_refused(tmp_path, capsys):
 
 
 def test_verification_failure_exits_3(capsys, monkeypatch):
-    import isodet.cli as cli_mod
+    from isodet import verify
     from isodet.verify import VerificationReport
 
     def broken_census(config, **options):
@@ -433,7 +433,7 @@ def test_verification_failure_exits_3(capsys, monkeypatch):
             status="fail", witness={"reason": "synthetic"},
         )
 
-    monkeypatch.setattr(cli_mod, "exhaustive_census", broken_census)
+    monkeypatch.setattr(verify, "exhaustive_census", broken_census)
     code, _, _ = run(capsys, "verify", "census", "--kind", "alt", "-e", "2", "-f", "4",
                      "--field", "p=3")
     assert code == 3
@@ -705,6 +705,26 @@ def test_malformed_input_file_is_domain_error(tmp_path, capsys, prefix, content,
     assert out == ""
     diagnostic = json.loads(err.splitlines()[-1])
     assert diagnostic["error"] == "MalformedInput"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        [["0", "1"], ["-1", "0"]],  # a bare list of rows
+        {"rows": 5},
+        {"rows": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]},  # integer entries
+    ],
+    ids=["bare-list", "rows-not-a-list", "integer-entries"],
+)
+def test_gram_file_of_the_wrong_shape_names_the_expected_one(tmp_path, capsys, content):
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, *GRAM_ATLAS, f"file:{path}")
+    assert (code, out) == (1, "")
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "MalformedInput"
+    assert diagnostic["message"] == f'{path}: expected a matrix as {{"rows": [["<entry>", ...], ...]}}'
+    assert not re.search(r"[A-Z]\w*(Error|Exception)\b", diagnostic["message"])
 
 
 def test_unwritable_output_file_is_domain_error(tmp_path, capsys):

@@ -535,11 +535,35 @@ def test_generator_json_and_text():
 
 # ---------------------------------------------------------------- star operator
 
+def _dense_star(st):
+    """The involution as a dense Matrix, built from its sparse columns."""
+    F, n = st.field, len(st.subsets)
+    grid = [[F.zero] * n for _ in range(n)]
+    for k, col in enumerate(st.columns):
+        for u, s in col:
+            grid[u][k] = s
+    return Matrix(F, grid, n, n)
+
+
+def _dense_projector(st, eigenvalue):
+    """The projector as a dense Matrix, built from its sparse non-zero
+    rows, which must list non-zero entries with the columns ascending."""
+    F, n = st.field, len(st.subsets)
+    grid = [[F.zero] * n for _ in range(n)]
+    for u, row in st.projector(eigenvalue):
+        assert row and [k for k, _ in row] == sorted({k for k, _ in row})
+        for k, c in row:
+            assert c != F.zero
+            grid[u][k] = c
+    return Matrix(F, grid, n, n)
+
+
 def test_star_f2_identity():
     frm = BilinearForm("symmetric", Matrix.identity(F5, 2))
     st = star_operator(frm)
     # star(e1) = e2, star(e2) = -e1, mu^2 = -1
-    assert st.matrix == Matrix.from_ints(F5, [[0, -1], [1, 0]])
+    assert st.columns == (((1, F5.one),), ((0, F5.neg(F5.one)),))
+    assert _dense_star(st) == Matrix.from_ints(F5, [[0, -1], [1, 0]])
     assert F5.mul(st.mu, st.mu) == F5.neg(F5.one)
 
 
@@ -554,7 +578,10 @@ def test_star_squares_to_scalar():
             n = len(st.subsets)
             detk = frm.gram.det()
             scalar = detk if (f // 2) % 2 == 0 else F5.neg(detk)
-            assert st.matrix @ st.matrix == Matrix.identity(F5, n).scale(scalar)
+            dense = _dense_star(st)
+            assert dense @ dense == Matrix.identity(F5, n).scale(scalar)
+            # a diagonal or split Gram sends each e_S to a multiple of one e_T
+            assert all(len(col) == 1 for col in st.columns)
             assert F5.mul(st.mu, st.mu) == scalar
 
 
@@ -598,7 +625,7 @@ def test_star_inverts_the_compound_gram():
                 sgn = F.one if inversions % 2 == 0 else F.neg(F.one)
                 row.append(sgn if set(T).isdisjoint(S) else F.zero)
             wedge.append(row)
-        assert compound @ st.matrix == Matrix(F, wedge)
+        assert compound @ _dense_star(st) == Matrix(F, wedge)
         mu_sq = F.inv(gram.det()) if m % 2 == 0 else F.neg(F.inv(gram.det()))
         assert F.mul(st.mu, st.mu) == mu_sq
     assert built >= 9
@@ -618,12 +645,64 @@ def test_components_of_a_non_unimodular_gram():
                 assert gens.all_vanish(pt) == (sign == other)
 
 
+def test_components_of_dense_grams_match_the_compound_oracle():
+    # a non-diagonal Gram gives dense involution columns, which the split
+    # form never reaches; the oracle builds star = Lambda^m(K)^{-1} P from
+    # the minors of K, reads the reference eigenvalue off its dense product
+    # and projects the generic maximal minors
+    F49 = field_create("quadratic-extension", 7)
+    rng = random.Random(23)
+    built = 0
+    for f, e in ((4, 2), (4, 3), (6, 3)):
+        for gram in _random_symmetric_grams(F49, f, 3, rng):
+            F, m = F49, f // 2
+            cfg = SpaceConfig(e, f, F, BilinearForm("symmetric", gram))
+            try:
+                sets = {sign: component_generators(sign, cfg) for sign in "+-"}
+            except StratumUnavailable:
+                continue
+            built += 1
+            assert max(len(col) for col in star_operator(cfg.form).columns) > 1
+            subsets = list(combinations(range(f), m))
+            compound = Matrix(F, [[gram.minor(U, T) for T in subsets] for U in subsets])
+            wedge = [[F.zero] * len(subsets) for _ in subsets]
+            for j, S in enumerate(subsets):
+                T = tuple(i for i in range(f) if i not in S)
+                seq = S + T
+                inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1 :])
+                wedge[subsets.index(T)][j] = F.one if inversions % 2 == 0 else F.neg(F.one)
+            star = compound.inverse() @ Matrix(F, wedge)
+            rows = representative(OrbitParams(m, 0, "+"), cfg)
+            v0 = Matrix(F, [[rows.minor(tuple(range(m)), S)] for S in subsets])
+            image = star @ v0
+            i0 = next(i for i, row in enumerate(v0.data) if row[0] != F.zero)
+            lam = F.div(image[i0, 0], v0[i0, 0])
+            assert image == v0.scale(lam)
+            ident = Matrix.identity(F, len(subsets))
+            half = F.inv(F.from_int(2))
+            quadratics = [(("quadratic-invariant", i, j), generic_gram_map(cfg)[i][j])
+                          for i in range(e) for j in range(i, e)]
+            for sign, gens in sets.items():
+                target = F.neg(lam) if sign == "+" else lam
+                proj = (ident + star.scale(F.inv(target))).scale(half)
+                expected = list(quadratics)
+                for T in combinations(range(e), m):
+                    for u, prow in enumerate(proj.data):
+                        poly = Polynomial.zero(F, e * f)
+                        for c, S in zip(prow, subsets):
+                            poly = poly + minor_polynomial(cfg, T, S).scale(c)
+                        if not poly.is_zero():
+                            expected.append((("component", sign, T, u), poly))
+                assert [(g.label, g.poly) for g in gens] == expected
+    assert built >= 5
+
+
 def test_star_projector_algebra():
     frm = BilinearForm.split(F5, "symmetric", 4)
     st = star_operator(frm)
     n = len(st.subsets)
-    plus = st.projector(st.mu)
-    minus = st.projector(F5.neg(st.mu))
+    plus = _dense_projector(st, st.mu)
+    minus = _dense_projector(st, F5.neg(st.mu))
     ident = Matrix.identity(F5, n)
     assert plus + minus == ident
     assert plus @ plus == plus
@@ -659,7 +738,7 @@ def test_star_consistency_checks_raise_typed_errors(monkeypatch):
     # an operator whose reference ratio is not +/- mu
     cfg = split_config(2, 4, "symmetric", F5)
     real = star_operator(cfg.form)
-    fake = StarOperator(F5, 4, real.subsets, Matrix.identity(F5, len(real.subsets)).scale(2), F5.one)
+    fake = StarOperator(F5, 4, real.subsets, tuple(((k, F5.from_int(2)),) for k in range(len(real.subsets))), F5.one)
     with pytest.raises(ConsistencyCheckFailed):
         equations._reference_eigenvalue(fake, cfg)
 

@@ -13,6 +13,7 @@ from isodet.errors import (
     IndexOutOfRange,
     InsufficientWittIndex,
     InvalidForm,
+    MalformedInput,
     NonSquare,
     OddDimension,
     SymmetryMismatch,
@@ -55,8 +56,9 @@ def _fake_star_not_an_eigenvector():
     v0 = [representative(OrbitParams(2, 0, "+"), cfg).minor((0, 1), S) for S in real.subsets]
     i0 = next(i for i, x in enumerate(v0) if x != F5.zero)
     n = len(real.subsets)
-    grid = [[int(i == j or (i, j) == ((i0 + 1) % n, i0)) for j in range(n)] for i in range(n)]
-    fake = StarOperator(F5, 4, real.subsets, Matrix.from_ints(F5, grid), F5.one)
+    columns = tuple(tuple((i, F5.one) for i in range(n) if i == j or (i, j) == ((i0 + 1) % n, i0))
+                    for j in range(n))
+    fake = StarOperator(F5, 4, real.subsets, columns, F5.one)
     return equations._reference_eigenvalue(fake, cfg)
 
 
@@ -64,6 +66,7 @@ CASES = [
     # linalg.py
     ("ragged-grid", DimensionMismatch, lambda: Matrix(F5, [[F5.one, F5.one], [F5.one]])),
     ("json-without-field", DimensionMismatch, lambda: Matrix.from_json({"rows": [["1"]]})),
+    ("json-entry-not-a-string", MalformedInput, lambda: Matrix.from_json({"rows": [[1]]}, F5)),
     ("different-fields", DimensionMismatch, lambda: Matrix.identity(F5, 2) + Matrix.identity(F7, 2)),
     ("sum-of-two-shapes", DimensionMismatch, lambda: Matrix.identity(F5, 2) + Matrix.identity(F5, 3)),
     ("product-of-mismatched-shapes", DimensionMismatch, lambda: Matrix.zeros(F5, 2, 3) @ Matrix.zeros(F5, 2, 3)),

@@ -7,8 +7,9 @@ caught as ``StratumUnavailable``, never as one of its subclasses.  Only
 ``fields.py`` tests a field's kind; every other module reaches payloads
 through the ``Field`` methods, and in ``linalg.py`` only the Pfaffian's
 own expansion adds or subtracts entries.  The CLI
-loads neither ``dataclasses`` nor ``inspect``: every CLI process pays for
-the modules it imports; and it has one way out, ``dispatch``, which alone
+loads neither ``dataclasses`` nor ``inspect``, and only its ``verify``
+command loads ``verify.py``: every CLI process pays for the modules it
+imports; and it has one way out, ``dispatch``, which alone
 picks the output format and writes stdout or ``--out``.  A ``verify``
 option that is not given is not set, so only the library states defaults.
 Only ``forms_orbits.py`` calls ``params_valid``: every other module refuses
@@ -194,6 +195,22 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     code = "import sys, isodet.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_only_the_verify_command_loads_verify():
+    # an atlas run leaves the harness uncompiled; the package still hands
+    # out the harness's names, from the module itself
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = (
+        "import contextlib, io, sys, isodet.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = isodet.cli.main(['atlas', '--kind', 'sym', '-e', '2', '-f', '4', '--field', 'p=7'])\n"
+        "loaded = 'isodet.verify' in sys.modules\n"
+        "import isodet\n"
+        "print(status, loaded, isodet.run_all is isodet.verify.run_all)"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 False True"
 
 
 def _cli_output(node):
