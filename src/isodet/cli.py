@@ -93,6 +93,14 @@ def load_input(path: str, build):
         raise MalformedInput(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
+def congruence_instance(obj, field) -> tuple:
+    """The matrices S and A of a ``solve-congruence`` input file, which
+    holds exactly ``{"S": <matrix>, "A": <matrix>}``."""
+    if not isinstance(obj, dict) or obj.keys() != {"S", "A"}:
+        raise MalformedInput('expected an instance as {"S": {"rows": ...}, "A": {"rows": ...}}')
+    return Matrix.from_json(obj["S"], field), Matrix.from_json(obj["A"], field)
+
+
 def resolve_form(args) -> BilinearForm:
     """The --kind form over --field with Gram --gram, of dimension -f >= 1."""
     field = parse_field_spec(args.field)
@@ -236,7 +244,7 @@ def _cmd_sample(args):
 def _cmd_solve_congruence(args):
     form = resolve_form(args)
     field = form.field
-    S, A = load_input(args.infile, lambda obj: tuple(Matrix.from_json(obj[k], field) for k in "SA"))
+    S, A = load_input(args.infile, lambda obj: congruence_instance(obj, field))
     B = solve_congruence(S, A, form)
     residual = (A @ form.gram @ B.T) + (B @ form.gram @ A.T) - S
     residual_zero = all(field.is_zero(v) for row in residual.data for v in row)

@@ -23,6 +23,7 @@ import re
 from fractions import Fraction
 from functools import reduce
 from math import isqrt
+from operator import mul
 
 from .errors import CharTwoUnsupported, CompositeModulus, ConsistencyCheckFailed, ResidueIsSquare
 
@@ -46,11 +47,12 @@ class Field:
     Subclasses fix the payload representation and must provide ``zero``,
     ``one``, ``add``, ``sub``, ``neg``, ``mul``, ``inv``, ``parse``,
     ``render`` and ``random``.  The row methods (``dot``, ``axpy``,
-    ``scale_row``, ``random_row``, ``lincomb``), ``polyval`` and the
-    finite-field ``sqrt`` are written here once from those, and the
-    rationals bring their own sqrt.  A field overrides one of them, with
-    the same values, only where that pays on the benchmarks: F_p overrides
-    ``axpy`` (which ``lincomb`` runs on) and ``polyval``.
+    ``scale_row``, ``random_row``, ``lincomb``, ``matmul``), ``polyval``
+    and the finite-field ``sqrt`` are written here once from those, and
+    the rationals bring their own sqrt.  A field overrides one of them,
+    with the same values (for ``random_row``, the same draws), only where
+    that pays on the benchmarks: F_p overrides ``dot``, ``axpy`` (which
+    ``lincomb`` runs on), ``random_row``, ``matmul`` and ``polyval``.
     """
 
     kind: str = ""
@@ -108,6 +110,22 @@ class Field:
                 acc = self.axpy(c, row, acc)
         return acc
 
+    def matmul(self, arows, brows, n: int) -> list:
+        """The rows of the product A B, for A's rows ``arows`` and B's rows
+        ``brows`` of length n: row i is sum_k a_ik brows_k.  The non-zero
+        entries of each row of B are read once per product."""
+        add, mul, zero = self.add, self.mul, self.zero
+        nonzero = [[(j, s) for j, s in enumerate(row) if s != zero] for row in brows]
+        out = []
+        for arow in arows:
+            acc = [zero] * n
+            for c, entries in zip(arow, nonzero):
+                if c != zero:
+                    for j, s in entries:
+                        acc[j] = add(acc[j], mul(c, s))
+            out.append(acc)
+        return out
+
     def polyval(self, terms, values):
         """sum of c * prod values[i] over compiled terms ``(c, idxs)``
         (see ``Polynomial.compiled``), zero for no terms."""
@@ -137,7 +155,7 @@ class Field:
         return {"kind": self.kind}
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.descriptor() == other.descriptor()
+        return other is self or isinstance(other, Field) and self.descriptor() == other.descriptor()
 
     def __hash__(self):
         return hash(tuple(sorted(self.descriptor().items())))
@@ -183,21 +201,43 @@ class PrimeField(Field):
     def random(self, rng):
         return rng.randrange(self.p)
 
-    # axpy and polyval on native ints, one % p per entry or factor; CPU
-    # medians without them on a 2-vCPU host: verify all sym e2f3/F_7
-    # 0.12 -> 0.17 s (axpy), sym e3f6/F_7 1.36 -> 2.38 s (polyval)
+    # The overrides, on native ints with few % p.  CPU medians with and
+    # without each, on a 2-vCPU host: verify all sym e2f3/F_7 0.12 ->
+    # 0.17 s (axpy); sym e3f6/F_7 1.36 -> 2.38 s (polyval), and 0.81 ->
+    # 0.93 s with one % p per factor rather than per term (p = 32003:
+    # 1.21 -> 1.33 s).  Both verify all runs of the exhaustive-f7
+    # benchmark, in process: 87 -> 96 ms (dot), 87 -> 97 ms (random_row),
+    # 87 -> 90 ms (matmul).
+
+    def dot(self, u, v):
+        return sum(map(mul, u, v)) % self.p
 
     def axpy(self, a, x, y) -> list:
         p = self.p
         return [(t + a * s) % p for s, t in zip(x, y)]
+
+    def random_row(self, rng, n: int) -> list:
+        # CPython's rng.randrange(p), inlined: getrandbits(p.bit_length())
+        # until the value is below p; the tests hold the two streams equal
+        p, bits, getrandbits = self.p, self.p.bit_length(), rng.getrandbits
+        row = []
+        while len(row) < n:
+            r = getrandbits(bits)
+            if r < p:
+                row.append(r)
+        return row
+
+    def matmul(self, arows, brows, n: int) -> list:
+        # axpy here tests no entry for zero, so there is nothing to read once
+        return [self.lincomb(arow, brows, n) for arow in arows]
 
     def polyval(self, terms, values):
         p = self.p
         total = 0
         for c, idxs in terms:
             for i in idxs:
-                c = c * values[i] % p
-            total += c
+                c *= values[i]
+            total += c % p
         return total % p
 
     def parse(self, s: str):

@@ -403,7 +403,10 @@ def gram_map(phi: Matrix, form: BilinearForm) -> Matrix:
     """Gram matrix Phi K Phi^t of the rows of Phi under the form."""
     if phi.cols != form.f or phi.field != form.field:
         raise DimensionMismatch("matrix does not live in the form's space")
-    return phi @ form.gram @ phi.T
+    # entry (i, j) is (row i of Phi) K . (row j of Phi)
+    dot, rows = form.field.dot, phi.data
+    grid = [[dot(w, v) for v in rows] for w in map(form.times_gram, rows)]
+    return Matrix(form.field, grid, phi.rows, phi.rows)
 
 
 def isotropic_rank(phi: Matrix, form: BilinearForm) -> int:
@@ -665,7 +668,7 @@ def tangent_dimension(phi: Matrix, config: SpaceConfig) -> int:
 
 
 def _isometry_rows(form: BilinearForm, rows, rng=None, *, mirror=None, stats: dict | None = None) -> list:
-    """The rows x of ``rows`` mapped to x B^t, as new lists, for B a
+    """The rows x of ``rows`` mapped to x B^t, for B a
     product of maps x |-> x + c beta(v, x) v: the reflection in v when
     c = -2/beta(v, v) (determinant -1), a symplectic transvection for any
     c when the form is alternating.
@@ -679,17 +682,15 @@ def _isometry_rows(form: BilinearForm, rows, rng=None, *, mirror=None, stats: di
     is computed once per distinct v, and cached on the form when its
     space is small (see REFLECTION_CACHE_VECTORS)."""
     F, f = form.field, form.f
-    dot, axpy, zero = F.dot, F.axpy, F.zero
+    dot, mul, axpy, zero = F.dot, F.mul, F.axpy, F.zero
     # over a large space the memo is this call's own and is dropped after it
     small = F.order is not None and F.order ** f <= REFLECTION_CACHE_VECTORS
     cache = form._reflections if small else {}
 
-    def reflection(v):  # (v, w, c), with c = 0 when v is isotropic
-        hit = cache.get(v)
-        if hit is None:
-            w = form.times_gram(v)
-            norm = dot(w, v)
-            hit = cache[v] = (v, w, zero if norm == zero else F.div(F.from_int(-2), norm))
+    def reflection(v):  # (v, w, c), with c = 0 when v is isotropic, cached
+        w = form.times_gram(v)
+        norm = dot(w, v)
+        cache[v] = hit = (v, w, zero if norm == zero else F.div(F.from_int(-2), norm))
         return hit
 
     if rng is None:
@@ -697,10 +698,11 @@ def _isometry_rows(form: BilinearForm, rows, rng=None, *, mirror=None, stats: di
     else:
         symmetric = form.kind == SYMMETRIC
         count = f + f % 2 if symmetric else f + 1
-        maps, draws = [], 0
+        maps, draws, random_row = [], 0, F.random_row
         while len(maps) < count:
             draws += 1
-            v, w, c = reflection(tuple(F.random_row(rng, f)))
+            v = tuple(random_row(rng, f))
+            v, w, c = cache.get(v) or reflection(v)
             if not symmetric:
                 c = F.random(rng)
             if c != zero:
@@ -708,12 +710,8 @@ def _isometry_rows(form: BilinearForm, rows, rng=None, *, mirror=None, stats: di
         if stats is not None:
             stats["attempts"] = draws
             stats["fallback"] = False
-    rows = [list(x) for x in rows]
     for v, w, c in reversed(maps):
-        for k, row in enumerate(rows):
-            t = F.mul(c, dot(w, row))
-            if t != zero:
-                rows[k] = axpy(t, v, row)
+        rows = [row if (t := mul(c, dot(w, row))) == zero else axpy(t, v, row) for row in rows]
     return rows
 
 
@@ -772,4 +770,4 @@ def random_orbit_point(params: OrbitParams, config: SpaceConfig, seed=None) -> M
     a = random_invertible(F, e, rng).data
     rows = _isometry_rows(config.form, rep, rng)
     # row i of A (Phi B^t), over the r1 non-zero rows
-    return Matrix(F, [F.lincomb(arow, rows, f) for arow in a], e, f)
+    return Matrix(F, F.matmul(a, rows, f), e, f)

@@ -50,12 +50,12 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field: Field, data, rows: int | None = None, cols: int | None = None):
-        data = tuple(tuple(row) for row in data)
+        data = tuple(map(tuple, data))
         if rows is None:
             rows = len(data)
         if cols is None:
             cols = len(data[0]) if data else 0
-        if len(data) != rows or any(len(r) != cols for r in data):
+        if len(data) != rows or not set(map(len, data)) <= {cols}:
             raise DimensionMismatch("ragged or mis-sized entry grid")
         self.field = field
         self.rows = rows
@@ -90,7 +90,15 @@ class Matrix:
             raise DimensionMismatch("matrix JSON carries no field and none was supplied")
         if field is not None and ffield != field:
             raise DimensionMismatch("matrix JSON field disagrees with the expected field")
-        return cls(ffield, [[ffield.parse(s) for s in row] for row in rows])
+
+        def entry(s, i, j):
+            try:
+                return ffield.parse(s)
+            except (ValueError, ZeroDivisionError):
+                raise MalformedInput(f"entry {s!r} at row {i}, column {j} is not an element of the "
+                                     f"{ffield.kind} field") from None
+
+        return cls(ffield, [[entry(s, i, j) for j, s in enumerate(row)] for i, row in enumerate(rows)])
 
     def to_json(self) -> dict:
         render = self.field.render
@@ -167,9 +175,7 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        # row i of the product is sum_k a_ik * (row k of other)
-        out = [self.field.lincomb(arow, other.data, other.cols) for arow in self.data]
-        return Matrix(self.field, out, self.rows, other.cols)
+        return Matrix(self.field, self.field.matmul(self.data, other.data, other.cols), self.rows, other.cols)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
@@ -352,8 +358,11 @@ def random_matrix(field: Field, rows: int, cols: int, rng) -> Matrix:
 
 
 def random_invertible(field: Field, n: int, rng) -> Matrix:
+    """The first of the n x n matrices drawn as by :func:`random_matrix`
+    that has rank n; its rank is read from an elimination of a copy."""
+    starts = range(0, n * n, n)
     for _ in range(999):
-        cand = random_matrix(field, n, n, rng)
-        if not field.is_zero(cand.det()):
-            return cand
+        entries = field.random_row(rng, n * n)
+        if len(echelon(field, [entries[i:i + n] for i in starts])[0]) == n:
+            return Matrix(field, [entries[i:i + n] for i in starts], n, n)
     raise RankDeficient("failed to sample an invertible matrix")

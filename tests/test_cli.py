@@ -727,6 +727,36 @@ def test_gram_file_of_the_wrong_shape_names_the_expected_one(tmp_path, capsys, c
     assert not re.search(r"[A-Z]\w*(Error|Exception)\b", diagnostic["message"])
 
 
+SYM_F3 = ("--kind", "sym", "-e", "2", "-f", "4", "--field", "p=3")
+INSTANCE = '{"S": {"rows": ...}, "A": {"rows": ...}}'
+
+
+@pytest.mark.parametrize(
+    "argv,content,named",
+    [
+        (("classify", *SYM_F3), {"rows": [["1", "0", "0", "0"], ["0", "a", "0", "0"]]},
+         "entry 'a' at row 1, column 1 is not an element of the prime field"),
+        (("classify", "--kind", "sym", "-e", "1", "-f", "3", "--field", "rationals"), {"rows": [["1", "1/0", "0"]]},
+         "entry '1/0' at row 0, column 1 is not an element of the rationals field"),
+        (("classify", "--kind", "sym", "-e", "1", "-f", "3", "--field", "p=3,ext=2"), {"rows": [["0", "1", "x*w"]]},
+         "entry 'x*w' at row 0, column 2 is not an element of the quadratic-extension field"),
+        (("solve-congruence", "--kind", "sym", "-f", "4", "--field", "p=3"), [["1", "0"], ["0", "1"]], INSTANCE),
+        (("solve-congruence", "--kind", "sym", "-f", "4", "--field", "p=3"),
+         {"S": {"rows": [["1"]]}, "A": {"rows": [["1", "0", "0", "0"]]}, "B": {"rows": [["0"]]}}, INSTANCE),
+    ],
+    ids=["prime-entry", "rational-entry", "extension-entry", "instance-bare-list", "instance-extra-key"],
+)
+def test_malformed_in_file_names_what_it_expected(tmp_path, capsys, argv, content, named):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, *argv, "--in", str(path))
+    assert (code, out) == (1, "")
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "MalformedInput"
+    assert named in diagnostic["message"]
+    assert not re.search(r"[A-Z]\w*(Error|Exception)\b", diagnostic["message"])
+
+
 def test_unwritable_output_file_is_domain_error(tmp_path, capsys):
     # --out names a directory: one JSON diagnostic, no traceback
     code, out, err = run(capsys, "equations", "--kind", "sym", "-e", "2", "-f", "3", "--field", "p=3",

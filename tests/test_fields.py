@@ -220,12 +220,15 @@ def test_rationals_exactness():
 
 @pytest.mark.parametrize(
     "field",
-    [field_create("prime", 3), field_create("prime", 7), field_create("quadratic-extension", 3),
-     field_create("rationals")],
-    ids=["F3", "F7", "F9", "Q"],
+    # 2^61 - 1 is a Mersenne prime, built directly: field_create's trial
+    # division would take minutes.  Its draws read two 32-bit words each
+    [field_create("prime", 3), field_create("prime", 7), field_create("prime", 32003), PrimeField(2**61 - 1),
+     field_create("quadratic-extension", 3), field_create("rationals")],
+    ids=["F3", "F7", "F32003", "F2^61-1", "F9", "Q"],
 )
 def test_row_methods_match_their_scalar_definitions(field):
-    # oracle: each row method written out from add and mul, entry by entry
+    # oracle: each row method written out from add and mul, entry by entry,
+    # and random_row from random, which is rng.randrange(p) over F_p
     rng = random.Random(9)
     for n in (0, 1, 4, 7):
         for _ in range(20):
@@ -245,6 +248,17 @@ def test_row_methods_match_their_scalar_definitions(field):
             assert field.lincomb(coeffs, rows, n) == combo
             assert field.lincomb([field.zero] * 3, rows, n) == [field.zero] * n
             assert field.lincomb([], [], n) == [field.zero] * n
+            # matmul: row i of A B is sum_k a_ik (row k of B), entry by entry
+            arows = [coeffs, [field.zero] * 3, [field.random(rng) for _ in range(3)]]
+            product = [[field.zero] * n for _ in arows]
+            for out, arow in zip(product, arows):
+                for c, row in zip(arow, rows):
+                    out[:] = [field.add(y, field.mul(c, x)) for x, y in zip(row, out)]
+            assert field.matmul(arows, rows, n) == product
+            assert field.matmul([], rows, n) == []
+            assert field.matmul([[], []], [], n) == [[field.zero] * n] * 2
+    # the long row meets redraws: at p = 32003 one draw in 43 is redrawn
+    for n in (0, 1, 4, 7, 600):
         seeded, scalar = random.Random(n), random.Random(n)
         assert field.random_row(seeded, n) == [field.random(scalar) for _ in range(n)]
         assert seeded.getstate() == scalar.getstate()

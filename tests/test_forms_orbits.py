@@ -36,7 +36,7 @@ from isodet.forms_orbits import (
     tangent_dimension,
     valid_params,
 )
-from isodet.linalg import Matrix, random_invertible, random_matrix
+from isodet.linalg import Matrix, random_matrix
 
 F5 = field_create("prime", 5)
 F7 = field_create("prime", 7)
@@ -250,6 +250,24 @@ def test_gram_map_symmetry_property():
                 assert g.is_symmetric()
             else:
                 assert g.is_skew()
+
+
+@pytest.mark.parametrize("field", [F49, Q], ids=["F49", "Q"])
+def test_gram_map_is_phi_k_phi_t_on_dense_grams(field):
+    # oracle: the two dense products, on Grams m + m^t and m - m^t with
+    # every entry of m drawn
+    rng = random.Random(17)
+    for kind, sign in (("symmetric", field.one), ("alternating", field.neg(field.one))):
+        forms = 0
+        while forms < 8:
+            m = random_matrix(field, 4, 4, rng)
+            k = m + m.T.scale(sign)
+            if k.det() == field.zero:
+                continue
+            forms += 1
+            for rows in (0, 1, 3):
+                phi = random_matrix(field, rows, 4, rng)
+                assert gram_map(phi, BilinearForm(kind, k)) == phi @ k @ phi.T
 
 
 def test_gram_map_equivariance():
@@ -669,7 +687,14 @@ def _stream_configs():
                          f"{'split' if c.form.is_split_standard() else c.form.gram.data[3][3]}")
 def test_random_orbit_point_follows_its_draw_stream(cfg):
     # oracle: the point is A Phi B^t with A and then B drawn from one
-    # random.Random(seed), in that order, by the public samplers
+    # random.Random(seed), in that order: A is random_matrix redrawn while
+    # its determinant is zero, B the public random_isometry
+    def invertible(rng):
+        while True:
+            a = random_matrix(cfg.field, cfg.e, cfg.e, rng)
+            if a.det() != cfg.field.zero:
+                return a
+
     for p in valid_params(cfg):
         for s in (0, 1, 5, "7:x", f"3:{p}:2"):
             try:
@@ -679,7 +704,7 @@ def test_random_orbit_point_follows_its_draw_stream(cfg):
                     random_orbit_point(p, cfg, seed=s)
                 continue
             rng = random.Random(s)
-            a = random_invertible(cfg.field, cfg.e, rng)
+            a = invertible(rng)
             b = random_isometry(cfg.form, rng=rng)
             assert random_orbit_point(p, cfg, seed=s) == a @ expected @ b.T, (p, s)
 
