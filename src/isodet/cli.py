@@ -89,6 +89,8 @@ def load_input(path: str, build):
         raise
     except MalformedInput as exc:
         raise MalformedInput(f"{path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"{path}: not a JSON document ({exc.msg} at line {exc.lineno}, column {exc.colno})") from None
     except (OSError, ValueError, LookupError, TypeError, ZeroDivisionError) as exc:
         raise MalformedInput(f"{path}: {type(exc).__name__}: {exc}") from None
 
@@ -153,17 +155,13 @@ def _flag(v) -> str:
 
 def generator_inventory(params: OrbitParams, config: SpaceConfig) -> dict:
     """Count and degree of each generator family of a stratum, read from
-    the set's labels and degrees (no polynomial is expanded); a stratum
-    the form or field cannot populate is marked unavailable."""
+    the set's families (no generator is made); a stratum the form or field
+    cannot populate is marked unavailable."""
     try:
         gens = generators_for(params, config)
     except StratumUnavailable as exc:
         return {"unavailable": type(exc).__name__}
-    inv: dict = {}
-    for g in gens:
-        slot = inv.setdefault(g.label[0], {"count": 0, "degree": g.degree})
-        slot["count"] += 1
-    return inv
+    return {fam.tag: {"count": fam.count, "degree": fam.degree} for fam in gens.families}
 
 
 def render_atlas(config: SpaceConfig) -> dict:

@@ -18,17 +18,18 @@ k-minor of a grid shares its (k-1)-minors and every stratum of a
 configuration shares the grid's table.  Rendering and export unpack to
 dense exponent vectors, so output is bit-for-bit reproducible.
 
-A generator set is built from labels and degrees; each member expands
-its polynomial (from the tables, or as a projection of maximal minors)
-only when ``.poly`` is first read, and keeps it.  So counting the
-members of a family and reading their degree, as the atlas does,
-expands nothing, while evaluation and export expand what they read.
+A generator set is built from equation families: each family knows its
+tag, degree and closed-form count, lists its members' label tails and
+builds one member's polynomial (from the tables, or as a projection of
+maximal minors) from its tail.  So counting a set's members and reading
+their degree, as the atlas does, makes no member, while the first
+iteration makes and expands every member once.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
+from math import comb
 
 from .errors import (
     ConsistencyCheckFailed,
@@ -474,56 +475,54 @@ def minor_polynomial(config: SpaceConfig, rowset, colset) -> Polynomial:
 # --------------------------------------------------------------------------
 # labelled generator sets
 
-class Generator:
-    """A labelled polynomial: the label (a tuple) and the degree are set
-    when the generator is built; the polynomial is either given or made by
-    ``build()`` on the first read of :attr:`poly`, and then kept."""
+class Generator(Record):
+    """A labelled polynomial: the label is a tuple whose first item is the
+    tag of the generator's family."""
 
-    __slots__ = ("label", "degree", "_poly", "_build")
-
-    def __init__(self, label: tuple, poly: Polynomial | None = None, *, degree: int | None = None, build=None):
-        if (poly is None) == (build is None) or (degree is None) != (build is None):
-            raise TypeError("Generator takes a polynomial, or a degree and a build function")
-        self.label = label
-        self.degree = poly.degree() if poly is not None else degree
-        self._poly = poly
-        self._build = build
-
-    @property
-    def poly(self) -> Polynomial:
-        if self._poly is None:
-            self._poly = self._build()
-            self._build = None
-        return self._poly
-
-    def __repr__(self):
-        return f"Generator(label={self.label!r}, degree={self.degree})"
+    __slots__ = ("label", "poly")
 
     def label_text(self) -> str:
-        tag = self.label[0]
-        parts = []
-        for item in self.label[1:]:
-            if isinstance(item, tuple):
-                parts.append("[" + ",".join(str(x) for x in item) + "]")
-            else:
-                parts.append(str(item))
-        return f"{tag}({','.join(parts)})"
+        parts = (f"[{','.join(map(str, x))}]" if isinstance(x, tuple) else str(x) for x in self.label[1:])
+        return f"{self.label[0]}({','.join(parts)})"
+
+
+class Family(Record):
+    """One equation family of a generator set: its tag, the degree of
+    every member, its closed-form count, ``tails()`` listing the label
+    tails of its members in set order, and ``build(*tail)`` returning the
+    polynomial of the member labelled ``(tag, *tail)``."""
+
+    __slots__ = ("tag", "degree", "count", "tails", "build")
 
 
 class GeneratorSet:
-    """A labelled, reproducible family of polynomials; labels determine
-    each polynomial bit-for-bit via :func:`rebuild_generator`."""
+    """A labelled, reproducible set of polynomials; labels determine each
+    polynomial bit-for-bit via :func:`rebuild_generator`.  It is given
+    either explicit generators or its families; a set of families counts
+    its members in closed form, and makes and expands them on its first
+    iteration."""
 
-    def __init__(self, config: SpaceConfig, generators):
+    def __init__(self, config: SpaceConfig, generators=None, *, families=()):
         self.config = config
-        self.generators = list(generators)
+        self.families = tuple(families)
+        self._generators = None if generators is None else list(generators)
         self._compiled = None  # every generator's compiled terms, built by the first verdict
+
+    @property
+    def generators(self) -> list:
+        if self._generators is None:
+            self._generators = [
+                Generator((fam.tag, *tail), fam.build(*tail)) for fam in self.families for tail in fam.tails()
+            ]
+        return self._generators
 
     def __iter__(self):
         return iter(self.generators)
 
     def __len__(self):
-        return len(self.generators)
+        if self._generators is None:
+            return sum(fam.count for fam in self.families)
+        return len(self._generators)
 
     def vanishes_at(self, entries) -> bool:
         """Whether every generator vanishes at the flat entries, through the
@@ -546,9 +545,7 @@ class GeneratorSet:
         return self.vanishes_at(phi.flat())
 
     def to_json(self) -> list:
-        return [
-            {"label": g.label_text(), **g.poly.to_json()} for g in self.generators
-        ]
+        return [{"label": g.label_text(), **g.poly.to_json()} for g in self.generators]
 
     def to_text(self) -> str:
         f = self.config.f
@@ -567,8 +564,7 @@ def rank_condition_generators(params: OrbitParams, config: SpaceConfig) -> Gener
     so each family is empty once its size outgrows min(e, f), and dense
     strata get the empty set.  Within that bound no member is identically
     zero, so each has the degree of its family: r1+1, 2(r2+1) and r2+2.
-    The members are labels with degrees; their polynomials come from the
-    memoised tables on first use."""
+    The members' polynomials come from the memoised tables."""
     require_valid(params, config)
     if params.sign is not None:
         raise ExceptionalNeedsSign(
@@ -576,28 +572,27 @@ def rank_condition_generators(params: OrbitParams, config: SpaceConfig) -> Gener
         )
     e, f = config.e, config.f
     bound = min(e, f)
-    gens: list[Generator] = []
+    families = []
     n1 = params.r1 + 1
     if n1 <= bound:
-        X = _matrix_table(config)
-        for T in combinations(range(e), n1):
-            for S in combinations(range(f), n1):
-                gens.append(Generator(("minor", T, S), degree=n1, build=partial(X.minor, T, S)))
+        families.append(Family(
+            "minor", n1, comb(e, n1) * comb(f, n1),
+            lambda: product(combinations(range(e), n1), combinations(range(f), n1)), _matrix_table(config).minor))
     G = _gram_table(config)
     if config.kind == SYMMETRIC:
         n2 = params.r2 + 1
         if n2 <= bound:
-            for T in combinations(range(e), n2):
-                for S in combinations(range(e), n2):
-                    if S < T:
-                        continue  # minor(T,S) = minor(S,T) on a symmetric grid
-                    gens.append(Generator(("gram-minor", T, S), degree=2 * n2, build=partial(G.minor, T, S)))
+            # minor(T,S) = minor(S,T) on a symmetric grid: only T <= S
+            k = comb(e, n2)
+            families.append(Family(
+                "gram-minor", 2 * n2, k * (k + 1) // 2,
+                lambda: combinations_with_replacement(combinations(range(e), n2), 2), G.minor))
     else:
         n2 = params.r2 + 2
         if n2 <= bound:
-            for S in combinations(range(e), n2):
-                gens.append(Generator(("gram-pfaffian", S), degree=n2, build=partial(G.pfaffian, S)))
-    return GeneratorSet(config, gens)
+            families.append(Family(
+                "gram-pfaffian", n2, comb(e, n2), lambda: ((S,) for S in combinations(range(e), n2)), G.pfaffian))
+    return GeneratorSet(config, families=families)
 
 
 def generators_for(params: OrbitParams, config: SpaceConfig) -> GeneratorSet:
@@ -768,32 +763,28 @@ def component_generators(sign: str, config: SpaceConfig) -> GeneratorSet:
     if lam is None:
         lam = _REFERENCE[config.form] = _reference_eigenvalue(star, config)
     # vanishing on the sign component means projecting onto the OTHER family
-    rows = star.projector(F.neg(lam) if sign == "+" else lam)
-
-    gens: list[Generator] = []
+    rows = dict(star.projector(F.neg(lam) if sign == "+" else lam))
     G = _gram_table(config).grid
-    for i in range(e):
-        for j in range(i, e):
-            gens.append(Generator(("quadratic-invariant", i, j), G[i][j]))
-
     X = _matrix_table(config)
     zero = F.zero
     nvars = e * f
 
-    def projection(T, prow):
-        """Projector row ``prow`` applied to the maximal minors on rows T."""
+    def projection(_sign, T, u):
+        """Projector row ``u`` applied to the maximal minors on rows T."""
         acc: dict = {}
-        for k, c in prow:
+        for k, c in rows[u]:
             _add_product(F, acc, {0: c}, X.minor(T, star.subsets[k]).terms)
         return Polynomial._packed(F, nvars, _nonzero(acc, zero))
 
     # the maximal minors on rows T are linearly independent (each alone
     # holds its diagonal monomial), so a projected row is non-zero exactly
     # when its projector row is: the projector keeps only those
-    for T in combinations(range(e), m):
-        for u, prow in rows:
-            gens.append(Generator(("component", sign, T, u), degree=m, build=partial(projection, T, prow)))
-    return GeneratorSet(config, gens)
+    return GeneratorSet(config, families=[
+        Family("quadratic-invariant", 2, e * (e + 1) // 2,
+               lambda: combinations_with_replacement(range(e), 2), lambda i, j: G[i][j]),
+        Family("component", m, comb(e, m) * len(rows),
+               lambda: ((sign, T, u) for T in combinations(range(e), m) for u in rows), projection),
+    ])
 
 
 # --------------------------------------------------------------------------
@@ -801,18 +792,19 @@ def component_generators(sign: str, config: SpaceConfig) -> GeneratorSet:
 
 def rebuild_generator(label: tuple, config: SpaceConfig) -> Generator:
     """The generator carrying ``label`` in some stratum's set from
-    :func:`generators_for`, rebuilt bit-for-bit.  Only the generator
-    returned expands its polynomial.  A label no set carries raises
-    InvalidParams, or the first StratumUnavailable of a stratum whose set
-    the config cannot build."""
+    :func:`generators_for`, rebuilt bit-for-bit: the first family with the
+    label's tag that lists its tail builds it, and no other member is made.
+    A label no set carries raises InvalidParams, or the first
+    StratumUnavailable of a stratum whose set the config cannot build."""
     skipped = None
+    tail = label[1:]
     for params in valid_params(config):
         try:
             gens = generators_for(params, config)
         except StratumUnavailable as exc:
             skipped = skipped or exc
             continue
-        for g in gens:
-            if g.label == label:
-                return g
+        for fam in gens.families:
+            if label[:1] == (fam.tag,) and tail in fam.tails():
+                return Generator(label, fam.build(*tail))
     raise skipped or InvalidParams(f"no generator set carries the label {label!r}")

@@ -118,4 +118,5 @@ class BudgetExceeded(IsodetError):
 class MalformedInput(IsodetError):
     """An input file cannot be read as the JSON document the command
     expects (not JSON, a missing key, a matrix that is not shaped
-    {"rows": [["<entry>", ...], ...]}, an entry that does not parse)."""
+    {"rows": [["<entry>", ...], ...]}, a field descriptor that is not
+    field_create's parameters, an entry that does not parse)."""

@@ -25,7 +25,7 @@ from functools import reduce
 from math import isqrt
 from operator import mul
 
-from .errors import CharTwoUnsupported, CompositeModulus, ConsistencyCheckFailed, ResidueIsSquare
+from .errors import CharTwoUnsupported, CompositeModulus, ConsistencyCheckFailed, MalformedInput, ResidueIsSquare
 
 
 def _is_prime(n: int) -> bool:
@@ -462,5 +462,12 @@ def field_create(kind: str, p: int | None = None, nonresidue: int | None = None)
 
 def field_from_json(obj: dict) -> Field:
     """Inverse of ``Field.descriptor()``, whose keys are the parameters of
-    :func:`field_create`; any other key raises TypeError."""
-    return field_create(**obj)
+    :func:`field_create`, with integer values but for the kind; any other
+    shape raises MalformedInput."""
+    try:
+        if isinstance(obj, dict) and all(type(v) is int for k, v in obj.items() if k != "kind"):
+            return field_create(**obj)
+    except (TypeError, ValueError):  # a key field_create does not take, or an unknown kind
+        pass
+    raise MalformedInput('expected a field as {"kind": "rationals"} or '
+                         '{"kind": "prime" | "quadratic-extension", "p": <integer>}')

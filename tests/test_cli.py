@@ -73,6 +73,19 @@ def test_atlas_expands_no_polynomial(monkeypatch):
     assert len(calls) == 1677
 
 
+@pytest.mark.parametrize("kind,e,f", [("symmetric", 4, 8), ("alternating", 4, 10)])
+def test_atlas_makes_no_generator(monkeypatch, kind, e, f):
+    # the inventory reads each family's count and degree, so the atlas
+    # runs with no Generator to make
+    def refuse(*args):
+        raise AssertionError("the atlas made a generator")
+
+    cfg = split_config(e, f, kind, field_create("prime", 7))
+    expected = render_atlas(cfg)
+    monkeypatch.setattr(equations, "Generator", refuse)
+    assert render_atlas(cfg) == expected
+
+
 def test_atlas_raises_what_is_not_an_unavailable_stratum(capsys, monkeypatch):
     # only StratumUnavailable becomes an "unavailable" cell; a failed
     # consistency check ends the command with its diagnostic
@@ -729,6 +742,7 @@ def test_gram_file_of_the_wrong_shape_names_the_expected_one(tmp_path, capsys, c
 
 SYM_F3 = ("--kind", "sym", "-e", "2", "-f", "4", "--field", "p=3")
 INSTANCE = '{"S": {"rows": ...}, "A": {"rows": ...}}'
+FIELD = 'expected a field as {"kind": "rationals"} or {"kind": "prime" | "quadratic-extension", "p": <integer>}'
 
 
 @pytest.mark.parametrize(
@@ -743,12 +757,17 @@ INSTANCE = '{"S": {"rows": ...}, "A": {"rows": ...}}'
         (("solve-congruence", "--kind", "sym", "-f", "4", "--field", "p=3"), [["1", "0"], ["0", "1"]], INSTANCE),
         (("solve-congruence", "--kind", "sym", "-f", "4", "--field", "p=3"),
          {"S": {"rows": [["1"]]}, "A": {"rows": [["1", "0", "0", "0"]]}, "B": {"rows": [["0"]]}}, INSTANCE),
+        (("classify", *SYM_F3), "rows: [[1, 0, 0, 0]]", "not a JSON document (Expecting value at line 1, column 1)"),
+        (("classify", *SYM_F3), {"field": "p=3", "rows": [["1", "0", "0", "0"], ["0", "1", "0", "0"]]}, FIELD),
+        (("classify", *SYM_F3), {"field": {"kind": "prime", "p": "x"}, "rows": [["1", "0", "0", "0"]]}, FIELD),
     ],
-    ids=["prime-entry", "rational-entry", "extension-entry", "instance-bare-list", "instance-extra-key"],
+    ids=["prime-entry", "rational-entry", "extension-entry", "instance-bare-list", "instance-extra-key",
+         "not-json", "field-string", "field-modulus-string"],
 )
 def test_malformed_in_file_names_what_it_expected(tmp_path, capsys, argv, content, named):
+    # a str is written as it stands, anything else as its JSON text
     path = tmp_path / "in.json"
-    path.write_text(json.dumps(content))
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
     code, out, err = run(capsys, *argv, "--in", str(path))
     assert (code, out) == (1, "")
     diagnostic = json.loads(err)

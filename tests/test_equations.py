@@ -34,7 +34,6 @@ from isodet.forms_orbits import (
     valid_params,
 )
 from isodet.equations import (
-    Generator,
     Polynomial,
     StarOperator,
     component_generators,
@@ -422,7 +421,7 @@ def test_minor_polynomial_checks_index_sets_like_matrix_minor(rows, cols, error)
         Matrix.zeros(F5, 2, 4).minor(rows, cols)
 
 
-# ---------------------------------------------------------------- generators expanded on first use
+# ---------------------------------------------------------------- generator families
 
 def _family_sizes(params, cfg, gram):
     """Per-tag sizes of a stratum's generator set, in closed form.  They
@@ -466,11 +465,12 @@ def test_generators_expand_to_their_degree(monkeypatch):
                             except StratumUnavailable:
                                 continue
                             sizes: dict = {}
+                            degrees = {fam.tag: fam.degree for fam in gens.families}
                             for g in gens:
                                 sizes[g.label[0]] = sizes.get(g.label[0], 0) + 1
                                 poly = g.poly
                                 assert not poly.is_zero() and poly.is_homogeneous(), (cfg, p, g)
-                                assert poly.degree() == g.degree, (cfg, p, g)
+                                assert poly.degree() == degrees[g.label[0]], (cfg, p, g)
                             assert sizes == _family_sizes(p, cfg, gram), (cfg, p)
                             sets += 1
                         equations._MATRIX_TABLES.clear()
@@ -488,26 +488,32 @@ def test_dense_stratum_has_no_gram_generator_when_e_exceeds_f(kind, e, f, dense)
     assert len(generators_for(dense, cfg)) == 0
 
 
-def test_generator_builds_its_polynomial_once():
-    built = []
-    x = Polynomial.variable(F5, 2, 0)
-
-    def build():
-        built.append(1)
-        return x
-
-    g = Generator(("x",), degree=1, build=build)
-    assert built == [] and g.degree == 1
-    assert g.poly is x and g.poly is x and built == [1]
-    ready = Generator(("x",), x)
-    assert ready.poly is x and ready.degree == 1
-    assert Generator(("zero",), Polynomial.zero(F5, 2)).degree == -1
-    for poly in (None, x):
-        for bad in ({}, {"build": build}, {"degree": 1}, {"degree": 1, "build": build}):
-            if poly is None and len(bad) == 2 or poly is not None and not bad:
-                continue  # the two valid forms
-            with pytest.raises(TypeError):
-                Generator(("x",), poly, **bad)
+def test_family_counts_are_closed_forms(monkeypatch):
+    # on every stratum with e <= 4, f <= 8 over F_7: the families' counts
+    # are the closed forms, each lists as many label tails as it counts,
+    # and the set's length reads the counts without expanding a member
+    calls = []
+    real = equations._add_product
+    monkeypatch.setattr(equations, "_add_product", lambda *args: calls.append(1) or real(*args))
+    sets = 0
+    for kind, gram in (("symmetric", "split"), ("symmetric", "identity"), ("alternating", "split")):
+        for e in range(1, 5):
+            for f in range(4, 9, 2) if kind == "alternating" else range(3, 9):
+                form = BilinearForm.from_json(F7, {"kind": kind, "gram": gram}, f)
+                cfg = SpaceConfig(e, f, F7, form)
+                for p in valid_params(cfg):
+                    try:
+                        gens = generators_for(p, cfg)
+                    except StratumUnavailable:
+                        continue
+                    sizes = _family_sizes(p, cfg, gram)
+                    assert {fam.tag: fam.count for fam in gens.families} == sizes, (cfg, p)
+                    for fam in gens.families:
+                        assert fam.count == sum(1 for _ in fam.tails()), (cfg, p, fam.tag)
+                    assert len(gens) == sum(sizes.values())
+                    sets += 1
+    assert calls == []
+    assert sets == 414
 
 
 def test_rebuild_expands_only_the_generator_it_returns(monkeypatch):

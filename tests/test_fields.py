@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from isodet.errors import CharTwoUnsupported, CompositeModulus, ResidueIsSquare
+from isodet.errors import CharTwoUnsupported, CompositeModulus, MalformedInput, ResidueIsSquare
 from isodet.fields import (
     PrimeField,
     QuadraticExtensionField,
@@ -54,11 +54,16 @@ def test_descriptor_roundtrip():
     {"p": 5},
     {"kind": "rationals", "p": 5},
     {"kind": "prime", "p": 5, "nonresidue": 2},
+    {"kind": "prime"},
+    {"kind": "prime", "p": "5"},
+    {"kind": "quadratic-extension", "p": 5, "nonresidue": 2.0},
+    {"kind": "octonions", "p": 5},
+    "p=5",
 ])
 def test_descriptor_keys_are_field_create_parameters(descriptor):
     # a key field_create does not take, or one its kind does not use, is
     # refused, not ignored
-    with pytest.raises(TypeError):
+    with pytest.raises(MalformedInput):
         field_from_json(descriptor)
 
 
