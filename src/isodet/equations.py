@@ -13,10 +13,11 @@ packed monomial is one int: the total degree in the top byte, then one
 byte per variable with x_0 most significant.  Multiplying two monomials
 is then one int addition, and int order is graded-lex order.  Minors and
 sub-Pfaffians come from memoised Laplace tables (:class:`MinorTable`),
-one per generic grid and kept for the life of the process, so every
-k-minor of a grid shares its (k-1)-minors and every stratum of a
-configuration shares the grid's table.  Rendering and export unpack to
-dense exponent vectors, so output is bit-for-bit reproducible.
+one per generic grid, so every k-minor of a grid shares its
+(k-1)-minors.  ``functools.cache`` keeps each value derived from
+immutable inputs alone (a grid's table, the half-form involution, a
+stratum's generator set) for the process.  Rendering and export unpack
+to dense exponent vectors, so output is bit-for-bit reproducible.
 
 A generator set is built from equation families: each family knows its
 tag, degree and closed-form count, lists its members' label tails and
@@ -28,6 +29,7 @@ iteration makes and expands every member once.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
@@ -235,6 +237,7 @@ class Polynomial:
     def compiled(self):
         """Flattened monomials: (coefficient, variable indices with
         multiplicity), in canonical order."""
+        # kept on the object: a cache keyed by the polynomial would hash all its terms per read
         if self._compiled is None:
             self._compiled = tuple(
                 (c, tuple(i for i, k in enumerate(exps) for _ in range(k)))
@@ -347,6 +350,7 @@ class MinorTable:
         neg = F.neg
         self._entries = [[p.terms for p in row] for row in grid]
         self._negated = [[{m: neg(c) for m, c in t.items()} for t in row] for row in self._entries]
+        # the Laplace memo is the table's own: keyed by index tuples, it lives as long as the table
         self._minors: dict = {}
         self._pfaffians: dict = {}
 
@@ -442,26 +446,14 @@ def generic_gram_map(config: SpaceConfig):
     return grid
 
 
-# Tables live for the process, like verify's classification cache: one
-# per (field, e, f) for the generic matrix, one per configuration for its
-# generic Gram map.
-_MATRIX_TABLES: dict = {}
-_GRAM_TABLES: dict = {}
+@cache
+def _matrix_table(field: Field, e: int, f: int) -> MinorTable:
+    return MinorTable(generic_matrix(field, e, f))
 
 
-def _matrix_table(config: SpaceConfig) -> MinorTable:
-    key = (config.field, config.e, config.f)
-    table = _MATRIX_TABLES.get(key)
-    if table is None:
-        table = _MATRIX_TABLES[key] = MinorTable(generic_matrix(*key))
-    return table
-
-
+@cache
 def _gram_table(config: SpaceConfig) -> MinorTable:
-    table = _GRAM_TABLES.get(config)
-    if table is None:
-        table = _GRAM_TABLES[config] = MinorTable(generic_gram_map(config))
-    return table
+    return MinorTable(generic_gram_map(config))
 
 
 def minor_polynomial(config: SpaceConfig, rowset, colset) -> Polynomial:
@@ -469,7 +461,7 @@ def minor_polynomial(config: SpaceConfig, rowset, colset) -> Polynomial:
     polynomial; the index sets obey :meth:`Matrix.minor`'s rule."""
     rowset, colset = tuple(rowset), tuple(colset)
     check_minor_selection(rowset, colset, config.e, config.f)
-    return _matrix_table(config).minor(rowset, colset)
+    return _matrix_table(config.field, config.e, config.f).minor(rowset, colset)
 
 
 # --------------------------------------------------------------------------
@@ -505,6 +497,7 @@ class GeneratorSet:
     def __init__(self, config: SpaceConfig, generators=None, *, families=()):
         self.config = config
         self.families = tuple(families)
+        # per-object lazies: the set itself is the memo's key, shared through _generators
         self._generators = None if generators is None else list(generators)
         self._compiled = None  # every generator's compiled terms, built by the first verdict
 
@@ -570,14 +563,14 @@ def rank_condition_generators(params: OrbitParams, config: SpaceConfig) -> Gener
         raise ExceptionalNeedsSign(
             "the two-component stratum needs component_generators(sign, config)"
         )
-    e, f = config.e, config.f
+    F, e, f = config.field, config.e, config.f
     bound = min(e, f)
     families = []
     n1 = params.r1 + 1
     if n1 <= bound:
         families.append(Family(
             "minor", n1, comb(e, n1) * comb(f, n1),
-            lambda: product(combinations(range(e), n1), combinations(range(f), n1)), _matrix_table(config).minor))
+            lambda: product(combinations(range(e), n1), combinations(range(f), n1)), _matrix_table(F, e, f).minor))
     G = _gram_table(config)
     if config.kind == SYMMETRIC:
         n2 = params.r2 + 1
@@ -597,8 +590,14 @@ def rank_condition_generators(params: OrbitParams, config: SpaceConfig) -> Gener
 
 def generators_for(params: OrbitParams, config: SpaceConfig) -> GeneratorSet:
     """The defining generators of a stratum closure: component generators
-    for a signed stratum, rank-condition generators otherwise."""
+    for a signed stratum, rank-condition generators otherwise; one set per
+    stratum and configuration for the process."""
     require_valid(params, config)
+    return _generators(params, config)
+
+
+@cache
+def _generators(params: OrbitParams, config: SpaceConfig) -> GeneratorSet:
     if params.sign is not None:
         return component_generators(params.sign, config)
     return rank_condition_generators(params, config)
@@ -663,21 +662,12 @@ def _shuffle_sign(field: Field, subset, f: int):
     return field.one if inversions % 2 == 0 else field.neg(field.one), tuple(comp)
 
 
-# One involution per form: both signs of a configuration share it.  So do
-# they share the reference eigenvalue, which reads only the form's
-# (f/2, 0, +) representative rows.
-_STARS: dict = {}
-_REFERENCE: dict = {}
-
-
+@cache
 def star_operator(form: BilinearForm) -> StarOperator:
     """The half-form involution of an even-dimensional symmetric form,
     built once per form.  Needs mu = sqrt((-1)^{f/2} / det K) in the
     field; otherwise raises with the remedy of passing a
     quadratic-extension field."""
-    star = _STARS.get(form)
-    if star is not None:
-        return star
     if form.kind != SYMMETRIC:
         raise WrongKind("the half-form involution needs a symmetric form")
     f = form.f
@@ -699,18 +689,18 @@ def star_operator(form: BilinearForm) -> StarOperator:
     # is the wedge of the columns of K^{-1} indexed by V, as {row set U: det}
     kinv = form.gram.inverse().data
     columns = [[(i, row[j]) for i, row in enumerate(kinv) if row[j] != F.zero] for j in range(f)]
-    wedges: dict = {(): {(): F.one}}  # column prefix -> its wedge, shared
 
-    def wedge(cols):
-        w = wedges.get(cols)
-        if w is None:
-            w = wedges[cols] = {}
-            for U, c in wedge(cols[:-1]).items():
-                for i, a in columns[cols[-1]]:
-                    if i not in U:  # e_U ^ e_i = (-1)^#{u in U : u > i} e_(U + i)
-                        t = F.mul(c, a) if sum(u > i for u in U) % 2 == 0 else F.neg(F.mul(c, a))
-                        V = tuple(sorted((*U, i)))
-                        w[V] = F.add(w[V], t) if V in w else t
+    @cache
+    def wedge(cols):  # column prefix -> its wedge, shared
+        if not cols:
+            return {(): F.one}
+        w: dict = {}
+        for U, c in wedge(cols[:-1]).items():
+            for i, a in columns[cols[-1]]:
+                if i not in U:  # e_U ^ e_i = (-1)^#{u in U : u > i} e_(U + i)
+                    t = F.mul(c, a) if sum(u > i for u in U) % 2 == 0 else F.neg(F.mul(c, a))
+                    V = tuple(sorted((*U, i)))
+                    w[V] = F.add(w[V], t) if V in w else t
         return w
 
     at = {S: k for k, S in enumerate(subsets)}
@@ -723,10 +713,10 @@ def star_operator(form: BilinearForm) -> StarOperator:
     for k, col in enumerate(star.columns):
         if _nonzero(star.image(col), F.zero) != {k: mu_sq}:
             raise ConsistencyCheckFailed("the half-form involution does not square to mu^2")
-    _STARS[form] = star
     return star
 
 
+@cache
 def _reference_eigenvalue(star: StarOperator, config: SpaceConfig):
     """Involution eigenvalue of the decomposable vector spanned by the
     plus representative's row space; pins which eigenspace belongs to
@@ -759,13 +749,11 @@ def component_generators(sign: str, config: SpaceConfig) -> GeneratorSet:
     require_valid(OrbitParams(m, 0, sign), config)
     F = config.field
     star = star_operator(config.form)
-    lam = _REFERENCE.get(config.form)
-    if lam is None:
-        lam = _REFERENCE[config.form] = _reference_eigenvalue(star, config)
+    lam = _reference_eigenvalue(star, config)
     # vanishing on the sign component means projecting onto the OTHER family
     rows = dict(star.projector(F.neg(lam) if sign == "+" else lam))
     G = _gram_table(config).grid
-    X = _matrix_table(config)
+    X = _matrix_table(F, e, f)
     zero = F.zero
     nvars = e * f
 

@@ -15,6 +15,10 @@ class CompositeModulus(IsodetError):
     """The requested modulus is not a prime number."""
 
 
+class ModulusTooLarge(IsodetError):
+    """The modulus is too large for primality to be proven, so it is refused."""
+
+
 class CharTwoUnsupported(IsodetError):
     """Characteristic two is rejected everywhere in this package."""
 

@@ -25,19 +25,32 @@ from functools import reduce
 from math import isqrt
 from operator import mul
 
-from .errors import CharTwoUnsupported, CompositeModulus, ConsistencyCheckFailed, MalformedInput, ResidueIsSquare
+from .errors import (
+    CharTwoUnsupported,
+    CompositeModulus,
+    ConsistencyCheckFailed,
+    MalformedInput,
+    ModulusTooLarge,
+    ResidueIsSquare,
+)
+
+# Miller-Rabin to these bases decides every n below the bound (Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PROVEN_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
+    """Deterministic Miller-Rabin; refuses an n it cannot decide."""
+    if n >= PROVEN_PRIME_BOUND:
+        raise ModulusTooLarge(f"primality is proven only below {PROVEN_PRIME_BOUND}; {n} is refused")
+    if n < 2 or any(n % a == 0 for a in PRIME_BASES):
+        return n in PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
+    for a in PRIME_BASES:  # n is a strong probable prime to base a, or composite
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
             return False
-        i += 2
     return True
 
 
@@ -52,7 +65,7 @@ class Field:
     the rationals bring their own sqrt.  A field overrides one of them,
     with the same values (for ``random_row``, the same draws), only where
     that pays on the benchmarks: F_p overrides ``dot``, ``axpy`` (which
-    ``lincomb`` runs on), ``random_row``, ``matmul`` and ``polyval``.
+    ``lincomb`` runs on), ``random_row`` and ``polyval``.
     """
 
     kind: str = ""
@@ -206,8 +219,7 @@ class PrimeField(Field):
     # 0.17 s (axpy); sym e3f6/F_7 1.36 -> 2.38 s (polyval), and 0.81 ->
     # 0.93 s with one % p per factor rather than per term (p = 32003:
     # 1.21 -> 1.33 s).  Both verify all runs of the exhaustive-f7
-    # benchmark, in process: 87 -> 96 ms (dot), 87 -> 97 ms (random_row),
-    # 87 -> 90 ms (matmul).
+    # benchmark, in process: 87 -> 96 ms (dot), 87 -> 97 ms (random_row).
 
     def dot(self, u, v):
         return sum(map(mul, u, v)) % self.p
@@ -226,10 +238,6 @@ class PrimeField(Field):
             if r < p:
                 row.append(r)
         return row
-
-    def matmul(self, arows, brows, n: int) -> list:
-        # axpy here tests no entry for zero, so there is nothing to read once
-        return [self.lincomb(arow, brows, n) for arow in arows]
 
     def polyval(self, terms, values):
         p = self.p

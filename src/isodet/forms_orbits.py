@@ -25,6 +25,7 @@ improper ones swap it.
 from __future__ import annotations
 
 import random
+from functools import cache
 from math import comb
 from operator import attrgetter
 
@@ -150,10 +151,9 @@ class BilinearForm:
         # the non-zero entries of each column of K, as (rows, values)
         self._kcols = [([i for i, k in enumerate(col) if k != zero], [k for k in col if k != zero])
                        for col in zip(*gram.data)]
-        self._hyperbolic: HyperbolicBasis | None = None
-        self._lie: list[Matrix] | None = None
+        # per-draw lookups stay on the object: a cache keyed by the form hashes its Gram per draw
         self._reps: dict = {}  # OrbitParams -> non-zero rows of its representative
-        self._reflections: dict = {}  # vector v -> (v, v K, reflection scalar), see _isometry_rows
+        self._reflections: dict = {}  # bounded: vector v -> (v, v K, reflection scalar), see _isometry_rows
 
     @property
     def f(self) -> int:
@@ -219,13 +219,9 @@ class BilinearForm:
         """beta(u, v) = u K v^t for row vectors (tuples of payloads)."""
         return self.field.dot(self.times_gram(u), v)
 
+    @cache  # equal forms share it
     def hyperbolic_basis(self) -> HyperbolicBasis:
-        if self._hyperbolic is None:
-            if self.is_split_standard():
-                self._hyperbolic = _split_hyperbolic(self)
-            else:
-                self._hyperbolic = _witt_hyperbolic(self)
-        return self._hyperbolic
+        return _split_hyperbolic(self) if self.is_split_standard() else _witt_hyperbolic(self)
 
     def reference_isotropic(self) -> Matrix:
         """Rows spanning the reference maximal isotropic subspace (the
@@ -237,12 +233,27 @@ class BilinearForm:
             )
         return Matrix(self.field, [a for a, _ in hb.pairs], hb.witt, self.f)
 
-    def lie_basis(self) -> list[Matrix]:
+    @cache  # equal forms share it
+    def lie_basis(self) -> tuple[Matrix, ...]:
         """Basis of the infinitesimal isometries {b : b^t K + K b = 0};
-        dimension f(f+1)/2 for alternating forms, f(f-1)/2 for symmetric."""
-        if self._lie is None:
-            self._lie = _lie_basis(self)
-        return self._lie
+        dimension f(f+1)/2 for alternating forms, f(f-1)/2 for symmetric.
+        b = K^-1 S gives b^t K + K b = S -/+ S^t for K = +/-K^t, so the
+        algebra is K^-1 Skew (symmetric) or K^-1 Sym (alternating): the
+        basis K^-1 (E_ij -/+ E_ji) for i < j, plus K^-1 E_ii when
+        alternating."""
+        F, f = self.field, self.f
+        kinv = self.gram.inverse().data
+        sign = F.neg(F.one) if self.kind == SYMMETRIC else F.one
+        basis = []
+        for i in range(f):
+            for j in range(i + (self.kind == SYMMETRIC), f):
+                # column j of K^-1 E_ij is column i of K^-1
+                rows = [[F.zero] * f for _ in range(f)]
+                for r in range(f):
+                    rows[r][i] = F.mul(sign, kinv[r][j])
+                    rows[r][j] = kinv[r][i]
+                basis.append(Matrix(F, rows, f, f))
+        return tuple(basis)  # shared by equal forms, so immutable
 
 
 def _split_hyperbolic(form: BilinearForm) -> HyperbolicBasis:
@@ -339,25 +350,6 @@ def _witt_hyperbolic(form: BilinearForm) -> HyperbolicBasis:
         span = _perp_within(form, span, (v, u))
     anis = tuple(_diagonalize_restriction(form, span)) if span else ()
     return HyperbolicBasis(tuple(pairs), anis)
-
-
-def _lie_basis(form: BilinearForm) -> list[Matrix]:
-    """b = K^-1 S gives b^t K + K b = S -/+ S^t for K = +/-K^t, so the
-    algebra is K^-1 Skew (symmetric) or K^-1 Sym (alternating): the basis
-    K^-1 (E_ij -/+ E_ji) for i < j, plus K^-1 E_ii when alternating."""
-    F, f = form.field, form.f
-    kinv = form.gram.inverse().data
-    sign = F.neg(F.one) if form.kind == SYMMETRIC else F.one
-    basis = []
-    for i in range(f):
-        for j in range(i + (form.kind == SYMMETRIC), f):
-            # column j of K^-1 E_ij is column i of K^-1
-            rows = [[F.zero] * f for _ in range(f)]
-            for r in range(f):
-                rows[r][i] = F.mul(sign, kinv[r][j])
-                rows[r][j] = kinv[r][i]
-            basis.append(Matrix(F, rows, f, f))
-    return basis
 
 
 class SpaceConfig(Record):

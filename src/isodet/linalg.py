@@ -20,6 +20,8 @@ which lets boundary-parameter generator sets degrade gracefully.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -244,14 +246,11 @@ class Matrix:
         F = self.field
         add, sub, mul, zero = F.add, F.sub, F.mul, F.zero
         data = self.data
-        memo: dict = {}
 
+        @cache
         def pf(idx):
             if not idx:
                 return F.one
-            got = memo.get(idx)
-            if got is not None:
-                return got
             i0 = idx[0]
             rest = idx[1:]
             acc = zero
@@ -262,7 +261,6 @@ class Matrix:
                 sub_idx = rest[:k] + rest[k + 1 :]
                 term = mul(a, pf(sub_idx))
                 acc = add(acc, term) if k % 2 == 0 else sub(acc, term)
-            memo[idx] = acc
             return acc
 
         return pf(tuple(range(self.rows)))

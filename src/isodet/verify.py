@@ -32,12 +32,12 @@ counted them.
 The sampled checks (sampled cuts, closure order) read one labelled
 sample pool, :func:`_sample_points`: seeded uniform and orbit points,
 each drawn and labelled once per process, as flat entry tuples with
-their stratum.
-:func:`_vanishing` reads the one vanishing verdict at each such point,
-:meth:`GeneratorSet.vanishes_at`, and the two checks differ only in how
-they reduce the verdicts.  Every per-stratum value is built by
-:func:`_per_stratum`, so a stratum the form or field cannot populate is
-left out with a warning, whether a check runs alone or in ``run_all``.
+their stratum.  :func:`_verdict` judges each such point once per
+generator set, so the closure check and the sampled cuts share verdicts
+and differ only in how they reduce them.  Every per-stratum value is
+built by :func:`_per_stratum`, so a stratum the form or field cannot
+populate is left out with a warning, whether a check runs alone or in
+``run_all``.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 
 from .equations import GeneratorSet, Polynomial, generators_for
@@ -103,6 +104,9 @@ class VerificationReport(Record):
 # --------------------------------------------------------------------------
 # exhaustive classification of a full matrix space, cached per config
 
+# Kept by hand, not by functools.cache: the budget gates every read of the
+# table cache, which perfbench/traced_cli.py also reads by name, and the
+# point cache holds seeded draw streams.
 _CLASS_CACHE: dict = {}  # config -> classification table; ("row-spaces", config) -> row-space strata
 _POINT_CACHE: dict = {}  # config -> {seed string: flat entries of an orbit point}
 
@@ -193,16 +197,15 @@ def classification_table(config: SpaceConfig, budget: int = DEFAULT_BUDGET):
         return cached
     F, e, f = config.field, config.e, config.f
     vectors = list(product(F.elements(), repeat=f))
-    joins: dict = {}  # basis of S -> [basis of S + v for v in odometer order]
 
-    def join_row(basis):
-        if basis not in joins:
-            joins[basis] = []
-            for v in vectors:
-                rows = [*map(list, basis), list(v)]
-                pivots, _ = echelon(F, rows)
-                joins[basis].append(tuple(map(tuple, rows[: len(pivots)])))
-        return joins[basis]
+    @cache
+    def join_row(basis):  # basis of S -> [basis of S + v for v in odometer order]
+        joined = []
+        for v in vectors:
+            rows = [*map(list, basis), list(v)]
+            pivots, _ = echelon(F, rows)
+            joined.append(tuple(map(tuple, rows[: len(pivots)])))
+        return joined
 
     prefixes = [()]
     for _ in range(e - 1):
@@ -233,10 +236,16 @@ def _all_vanish_prime(compiled, vals, p) -> bool:
     return compiled.vanishes_at(vals)
 
 
+@cache
+def _verdict(gens: GeneratorSet, entries) -> bool:
+    """Whether ``gens`` vanishes at a sample-pool point, judged once per set and point."""
+    return gens.vanishes_at(entries)
+
+
 def _vanishing(gens: GeneratorSet, points) -> list:
     """Whether every generator vanishes, at each labelled point ``(flat
-    entries, stratum)`` of ``points``: :meth:`GeneratorSet.vanishes_at`."""
-    return [gens.vanishes_at(x) for x, _ in points]
+    entries, stratum)`` of ``points``: :func:`_verdict`."""
+    return [_verdict(gens, x) for x, _ in points]
 
 
 def _gl_generators(config: SpaceConfig):
@@ -518,21 +527,18 @@ def check_closure_order(
     left: dict = {}
     uppers = _per_stratum(config, lambda q: build(q, config), left)
     points = _sample_points(config, seed, 0, samples, left)
-    # orbit points of a small stratum repeat: each distinct point is judged once
-    distinct = list(dict.fromkeys(x for x, _ in points))
-    verdicts = {q: dict(zip(distinct, map(gens.vanishes_at, distinct))) for q, gens in uppers.items()}
-    at: dict = {}  # stratum with points, in order -> its positions in the pool
-    for i, (_, c) in enumerate(points):
-        at.setdefault(c, []).append(i)
+    at: dict = {}  # stratum with points, in order -> their entries
+    for x, c in points:
+        at.setdefault(c, []).append(x)
     witness = None
     pairs = 0
     for p, q in product(at, uppers):
         pairs += 1
-        expected, vanish = order_fn(p, q, config), verdicts[q]
-        bad = next((i for i in at[p] if vanish[points[i][0]] != expected), None)
+        expected = order_fn(p, q, config)
+        bad = next((x for x in at[p] if _verdict(uppers[q], x) != expected), None)
         if bad is not None:
             witness = {"reason": "sampled vanishing disagrees with the closure order", "lower": str(p),
-                       "upper": str(q), "expected": expected, "matrix": _rows(config, points[bad][0])}
+                       "upper": str(q), "expected": expected, "matrix": _rows(config, bad)}
             break
     status = "pass" if witness is None else "fail"
     return _report(

@@ -56,14 +56,13 @@ def test_atlas_json_roundtrip(capsys):
     assert regenerated == out.strip()
 
 
-def test_atlas_expands_no_polynomial(monkeypatch):
+def test_atlas_expands_no_polynomial(monkeypatch, fresh_caches):
     # the inventory reads counts and degrees from the sets' labels; forcing
     # the same sets afterwards makes every expansion the atlas skipped
     calls = []
     real = equations._add_product
     monkeypatch.setattr(equations, "_add_product", lambda *args: calls.append(1) or real(*args))
-    monkeypatch.setattr(equations, "_MATRIX_TABLES", {})
-    monkeypatch.setattr(equations, "_GRAM_TABLES", {})
+    fresh_caches(equations, "_matrix_table", "_gram_table", "_generators")
     cfg = split_config(4, 8, "symmetric", field_create("prime", 7))
     render_atlas(cfg)
     assert calls == []
@@ -86,16 +85,28 @@ def test_atlas_makes_no_generator(monkeypatch, kind, e, f):
     assert render_atlas(cfg) == expected
 
 
-def test_atlas_raises_what_is_not_an_unavailable_stratum(capsys, monkeypatch):
+def test_atlas_raises_what_is_not_an_unavailable_stratum(capsys, monkeypatch, fresh_caches):
     # only StratumUnavailable becomes an "unavailable" cell; a failed
     # consistency check ends the command with its diagnostic
     def broken(form):
         raise ConsistencyCheckFailed("synthetic")
 
     monkeypatch.setattr(equations, "star_operator", broken)
+    fresh_caches(equations, "_generators")  # a cached component set would never call star_operator
     code, out, err = run(capsys, "atlas", "--kind", "sym", "-e", "2", "-f", "4", "--field", "p=7")
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "ConsistencyCheckFailed", "message": "synthetic"}
+
+
+def test_large_prime_field_runs_and_too_large_is_refused(capsys):
+    # 2^61 - 1 is decided by Miller-Rabin at once; a modulus above the
+    # proven bound is refused with a typed error, never guessed
+    form = ("--kind", "sym", "-e", "2", "-f", "4", "--field")
+    code, out, _ = run(capsys, "atlas", *form, f"p={2**61 - 1}")
+    assert code == 0 and out
+    code, out, err = run(capsys, "atlas", *form, f"p={(2**31 - 1) * (2**61 - 1)}")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "ModulusTooLarge"
 
 
 def test_classify_zero_matrix(tmp_path, capsys):

@@ -446,11 +446,10 @@ def _family_sizes(params, cfg, gram):
     return sizes
 
 
-def test_generators_expand_to_their_degree(monkeypatch):
+def test_generators_expand_to_their_degree(monkeypatch, fresh_caches):
     # every member of every set, forced: non-zero, homogeneous and of the
     # degree it was built with; the family sizes follow the closed form
-    monkeypatch.setattr(equations, "_MATRIX_TABLES", {})
-    monkeypatch.setattr(equations, "_GRAM_TABLES", {})
+    fresh_caches(equations, "_matrix_table", "_gram_table", "_generators")
     sets = 0
     for kind in ("symmetric", "alternating"):
         for e in range(1, 5):
@@ -473,8 +472,9 @@ def test_generators_expand_to_their_degree(monkeypatch):
                                 assert poly.degree() == degrees[g.label[0]], (cfg, p, g)
                             assert sizes == _family_sizes(p, cfg, gram), (cfg, p)
                             sets += 1
-                        equations._MATRIX_TABLES.clear()
-                        equations._GRAM_TABLES.clear()
+                        equations._matrix_table.cache_clear()
+                        equations._gram_table.cache_clear()
+                        equations._generators.cache_clear()
     assert sets == 1026
 
 
@@ -488,13 +488,14 @@ def test_dense_stratum_has_no_gram_generator_when_e_exceeds_f(kind, e, f, dense)
     assert len(generators_for(dense, cfg)) == 0
 
 
-def test_family_counts_are_closed_forms(monkeypatch):
+def test_family_counts_are_closed_forms(monkeypatch, fresh_caches):
     # on every stratum with e <= 4, f <= 8 over F_7: the families' counts
     # are the closed forms, each lists as many label tails as it counts,
     # and the set's length reads the counts without expanding a member
     calls = []
     real = equations._add_product
     monkeypatch.setattr(equations, "_add_product", lambda *args: calls.append(1) or real(*args))
+    fresh_caches(equations, "_generators")
     sets = 0
     for kind, gram in (("symmetric", "split"), ("symmetric", "identity"), ("alternating", "split")):
         for e in range(1, 5):
@@ -516,9 +517,15 @@ def test_family_counts_are_closed_forms(monkeypatch):
     assert sets == 414
 
 
-def test_rebuild_expands_only_the_generator_it_returns(monkeypatch):
-    monkeypatch.setattr(equations, "_MATRIX_TABLES", {})
-    monkeypatch.setattr(equations, "_GRAM_TABLES", {})
+def test_one_generator_set_per_stratum_and_configuration():
+    # every caller shares the set, so its members are made and compiled once
+    cfg = split_config(2, 4, "symmetric", F5)
+    for p in valid_params(cfg):
+        assert generators_for(p, cfg) is generators_for(p, split_config(2, 4, "symmetric", F5))
+
+
+def test_rebuild_expands_only_the_generator_it_returns(monkeypatch, fresh_caches):
+    fresh_caches(equations, "_matrix_table", "_gram_table", "_generators")
     cfg = split_config(4, 8, "symmetric", F7)
     rows = (0, 1, 2, 3)
     g = rebuild_generator(("minor", rows, rows), cfg)
@@ -526,7 +533,8 @@ def test_rebuild_expands_only_the_generator_it_returns(monkeypatch):
     gram = equations._gram_table(cfg)
     assert gram._minors == {} and gram._pfaffians == {}
     # the matrix table holds the Laplace tree of that one minor
-    assert all(set(S) <= set(rows) for _, S in equations._matrix_table(cfg)._minors)
+    minors = equations._matrix_table(F7, 4, 8)._minors
+    assert minors and all(set(S) <= set(rows) for _, S in minors)
     assert g.poly == minor_polynomial(cfg, rows, rows)
 
 
@@ -735,12 +743,12 @@ def test_star_built_once_per_form():
     assert star_operator(frm) is star_operator(BilinearForm.split(F5, "symmetric", 4))
 
 
-def test_star_consistency_checks_raise_typed_errors(monkeypatch):
+def test_star_consistency_checks_raise_typed_errors(monkeypatch, fresh_caches):
     # a wrong shuffle sign breaks star^2 = mu^2 * id
-    monkeypatch.setattr(equations, "_STARS", {})
+    fresh_caches(equations, "star_operator")
     monkeypatch.setattr(equations, "_shuffle_sign", lambda F, S, f: (F.one, tuple(i for i in range(f) if i not in S)))
     with pytest.raises(ConsistencyCheckFailed):
-        star_operator(BilinearForm("symmetric", Matrix.identity(F5, 2)))
+        equations.star_operator(BilinearForm("symmetric", Matrix.identity(F5, 2)))
     # an operator whose reference ratio is not +/- mu
     cfg = split_config(2, 4, "symmetric", F5)
     real = star_operator(cfg.form)

@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 
-from isodet.errors import CharTwoUnsupported, CompositeModulus, MalformedInput, ResidueIsSquare
+from isodet.errors import CharTwoUnsupported, CompositeModulus, MalformedInput, ModulusTooLarge, ResidueIsSquare
 from isodet.fields import (
+    PROVEN_PRIME_BOUND,
     PrimeField,
     QuadraticExtensionField,
     RationalField,
@@ -42,6 +44,50 @@ def test_field_create_examples():
         field_create("quadratic-extension", 7, nonresidue=2)
     with pytest.raises(CompositeModulus):
         field_create("quadratic-extension", 15)
+
+
+MERSENNE_61 = 2**61 - 1
+
+
+@pytest.mark.parametrize("n", [
+    561, 2047, 1373653, 3215031751, 3825123056546413051,
+    318665857834031151167461,  # a strong pseudoprime to every base up to 37, caught by 41
+    (2**31 - 1) * (10**9 + 7),
+])
+def test_strong_pseudoprimes_are_composite(n):
+    with pytest.raises(CompositeModulus):
+        field_create("prime", n)
+
+
+def test_primality_agrees_with_trial_division():
+    def trial(n):
+        return all(n % d for d in range(2, int(n**0.5) + 1))
+
+    def creates(p):
+        try:
+            field_create("prime", p)
+        except CompositeModulus:
+            return False
+        return True
+
+    odd = range(3, 20000, 2)
+    assert [n for n in odd if trial(n)] == [n for n in odd if creates(n)]
+
+
+def test_large_prime_modulus_is_decided_at_once():
+    t0 = time.perf_counter()
+    F = field_create("prime", MERSENNE_61)
+    assert time.perf_counter() - t0 < 0.1
+    assert F.p == MERSENNE_61 and F.mul(F.inv(12345), 12345) == 1
+    assert field_from_json({"kind": "prime", "p": MERSENNE_61}) == F
+
+
+def test_modulus_beyond_the_proven_bound_is_refused():
+    n = (2**31 - 1) * (2**61 - 1)
+    assert n > PROVEN_PRIME_BOUND
+    for kind in ("prime", "quadratic-extension"):
+        with pytest.raises(ModulusTooLarge, match=str(PROVEN_PRIME_BOUND)):
+            field_create(kind, n)
 
 
 def test_descriptor_roundtrip():

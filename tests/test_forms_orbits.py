@@ -513,6 +513,15 @@ def test_solve_congruence_random_residuals():
 
 # ---------------------------------------------------------------- lie algebra / sampling
 
+def test_equal_forms_share_their_bases():
+    # both bases are kept per form by functools.cache, not on the object
+    for kind, gram in (("symmetric", Matrix.identity(F7, 4)), ("alternating", None)):
+        a, b = (BilinearForm(kind, gram) if gram else BilinearForm.split(F7, kind, 4) for _ in range(2))
+        assert a is not b
+        assert a.hyperbolic_basis() is b.hyperbolic_basis() and a.lie_basis() is b.lie_basis()
+        assert not {"_hyperbolic", "_lie"} & set(vars(a))
+
+
 def test_lie_basis_dimensions_and_property():
     frm = BilinearForm.split(F7, "alternating", 4)
     basis = frm.lie_basis()

@@ -20,7 +20,9 @@ cannot populate whether it runs alone or in ``run_all``.  ``verify.py``
 calls ``classify`` in two places only: the row-space classifier of the
 exhaustive checks and the uniform draws of the sample pool.  ``verify.py``
 never calls ``polyval``: every vanishing verdict goes through
-``GeneratorSet.vanishes_at``."""
+``GeneratorSet.vanishes_at``.  A value derived once per process is kept
+by ``functools.cache``: ``equations.py`` and ``forms_orbits.py`` bind no
+module-level dict, and ``verify.py`` only its two hand-kept caches."""
 
 import ast
 import os
@@ -142,6 +144,32 @@ def test_verify_reads_one_vanishing_verdict():
         or isinstance(node, ast.Name) and node.id == "polyval"
     ]
     assert found == []
+
+
+DICT_CALLS = {"dict", "dict.fromkeys", "defaultdict", "collections.defaultdict"}
+
+
+def _module_dicts(filename):
+    """Names a library module binds at its top level to a dict."""
+    tree = ast.parse((SRC / filename).read_text(encoding="utf-8"))
+    found = []
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+            isinstance(value, (ast.Dict, ast.DictComp))
+            or isinstance(value, ast.Call) and ast.unparse(value.func) in DICT_CALLS
+        ):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [ast.unparse(t) for t in targets]
+    return found
+
+
+def test_process_caches_are_functools_caches():
+    # the classification cache stays by hand because the budget gates each
+    # read, and the point cache because it holds seeded draw streams
+    assert _module_dicts("equations.py") == []
+    assert _module_dicts("forms_orbits.py") == []
+    assert _module_dicts("verify.py") == ["_CLASS_CACHE", "_POINT_CACHE"]
 
 
 def test_only_fields_branches_on_the_field_kind():

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -238,6 +239,24 @@ def test_evaluator_agrees_with_generator_set(kind, field):
     assert seen == {True, False}
 
 
+def test_sampled_checks_judge_each_pool_point_once_per_set(monkeypatch, fresh_caches):
+    # the closure check and every sampled cut read one verdict per
+    # (generator set, pool point), however often the checks and the
+    # uniform draws repeat a point
+    cfg = split_config(2, 3, "symmetric", F3)
+    fresh_caches(verify, "_verdict")
+    calls = []
+    real = GeneratorSet.vanishes_at
+    monkeypatch.setattr(GeneratorSet, "vanishes_at",
+                        lambda self, x: calls.append((tuple(g.label for g in self), x)) or real(self, x))
+    reports = run_all(cfg, budget=100)
+    assert {r.mode["kind"] for r in reports if r.name in ("closure-order", "equation-cut")} == {"sampled"}
+    sets = {tuple(g.label for g in generators_for(p, cfg)) for p in valid_params(cfg)}
+    assert len(sets) == len(valid_params(cfg))
+    pool = {x for x, _ in verify._sample_points(cfg, 0, 2000, 100, {})}
+    assert Counter(calls) == Counter(product(sets, pool))
+
+
 def test_equation_cut_exhaustive_small():
     # both kinds over F_3 at e=2, f=4, every stratum (components included)
     for kind in ("alternating", "symmetric"):
@@ -292,7 +311,8 @@ def _per_point_cut(params, config, gens):
     member_of = [closure_leq(c, params, config) for c in classes]
     elements = list(F.elements())
     points = [(_oracle_entries(elements, e * f, pos), pos) for pos in range(len(codes))]
-    verdicts = _vanishing(gens, points)
+    # each matrix straight to vanishes_at: the verdict memo is for sample-pool points
+    verdicts = [gens.vanishes_at(x) for x, _ in points]
     n_locus = n_vanish = mismatches = 0
     witness = None
     for (entries, pos), vanishes in zip(points, verdicts):
