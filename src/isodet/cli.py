@@ -263,7 +263,8 @@ VERIFY_CHECKS = {
         v.guarded("equation-cut", config, {"params": str(p)}, v.check_equation_cut, p, config, seed=seed, **kw)
         for p in valid_params(config)]),
     "dims": ((), lambda v, config, strata, seed: [v.check_dimensions(config)]),
-    "closure": (("samples",), lambda v, config, strata, seed, **kw: [v.check_closure_order(config, seed=seed, **kw)]),
+    "closure": (("samples", "budget"), lambda v, config, strata, seed, **kw: [
+        v.check_closure_order(config, seed=seed, **kw)]),
     "counts": (("params", "budget", "primes"), lambda v, config, strata, seed, **kw: [
         v.point_count_dimension_estimate(p, config, **kw) for p in strata or valid_params(config)]),
     "all": (("budget", "samples", "primes"), lambda v, config, strata, seed, **kw: v.run_all(config, seed=seed, **kw)),

@@ -252,21 +252,32 @@ class Polynomial:
         return self.field.polyval(self.compiled(), values)
 
     def substitute(self, images) -> "Polynomial":
-        """Exact substitution x_i -> images[i], polynomials of one ring over
-        this field: sum of c * prod images[i]^k_i, in the images' ring."""
-        if len(images) != self.nvars:
+        """Exact substitution x_i -> images[i]: sum of c * prod images[i]^k_i.
+        ``images`` is a list of polynomials of one ring over this field, one
+        per variable, or a sparse substitution: a dict {i: image} of
+        polynomials in this polynomial's ring, which leaves every variable
+        it does not name in place."""
+        sparse = isinstance(images, dict)
+        if not sparse and len(images) != self.nvars:
             raise DimensionMismatch("wrong number of images for substitution")
-        nvars = images[0].nvars if images else 0
-        if any(p.field != self.field or p.nvars != nvars for p in images):
+        nvars = self.nvars if sparse else images[0].nvars if images else 0
+        moved = list(images.items() if sparse else enumerate(images))
+        if any(p.field != self.field or p.nvars != nvars for _, p in moved):
             raise DimensionMismatch("images live in different rings")
-        F, degrees = self.field, [max(p.degree(), 0) for p in images]
+        F, n = self.field, self.nvars
+        moved = [(i, p.terms, max(p.degree(), 0), _var_key(n, i)) for i, p in moved]
         out: dict = {}
         for m, c in self.terms.items():
-            exps = _unpack(m, self.nvars)
-            if sum(map(int.__mul__, exps, degrees)) > MAX_DEGREE:
+            # key: the part of m left in place (0 once a list moves every variable)
+            key, degree, factors = m, m >> (EXP_BITS * n), []
+            for i, terms, d, var in moved:
+                k = (m >> (EXP_BITS * (n - 1 - i))) & MAX_DEGREE
+                if k:
+                    key, degree = key - k * var, degree + k * (d - 1)
+                    factors += [terms] * k
+            if degree > MAX_DEGREE:
                 raise ExponentOutOfRange(f"substituted degree exceeds {MAX_DEGREE}")
-            factors = [images[i].terms for i, k in enumerate(exps) for _ in range(k)]
-            acc = {0: c}
+            acc = {key: c}
             for factor in factors[:-1]:
                 acc, prev = {}, acc
                 _add_product(F, acc, prev, factor)

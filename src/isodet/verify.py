@@ -29,7 +29,14 @@ at each matrix against its code in the table.  The same sweep finds the
 first mismatch of a failing cut, so witnesses do not depend on which sum
 counted them.
 
-The sampled checks (sampled cuts, closure order) read one labelled
+Within the same budget, on the split standard form, the closure order is
+exact: the same prover, given generators of SO(F) or Sp(F) acting on the
+right (:func:`_isometry_generators`), proves every upper span stable
+under GL_e(F_q) x SO/Sp, so one verdict at each representative decides a
+pair on its whole orbit.  The prover is kept per generator set and
+group, so the cut and the closure check prove the left half once.
+
+The sampled checks (sampled cuts, closure order elsewhere) read one labelled
 sample pool, :func:`_sample_points`: seeded uniform and orbit points,
 each drawn and labelled once per process, as flat entry tuples with
 their stratum.  :func:`_verdict` judges each such point once per
@@ -51,6 +58,7 @@ from itertools import combinations, product
 from .equations import GeneratorSet, Polynomial, generators_for
 from .errors import BudgetExceeded, InvalidParams, StratumUnavailable
 from .forms_orbits import (
+    SYMMETRIC,
     OrbitParams,
     Record,
     SpaceConfig,
@@ -248,36 +256,117 @@ def _vanishing(gens: GeneratorSet, points) -> list:
     return [_verdict(gens, x) for x, _ in points]
 
 
-def _gl_generators(config: SpaceConfig):
-    """Generators of GL_e(F_q) acting on the left, Phi -> g Phi, each as
-    (its e x e rows, the row it moves, the images of the coordinates
-    x_ij): the transvections I + E_ij (row i gains row j) for i != j, then
-    diag(lam, 1, ..., 1) for the first generator lam of F_q^x in
-    ``elements()``.  They generate GL_e(F_q) over any F_q: conjugating by
-    powers of the diagonal one scales E_0j and E_i0 by powers of lam,
-    whose sums are all of F_q, and commutators of those reach every
-    I + c E_ij."""
+class Substitution(Record):
+    """A group generator as a sparse substitution of the coordinates x_ij
+    of Phi: ``name`` and ``rows`` show the element, g for Phi -> g Phi
+    (e x e) or B for Phi -> Phi B^t (f x f), and ``images`` maps each
+    variable it moves to its image, for :meth:`Polynomial.substitute`."""
+
+    __slots__ = ("name", "rows", "images")
+
+
+def _substitution(config: SpaceConfig, name: str, rows) -> Substitution:
+    """The substitution of g (name "g": x_ij -> sum_l g_il x_lj) or of B
+    (name "B": x_ij -> sum_l B_jl x_il), over the rows of Phi that g
+    moves, or the columns that B moves."""
     F, e, f = config.field, config.e, config.f
-    q, x = F.order, [Polynomial.variable(F, e * f, i) for i in range(e * f)]
+    images = {}
+    for k, row in enumerate(rows):
+        if any(c != (F.one if l == k else F.zero) for l, c in enumerate(row)):
+            for i in range(e if name == "B" else f):
+                # B moves entry k of row i of Phi, g entry i of row k
+                var = (lambda l: i * f + l) if name == "B" else (lambda l: l * f + i)
+                terms = [Polynomial.variable(F, e * f, var(l)).scale(c) for l, c in enumerate(row) if c != F.zero]
+                images[var(k)] = sum(terms[1:], terms[0])
+    return Substitution(name, rows, images)
+
+
+@cache
+def _primitive_element(F):
+    """lam: the first generator of F_q^x in ``elements()`` order."""
+    q = F.order
     primes = [r for r in range(2, q) if (q - 1) % r == 0 and all(r % s for s in range(2, r))]
-    lam = next(a for a in F.elements() if a != F.zero and all(F.pow(a, (q - 1) // r) != F.one for r in primes))
+    return next(a for a in F.elements() if a != F.zero and all(F.pow(a, (q - 1) // r) != F.one for r in primes))
+
+
+@cache
+def _gl_generators(config: SpaceConfig) -> tuple:
+    """Generators of GL_e(F_q) acting on the left, Phi -> g Phi: the
+    transvections I + E_ij (row i gains row j) for i != j, then
+    diag(lam, 1, ..., 1) for lam = :func:`_primitive_element`.  They generate
+    GL_e(F_q) over any F_q: conjugating by powers of the diagonal one
+    scales E_0j and E_i0 by powers of lam, whose sums are all of F_q, and
+    commutators of those reach every I + c E_ij."""
+    F, e = config.field, config.e
+    lam, out = _primitive_element(F), []
     for i, j in [*((i, j) for i in range(e) for j in range(e) if i != j), (0, 0)]:
         rows = [[F.one if k == l else F.zero for l in range(e)] for k in range(e)]
         rows[i][j] = lam if i == j else F.one
-        images = x[:]
-        for k in range(f):
-            images[i * f + k] = x[k].scale(lam) if i == j else x[i * f + k] + x[j * f + k]
-        yield rows, i, images
+        out.append(_substitution(config, "g", rows))
+    return tuple(out)
 
 
-def _moved_generator(gens: GeneratorSet, config: SpaceConfig):
-    """None when the span of the generators is proven stable under
-    GL_e(F_q): each generator, substituted by each of
-    :func:`_gl_generators`, reduces to zero against the span's reduced
-    row-echelon basis over the generators' monomials.  Otherwise (the
-    first generator moved out of the span, the rows of the group generator
-    that moves it)."""
-    F, f = config.field, config.f
+@cache
+def _isometry_generators(config: SpaceConfig, reflection: bool = False) -> tuple:
+    """Generators of SO(F)(F_q) (symmetric) or Sp(F)(F_q) (alternating)
+    for the split standard form, acting on the right, Phi -> Phi B^t, each
+    a map of F that moves at most two coordinates:
+
+    * symmetric: the Eichler transformations
+      E(e_a, e_b): x -> x + beta(x,e_a) e_b - beta(x,e_b) e_a - Q(e_b) beta(x,e_a) e_a
+      for e_a isotropic and e_b orthogonal to it (one of E(e_a, e_b) and
+      its inverse E(e_b, e_a) when both are isotropic), then the torus
+      element h(lam) scaling x_0 by lam and x_(f-1) by 1/lam;
+      ``reflection`` adds the reflection in e_0 + e_(f-1), x_0 <-> -x_(f-1),
+      for all of O(F);
+    * alternating: the long-root transvections x -> x + beta(x,e_a) e_a,
+      the short-root elements x -> x + beta(x,e_a) e_b + beta(x,e_b) e_a
+      for a < b with e_a orthogonal to e_b, then h(lam) on the pair (0, 1).
+
+    The root elements generate the group over F_p, and h(lam), with lam =
+    :func:`_primitive_element`, scales the root subgroups it does not fix by
+    powers of lam; Weyl conjugation carries those to every root of the
+    same length (Taylor, *The Geometry of the Classical Groups*, chs. 8
+    and 11; Steinberg, *Lectures on Chevalley Groups*).  In the symmetric
+    case the root subgroups give the spinor kernel, and h(lam), of
+    non-square spinor norm, the rest of SO."""
+    F, f, form = config.field, config.f, config.form
+    beta, zero, unit = form.beta, F.zero, [tuple(F.one if j == i else F.zero for j in range(f)) for i in range(f)]
+    maps = []  # each a map of F on tuples
+    if config.kind == SYMMETRIC:
+        half, isotropic = F.inv(F.from_int(2)), [beta(u, u) == zero for u in unit]
+        for a, b in product(range(f), repeat=2):
+            if isotropic[a] and b != a and beta(unit[a], unit[b]) == zero and (a < b or not isotropic[b]):
+                u, v, qv = unit[a], unit[b], F.mul(half, beta(unit[b], unit[b]))
+                maps.append(lambda x, u=u, v=v, qv=qv: tuple(F.axpy(
+                    F.neg(F.add(beta(x, v), F.mul(qv, beta(x, u)))), u, F.axpy(beta(x, u), v, x))))
+        pair = (0, f - 1)
+    else:
+        for a in range(f):
+            maps.append(lambda x, u=unit[a]: tuple(F.axpy(beta(x, u), u, x)))
+        for a, b in combinations(range(f), 2):
+            if beta(unit[a], unit[b]) == zero:
+                maps.append(lambda x, u=unit[a], v=unit[b]: tuple(F.axpy(beta(x, u), v, F.axpy(beta(x, v), u, x))))
+        pair = (0, 1)
+    scale = {pair[0]: _primitive_element(F), pair[1]: F.inv(_primitive_element(F))}
+    maps.append(lambda x: tuple(F.mul(scale.get(k, F.one), c) for k, c in enumerate(x)))
+    if reflection:
+        maps.append(lambda x: tuple(F.neg(x[f - 1 - k]) if k in pair else c for k, c in enumerate(x)))
+    # column l of B is the image of e_l
+    return tuple(_substitution(config, "B", [list(r) for r in zip(*map(m, unit))]) for m in maps)
+
+
+@cache
+def _moved_generator(gens: GeneratorSet, group):
+    """None when the span of the generators is proven stable under the
+    group that ``group(gens.config)`` generates (:func:`_gl_generators` or
+    :func:`_isometry_generators`): each generator, substituted by each
+    substitution that moves one of its variables, reduces to zero against
+    the span's reduced row-echelon basis over the generators' monomials.
+    Otherwise (the first generator moved out of the span, the
+    substitution that moves it).  Kept per set and group, so the cut and
+    the closure check prove the left half once."""
+    F = gens.config.field
     polys = [g.poly for g in gens]
     column = {m: k for k, m in enumerate(dict.fromkeys(m for p in polys for m in p.terms))}
 
@@ -292,15 +381,23 @@ def _moved_generator(gens: GeneratorSet, config: SpaceConfig):
     basis = [coefficients(p) for p in polys]
     pivots, _ = echelon(F, basis)
     basis = basis[: len(pivots)]
-    touched = [{i // f for _, idxs in p.compiled() for i in idxs} for p in polys]
-    for rows, moved, images in _gl_generators(config):
+    touched = [frozenset(i for _, idxs in p.compiled() for i in idxs) for p in polys]
+    for sub in group(gens.config):
         for g, p, at in zip(gens, polys, touched):
-            if moved not in at:
-                continue  # the group generator fixes every variable of g
-            row = coefficients(p.substitute(images))
+            if sub.images.keys().isdisjoint(at):
+                continue  # the substitution fixes every variable of g
+            row = coefficients(p.substitute(sub.images))
             if row is None or F.lincomb([row[c] for c in pivots], basis, len(column)) != row:
-                return g, rows
+                return g, sub
     return None
+
+
+def _instability(moved, config: SpaceConfig) -> str:
+    """How a warning names the generator and the group element of a
+    :func:`_moved_generator` result."""
+    g, sub = moved
+    shown = "; ".join(" ".join(map(config.field.render, row)) for row in sub.rows)
+    return f"generator {g.label_text()} leaves the span of the set under {sub.name} = [{shown}]"
 
 
 def _per_matrix_cut(params: OrbitParams, gens: GeneratorSet, config: SpaceConfig, budget: int, first_only: bool):
@@ -453,7 +550,7 @@ def check_equation_cut(
         mismatches, first = len(misses), (misses[0] if misses else None)
         mode = {"kind": "sampled", "n": len(points), "seed": seed}
     else:
-        moved = _moved_generator(gens, config)
+        moved = _moved_generator(gens, _gl_generators)
         if moved is None:  # the zero set is a union of row-space classes: sum over row spaces
             strata, weights, zero = _row_space_strata(config, budget), _space_weights(config), config.field.zero
             member = {c: closure_leq(c, params, config) for c in set(strata.values())}
@@ -466,10 +563,7 @@ def check_equation_cut(
                 mismatches += n * (m != v)
             first = _per_matrix_cut(params, gens, config, budget, True)[3] if mismatches else None
         else:
-            g, rows = moved
-            shown = "; ".join(" ".join(map(config.field.render, row)) for row in rows)
-            warnings.append(f"generator {g.label_text()} leaves the span of the set under g = [{shown}], "
-                            "so the cut is evaluated matrix by matrix")
+            warnings.append(f"{_instability(moved, config)}, so the cut is evaluated matrix by matrix")
             n_locus, n_vanish, mismatches, first = _per_matrix_cut(params, gens, config, budget, False)
         mode = {"kind": "exhaustive", "space": space}
     witness = None if first is None else {
@@ -508,17 +602,41 @@ def check_dimensions(config: SpaceConfig, codim_override=None) -> VerificationRe
     )
 
 
+def _exact_group(config: SpaceConfig, budget: int) -> str | None:
+    """The group ``GL_e x SO_f`` or ``GL_e x Sp_f`` under which the closure
+    check proves stability, when it can: within the budget of the
+    exhaustive checks, on the split standard form.  None elsewhere."""
+    try:
+        enumeration_space(config, budget)
+    except BudgetExceeded:
+        return None
+    if not config.form.is_split_standard():
+        return None
+    return f"GL_{config.e} x {'SO' if config.kind == SYMMETRIC else 'Sp'}_{config.f}"
+
+
 def check_closure_order(
     config: SpaceConfig,
     samples: int = 100,
     seed: int = 0,
     generators_override=None,
     order_override=None,
+    budget: int = DEFAULT_BUDGET,
 ) -> VerificationReport:
-    """Sampled points of each stratum vanish on another stratum's
-    generators exactly when the closure order says they should.  A
-    stratum without generators over this field, or without orbit points,
-    is left out, with one warning."""
+    """Each stratum's points vanish on another stratum's generators exactly
+    when the closure order says they should.
+
+    Within the budget, on the split standard form over F_q, the check is
+    exact: once every upper set's span is proven stable under both halves
+    of GL_e(F_q) x SO(F) or GL_e(F_q) x Sp(F) (:func:`_moved_generator`),
+    its zero set is a union of orbits, so one verdict at
+    ``representative(p)`` decides the pair (p, q) on the whole orbit of
+    the representative, which is every point the sampler draws from.
+    Elsewhere, and with a warning naming the generator and the group
+    element when a span is not stable, ``samples`` seeded orbit points
+    per stratum are judged.  A stratum without generators over this
+    field, or without a representative or orbit points, is left out, with
+    one warning."""
     if samples < 1:
         raise InvalidParams(f"closure order needs at least one sample per stratum, got {samples}")
     t0 = time.perf_counter()
@@ -526,10 +644,23 @@ def check_closure_order(
     build = generators_override if generators_override is not None else generators_for
     left: dict = {}
     uppers = _per_stratum(config, lambda q: build(q, config), left)
-    points = _sample_points(config, seed, 0, samples, left)
-    at: dict = {}  # stratum with points, in order -> their entries
-    for x, c in points:
-        at.setdefault(c, []).append(x)
+    warnings = []
+    group = _exact_group(config, budget)
+    if group is not None:
+        moved = next(((q, m) for q, gens in uppers.items() for half in (_gl_generators, _isometry_generators)
+                      if (m := _moved_generator(gens, half)) is not None), None)
+        if moved is not None:
+            warnings.append(f"stratum {moved[0]}: {_instability(moved[1], config)}, so the closure order is sampled")
+            group = None
+    if group is not None:
+        at = _per_stratum(config, lambda p: [representative(p, config).flat()], left)
+        mode, extra, judged = {"kind": "exact", "group": group}, {}, "vanishing at the representative"
+    else:
+        at = {}  # stratum with points, in order -> their entries
+        for x, c in _sample_points(config, seed, 0, samples, left):
+            at.setdefault(c, []).append(x)
+        mode, extra, judged = {"kind": "sampled", "n": samples, "seed": seed}, {"samples_per_stratum": samples}, (
+            "sampled vanishing")
     witness = None
     pairs = 0
     for p, q in product(at, uppers):
@@ -537,14 +668,12 @@ def check_closure_order(
         expected = order_fn(p, q, config)
         bad = next((x for x in at[p] if _verdict(uppers[q], x) != expected), None)
         if bad is not None:
-            witness = {"reason": "sampled vanishing disagrees with the closure order", "lower": str(p),
+            witness = {"reason": f"{judged} disagrees with the closure order", "lower": str(p),
                        "upper": str(q), "expected": expected, "matrix": _rows(config, bad)}
             break
     status = "pass" if witness is None else "fail"
-    return _report(
-        "closure-order", config, {"kind": "sampled", "n": samples, "seed": seed},
-        status, witness, {"pairs": pairs, "samples_per_stratum": samples}, _left_out(config, left), t0,
-    )
+    return _report("closure-order", config, mode, status, witness, {"pairs": pairs, **extra},
+                   warnings + _left_out(config, left), t0)
 
 
 def _growth_exponent(n1: int, n2: int, q1: int, q2: int) -> int:
@@ -640,7 +769,7 @@ def run_all(
     return [
         guarded("census", config, {}, exhaustive_census, config, budget),
         guarded("dimensions", config, {}, check_dimensions, config),
-        guarded("closure-order", config, {}, check_closure_order, config, samples=samples, seed=seed),
+        guarded("closure-order", config, {}, check_closure_order, config, samples=samples, seed=seed, budget=budget),
         *(guarded("equation-cut", config, {"params": str(p)}, check_equation_cut, p, config, budget=budget,
                   seed=seed) for p in strata),
         *(guarded("point-count", config, {"params": str(p)}, point_count_dimension_estimate, p, config, primes,

@@ -499,9 +499,12 @@ GOLDEN_STDOUT = [
     ("classify --kind sym -e 2 -f 4 --field p=5 --gram identity --in {phi}",
      "b111cb69022665023db668ddc72f729ac10b77f12845bdae9598e1c08c6ff159"),
     # exhaustive cuts, recorded with the point-by-point cut loop: the first
-    # exhaustive-f7 invocation, and every stratum's cut over F_9
+    # exhaustive-f7 invocation, and every stratum's cut over F_9; the
+    # first was re-recorded when its closure report turned from sampled to
+    # exact (mode {"kind": "exact", "group": "GL_2 x SO_3"}, tallies
+    # {"pairs": 25}), every other report unchanged
     ("verify all --kind sym -e 2 -f 3 --field p=7 --primes 3,7 --format json",
-     "f85390c810436c677f065419673b84de864dc42927d96bbacdc64d7ca8d7b2b2"),
+     "4439af00fc4a159d87f1cadec4b018d6e71593e27dbf56c564dc48cf4cd75594"),
     ("verify cut --kind sym -e 2 -f 3 --field p=3,ext=2 --format json",
      "c5c1ffeb787c2230a32901fb2242a55d57cb72e503534289619ca305afd6dbd5"),
     # sampled cuts, recorded before rebuild_generator became a lookup:
@@ -624,6 +627,21 @@ def test_each_check_accepts_only_the_options_it_reads(capsys, check, option):
     else:
         assert (code, out) == (2, "")
         assert err == f"isodet: error: --{option}: the {check} check does not read it\n"
+
+
+def test_closure_reads_the_budget_and_refuses_primes(capsys):
+    # within the budget on the split form the closure order is exact;
+    # --budget 0 forces sampling, alone or through verify all
+    form = ("--kind", "sym", "-e", "2", "-f", "3", "--field", "p=3", "--format", "json")
+    code, out, _ = run(capsys, "verify", "closure", *form)
+    assert code == 0 and json.loads(out)["mode"] == {"kind": "exact", "group": "GL_2 x SO_3"}
+    code, out, _ = run(capsys, "verify", "closure", *form, "--budget", "0")
+    sampled = json.loads(out)
+    assert code == 0 and sampled["mode"] == {"kind": "sampled", "n": 100, "seed": 0}
+    code, out, _ = run(capsys, "verify", "all", *form, "--budget", "0")
+    assert code == 0 and next(r for r in map(json.loads, out.splitlines()) if r["check"] == "closure-order") == sampled
+    code, out, err = run(capsys, "verify", "closure", *form, "--primes", "3,5")
+    assert (code, out, err) == (2, "", "isodet: error: --primes: the closure check does not read it\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -184,6 +184,19 @@ def test_substitute_matches_polynomial_arithmetic(field):
             assert poly.substitute([Polynomial.variable(field, nvars, i) for i in range(nvars)]) == poly
 
 
+@pytest.mark.parametrize("field", [Q, F7], ids=["Q", "F7"])
+def test_sparse_substitute_leaves_the_other_variables_in_place(field):
+    # {i: image} equals the full list with x_j -> x_j for every j not named
+    rng = random.Random(23)
+    for nvars in (1, 3, 4):
+        for _ in range(40):
+            poly = Polynomial(field, nvars, _random_dense_terms(rng, nvars, field))
+            images = _random_images(rng, nvars, nvars, field)
+            named = rng.sample(range(nvars), rng.randint(0, nvars))
+            full = [images[i] if i in named else Polynomial.variable(field, nvars, i) for i in range(nvars)]
+            assert poly.substitute({i: images[i] for i in named}) == poly.substitute(full)
+
+
 def test_substitute_refusals():
     x = Polynomial.variable(Q, 2, 0)
     with pytest.raises(DimensionMismatch):
@@ -195,6 +208,12 @@ def test_substitute_refusals():
     high = Polynomial(Q, 1, {(200,): Q.one})
     with pytest.raises(ExponentOutOfRange):
         Polynomial(Q, 1, {(2,): Q.one}).substitute([high])
+    # sparse: the degree counts the variables left in place, 2 * 127 + 1 fits and 2 * 128 + 1 does not
+    assert Polynomial(Q, 2, {(2, 1): Q.one}).substitute({0: Polynomial(Q, 2, {(127, 0): Q.one})}).degree() == 255
+    with pytest.raises(ExponentOutOfRange):
+        Polynomial(Q, 2, {(2, 1): Q.one}).substitute({0: Polynomial(Q, 2, {(128, 0): Q.one})})
+    with pytest.raises(DimensionMismatch):
+        x.substitute({0: Polynomial.variable(Q, 3, 0)})
     assert Polynomial.constant(Q, 0, Q.one).substitute([]) == Polynomial.constant(Q, 0, Q.one)
 
 
