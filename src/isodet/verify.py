@@ -307,7 +307,7 @@ def _gl_generators(config: SpaceConfig) -> tuple:
 
 
 @cache
-def _isometry_generators(config: SpaceConfig, reflection: bool = False) -> tuple:
+def _isometry_generators(config: SpaceConfig) -> tuple:
     """Generators of SO(F)(F_q) (symmetric) or Sp(F)(F_q) (alternating)
     for the split standard form, acting on the right, Phi -> Phi B^t, each
     a map of F that moves at most two coordinates:
@@ -315,13 +315,16 @@ def _isometry_generators(config: SpaceConfig, reflection: bool = False) -> tuple
     * symmetric: the Eichler transformations
       E(e_a, e_b): x -> x + beta(x,e_a) e_b - beta(x,e_b) e_a - Q(e_b) beta(x,e_a) e_a
       for e_a isotropic and e_b orthogonal to it (one of E(e_a, e_b) and
-      its inverse E(e_b, e_a) when both are isotropic), then the torus
-      element h(lam) scaling x_0 by lam and x_(f-1) by 1/lam;
-      ``reflection`` adds the reflection in e_0 + e_(f-1), x_0 <-> -x_(f-1),
-      for all of O(F);
-    * alternating: the long-root transvections x -> x + beta(x,e_a) e_a,
-      the short-root elements x -> x + beta(x,e_a) e_b + beta(x,e_b) e_a
-      for a < b with e_a orthogonal to e_b, then h(lam) on the pair (0, 1).
+      its inverse E(e_b, e_a) when both are isotropic);
+    * alternating: the long-root transvections x -> x + beta(x,e_a) e_a
+      and the short-root elements x -> x + beta(x,e_a) e_b + beta(x,e_b) e_a
+      for a < b with e_a orthogonal to e_b;
+
+    then the torus element h(lam) scaling a by lam and b by 1/lam, for the
+    first hyperbolic pair (a, b) of ``form.hyperbolic_basis()``.  The
+    root elements are read off the standard basis, which on the split
+    form is that hyperbolic basis plus, for odd symmetric f, its
+    anisotropic vector.
 
     The root elements generate the group over F_p, and h(lam), with lam =
     :func:`_primitive_element`, scales the root subgroups it does not fix by
@@ -340,18 +343,17 @@ def _isometry_generators(config: SpaceConfig, reflection: bool = False) -> tuple
                 u, v, qv = unit[a], unit[b], F.mul(half, beta(unit[b], unit[b]))
                 maps.append(lambda x, u=u, v=v, qv=qv: tuple(F.axpy(
                     F.neg(F.add(beta(x, v), F.mul(qv, beta(x, u)))), u, F.axpy(beta(x, u), v, x))))
-        pair = (0, f - 1)
     else:
         for a in range(f):
             maps.append(lambda x, u=unit[a]: tuple(F.axpy(beta(x, u), u, x)))
         for a, b in combinations(range(f), 2):
             if beta(unit[a], unit[b]) == zero:
                 maps.append(lambda x, u=unit[a], v=unit[b]: tuple(F.axpy(beta(x, u), v, F.axpy(beta(x, v), u, x))))
-        pair = (0, 1)
-    scale = {pair[0]: _primitive_element(F), pair[1]: F.inv(_primitive_element(F))}
-    maps.append(lambda x: tuple(F.mul(scale.get(k, F.one), c) for k, c in enumerate(x)))
-    if reflection:
-        maps.append(lambda x: tuple(F.neg(x[f - 1 - k]) if k in pair else c for k, c in enumerate(x)))
+    # x = beta(x, b) a + s beta(x, a) b + (a vector orthogonal to both), s = beta(b, a) = +-1
+    a, b = form.hyperbolic_basis().pairs[0]
+    lam, s = _primitive_element(F), beta(b, a)
+    up, down = F.sub(lam, F.one), F.mul(s, F.sub(F.inv(lam), F.one))
+    maps.append(lambda x: tuple(F.axpy(F.mul(up, beta(x, b)), a, F.axpy(F.mul(down, beta(x, a)), b, x))))
     # column l of B is the image of e_l
     return tuple(_substitution(config, "B", [list(r) for r in zip(*map(m, unit))]) for m in maps)
 
@@ -605,7 +607,8 @@ def check_dimensions(config: SpaceConfig, codim_override=None) -> VerificationRe
 def _exact_group(config: SpaceConfig, budget: int) -> str | None:
     """The group ``GL_e x SO_f`` or ``GL_e x Sp_f`` under which the closure
     check proves stability, when it can: within the budget of the
-    exhaustive checks, on the split standard form.  None elsewhere."""
+    exhaustive checks, on the split standard form.  None elsewhere.  The
+    budget counts matrices, not the proof's cost, so it is a proxy."""
     try:
         enumeration_space(config, budget)
     except BudgetExceeded:

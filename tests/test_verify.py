@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import random
@@ -17,6 +16,7 @@ from isodet.forms_orbits import (
     classify,
     closure_leq,
     codimension,
+    hyperbolic_swap,
     random_orbit_point,
     representative,
     split_config,
@@ -593,23 +593,30 @@ def _isometry_space(field, kind, f):
     return SimpleNamespace(e=1, f=f, field=field, form=form, kind=kind)
 
 
+def _reflection(space):
+    # the reflection in a1 - b1, an improper isometry, as a substitution
+    return verify._substitution(space, "B", [list(r) for r in hyperbolic_swap(space.form).data])
+
+
 @pytest.mark.parametrize("kind,f,field,order", [
     ("symmetric", 3, F3, 24), ("symmetric", 4, F3, 576), ("symmetric", 3, F5, 120), ("symmetric", 3, F7, 336),
-    ("symmetric", 3, F9, 720), ("alternating", 4, F3, 51840), ("alternating", 2, F5, 120),
-    ("alternating", 2, F7, 336), ("alternating", 2, F9, 720),
-], ids=["SO3(3)", "SO4+(3)", "SO3(5)", "SO3(7)", "SO3(9)", "Sp4(3)", "Sp2(5)", "Sp2(7)", "Sp2(9)"])
+    ("symmetric", 3, F9, 720), ("symmetric", 5, F3, 51840), ("alternating", 4, F3, 51840),
+    ("alternating", 2, F5, 120), ("alternating", 2, F7, 336), ("alternating", 2, F9, 720),
+], ids=["SO3(3)", "SO4+(3)", "SO3(5)", "SO3(7)", "SO3(9)", "SO5(3)", "Sp4(3)", "Sp2(5)", "Sp2(7)", "Sp2(9)"])
 def test_isometry_generators_generate_the_group(kind, f, field, order):
     # textbook orders: |SO_3(q)| = q(q^2-1), |SO_4^+(3)| = 576,
-    # |Sp_4(3)| = 51840, |Sp_2(q)| = q(q^2-1); with the reflection the
-    # symmetric generators give O, twice SO, so the test tells them apart
+    # |SO_5(3)| = |Sp_4(3)| = 51840, |Sp_2(q)| = q(q^2-1); with the
+    # reflection hyperbolic_swap added the symmetric generators give O,
+    # twice SO, so the test tells them apart (below f = 5, where O_5(3)
+    # alone would take ten seconds)
     space = _isometry_space(field, kind, f)
     subs = verify._isometry_generators.__wrapped__(space)
     for sub in subs:  # each is an isometry: B^t K B = K
         B = Matrix(field, sub.rows, f, f)
         assert B.T @ space.form.gram @ B == space.form.gram
     assert _group_order(subs, field, f) == order
-    if kind == "symmetric":
-        assert _group_order(verify._isometry_generators.__wrapped__(space, True), field, f) == 2 * order
+    if kind == "symmetric" and f < 5:
+        assert _group_order(subs + (_reflection(space),), field, f) == 2 * order
 
 
 def test_right_half_catches_a_drop_one_mutant_the_left_half_passes():
@@ -634,13 +641,16 @@ def test_component_sets_are_not_stable_under_the_reflection():
     # the reflection swaps the two families of maximal isotropic planes,
     # so it moves each component set, which SO keeps
     cfg = split_config(2, 4, "symmetric", F3)
-    with_reflection = functools.partial(verify._isometry_generators, reflection=True)
+
+    def with_reflection(config):
+        return verify._isometry_generators(config) + (_reflection(config),)
+
     for sign in "+-":
         gens = generators_for(OrbitParams(2, 0, sign), cfg)
         assert verify._moved_generator(gens, verify._isometry_generators) is None
         g, sub = verify._moved_generator(gens, with_reflection)
         assert g.label[0] == "component"
-        assert sub.rows == [[0, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0], [2, 0, 0, 0]]
+        assert sub.rows == [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]]
 
 
 ORACLE_CONFIGS = [split_config(2, 3, "symmetric", F7), split_config(2, 3, "symmetric", F9),
