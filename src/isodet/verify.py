@@ -23,27 +23,26 @@ The exhaustive equation cut sums over row spaces as well, once
 :func:`_moved_generator` has proven the span of the generators stable
 under generators of GL_e(F_q): the zero set is then a union of row-space
 classes, so the verdict at a basis holds at every matrix with that row
-space.  An unstable span is cut matrix by matrix, with a warning, by
-:func:`_per_matrix_cut`: the verdict of :meth:`GeneratorSet.vanishes_at`
-at each matrix against its code in the table.  The same sweep finds the
-first mismatch of a failing cut, so witnesses do not depend on which sum
-counted them.
+space.  :func:`_row_space_verdicts` judges each row space once per
+generator set and keeps the counts per (stratum, dim W, verdict).  The
+cut weights those counts by the matrices that share a row space; within
+the same budget, on any form over F_q, the closure check reads them pair
+by pair: the generators of q vanish on every row space of stratum p
+exactly when p lies in the closure of q.  An unstable span is cut matrix
+by matrix, with a warning, by :func:`_per_matrix_cut`: the verdict of
+:meth:`GeneratorSet.vanishes_at` at each matrix against its code in the
+table.  The same sweep finds the first mismatch of a failing cut, so
+witnesses do not depend on which sum counted them.
 
-Within the same budget, on the split standard form, the closure order is
-exact: the same prover, given generators of SO(F) or Sp(F) acting on the
-right (:func:`_isometry_generators`), proves every upper span stable
-under GL_e(F_q) x SO/Sp, so one verdict at each representative decides a
-pair on its whole orbit.  The prover is kept per generator set and
-group, so the cut and the closure check prove the left half once.
-
-The sampled checks (sampled cuts, closure order elsewhere) read one labelled
-sample pool, :func:`_sample_points`: seeded uniform and orbit points,
-each drawn and labelled once per process, as flat entry tuples with
-their stratum.  :func:`_verdict` judges each such point once per
-generator set, so the closure check and the sampled cuts share verdicts
-and differ only in how they reduce them.  Every per-stratum value is
-built by :func:`_per_stratum`, so a stratum the form or field cannot
-populate is left out with a warning, whether a check runs alone or in
+The sampled checks (cuts and closure order over the budget, over Q, or
+for a span not proven stable) read one labelled sample pool,
+:func:`_sample_points`: seeded uniform and orbit points, each drawn and
+labelled once per process, as flat entry tuples with their stratum.
+:func:`_verdict` judges each such point once per generator set, so the
+closure check and the sampled cuts share verdicts and differ only in how
+they reduce them.  Every per-stratum value is built by
+:func:`_per_stratum`, so a stratum the form or field cannot populate is
+left out with a warning, whether a check runs alone or in
 ``run_all``.
 """
 
@@ -51,6 +50,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
@@ -58,7 +58,6 @@ from itertools import combinations, product
 from .equations import GeneratorSet, Polynomial, generators_for
 from .errors import BudgetExceeded, InvalidParams, StratumUnavailable
 from .forms_orbits import (
-    SYMMETRIC,
     OrbitParams,
     Record,
     SpaceConfig,
@@ -257,28 +256,12 @@ def _vanishing(gens: GeneratorSet, points) -> list:
 
 
 class Substitution(Record):
-    """A group generator as a sparse substitution of the coordinates x_ij
-    of Phi: ``name`` and ``rows`` show the element, g for Phi -> g Phi
-    (e x e) or B for Phi -> Phi B^t (f x f), and ``images`` maps each
-    variable it moves to its image, for :meth:`Polynomial.substitute`."""
+    """A generator g of GL_e acting on the left, Phi -> g Phi, as a sparse
+    substitution of the coordinates x_ij of Phi: ``name`` and ``rows``
+    show the element, and ``images`` maps each variable it moves to its
+    image, x_ij -> sum_l g_il x_lj, for :meth:`Polynomial.substitute`."""
 
     __slots__ = ("name", "rows", "images")
-
-
-def _substitution(config: SpaceConfig, name: str, rows) -> Substitution:
-    """The substitution of g (name "g": x_ij -> sum_l g_il x_lj) or of B
-    (name "B": x_ij -> sum_l B_jl x_il), over the rows of Phi that g
-    moves, or the columns that B moves."""
-    F, e, f = config.field, config.e, config.f
-    images = {}
-    for k, row in enumerate(rows):
-        if any(c != (F.one if l == k else F.zero) for l, c in enumerate(row)):
-            for i in range(e if name == "B" else f):
-                # B moves entry k of row i of Phi, g entry i of row k
-                var = (lambda l: i * f + l) if name == "B" else (lambda l: l * f + i)
-                terms = [Polynomial.variable(F, e * f, var(l)).scale(c) for l, c in enumerate(row) if c != F.zero]
-                images[var(k)] = sum(terms[1:], terms[0])
-    return Substitution(name, rows, images)
 
 
 @cache
@@ -296,78 +279,30 @@ def _gl_generators(config: SpaceConfig) -> tuple:
     diag(lam, 1, ..., 1) for lam = :func:`_primitive_element`.  They generate
     GL_e(F_q) over any F_q: conjugating by powers of the diagonal one
     scales E_0j and E_i0 by powers of lam, whose sums are all of F_q, and
-    commutators of those reach every I + c E_ij."""
-    F, e = config.field, config.e
+    commutators of those reach every I + c E_ij.  Each moves only row i
+    of Phi."""
+    F, e, f = config.field, config.e, config.f
     lam, out = _primitive_element(F), []
     for i, j in [*((i, j) for i in range(e) for j in range(e) if i != j), (0, 0)]:
         rows = [[F.one if k == l else F.zero for l in range(e)] for k in range(e)]
         rows[i][j] = lam if i == j else F.one
-        out.append(_substitution(config, "g", rows))
+        images = {}
+        for k in range(f):
+            terms = [Polynomial.variable(F, e * f, l * f + k).scale(c) for l, c in enumerate(rows[i]) if c != F.zero]
+            images[i * f + k] = sum(terms[1:], terms[0])
+        out.append(Substitution("g", rows, images))
     return tuple(out)
 
 
 @cache
-def _isometry_generators(config: SpaceConfig) -> tuple:
-    """Generators of SO(F)(F_q) (symmetric) or Sp(F)(F_q) (alternating)
-    for the split standard form, acting on the right, Phi -> Phi B^t, each
-    a map of F that moves at most two coordinates:
-
-    * symmetric: the Eichler transformations
-      E(e_a, e_b): x -> x + beta(x,e_a) e_b - beta(x,e_b) e_a - Q(e_b) beta(x,e_a) e_a
-      for e_a isotropic and e_b orthogonal to it (one of E(e_a, e_b) and
-      its inverse E(e_b, e_a) when both are isotropic);
-    * alternating: the long-root transvections x -> x + beta(x,e_a) e_a
-      and the short-root elements x -> x + beta(x,e_a) e_b + beta(x,e_b) e_a
-      for a < b with e_a orthogonal to e_b;
-
-    then the torus element h(lam) scaling a by lam and b by 1/lam, for the
-    first hyperbolic pair (a, b) of ``form.hyperbolic_basis()``.  The
-    root elements are read off the standard basis, which on the split
-    form is that hyperbolic basis plus, for odd symmetric f, its
-    anisotropic vector.
-
-    The root elements generate the group over F_p, and h(lam), with lam =
-    :func:`_primitive_element`, scales the root subgroups it does not fix by
-    powers of lam; Weyl conjugation carries those to every root of the
-    same length (Taylor, *The Geometry of the Classical Groups*, chs. 8
-    and 11; Steinberg, *Lectures on Chevalley Groups*).  In the symmetric
-    case the root subgroups give the spinor kernel, and h(lam), of
-    non-square spinor norm, the rest of SO."""
-    F, f, form = config.field, config.f, config.form
-    beta, zero, unit = form.beta, F.zero, [tuple(F.one if j == i else F.zero for j in range(f)) for i in range(f)]
-    maps = []  # each a map of F on tuples
-    if config.kind == SYMMETRIC:
-        half, isotropic = F.inv(F.from_int(2)), [beta(u, u) == zero for u in unit]
-        for a, b in product(range(f), repeat=2):
-            if isotropic[a] and b != a and beta(unit[a], unit[b]) == zero and (a < b or not isotropic[b]):
-                u, v, qv = unit[a], unit[b], F.mul(half, beta(unit[b], unit[b]))
-                maps.append(lambda x, u=u, v=v, qv=qv: tuple(F.axpy(
-                    F.neg(F.add(beta(x, v), F.mul(qv, beta(x, u)))), u, F.axpy(beta(x, u), v, x))))
-    else:
-        for a in range(f):
-            maps.append(lambda x, u=unit[a]: tuple(F.axpy(beta(x, u), u, x)))
-        for a, b in combinations(range(f), 2):
-            if beta(unit[a], unit[b]) == zero:
-                maps.append(lambda x, u=unit[a], v=unit[b]: tuple(F.axpy(beta(x, u), v, F.axpy(beta(x, v), u, x))))
-    # x = beta(x, b) a + s beta(x, a) b + (a vector orthogonal to both), s = beta(b, a) = +-1
-    a, b = form.hyperbolic_basis().pairs[0]
-    lam, s = _primitive_element(F), beta(b, a)
-    up, down = F.sub(lam, F.one), F.mul(s, F.sub(F.inv(lam), F.one))
-    maps.append(lambda x: tuple(F.axpy(F.mul(up, beta(x, b)), a, F.axpy(F.mul(down, beta(x, a)), b, x))))
-    # column l of B is the image of e_l
-    return tuple(_substitution(config, "B", [list(r) for r in zip(*map(m, unit))]) for m in maps)
-
-
-@cache
-def _moved_generator(gens: GeneratorSet, group):
-    """None when the span of the generators is proven stable under the
-    group that ``group(gens.config)`` generates (:func:`_gl_generators` or
-    :func:`_isometry_generators`): each generator, substituted by each
-    substitution that moves one of its variables, reduces to zero against
-    the span's reduced row-echelon basis over the generators' monomials.
-    Otherwise (the first generator moved out of the span, the
-    substitution that moves it).  Kept per set and group, so the cut and
-    the closure check prove the left half once."""
+def _moved_generator(gens: GeneratorSet):
+    """None when the span of the generators is proven stable under
+    GL_e(F_q) acting on the left (:func:`_gl_generators`): each generator,
+    substituted by each substitution that moves one of its variables,
+    reduces to zero against the span's reduced row-echelon basis over the
+    generators' monomials.  Otherwise (the first generator moved out of
+    the span, the substitution that moves it).  Kept per set, so the cut
+    and the closure check prove it once."""
     F = gens.config.field
     polys = [g.poly for g in gens]
     column = {m: k for k, m in enumerate(dict.fromkeys(m for p in polys for m in p.terms))}
@@ -384,7 +319,7 @@ def _moved_generator(gens: GeneratorSet, group):
     pivots, _ = echelon(F, basis)
     basis = basis[: len(pivots)]
     touched = [frozenset(i for _, idxs in p.compiled() for i in idxs) for p in polys]
-    for sub in group(gens.config):
+    for sub in _gl_generators(gens.config):
         for g, p, at in zip(gens, polys, touched):
             if sub.images.keys().isdisjoint(at):
                 continue  # the substitution fixes every variable of g
@@ -392,6 +327,25 @@ def _moved_generator(gens: GeneratorSet, group):
             if row is None or F.lincomb([row[c] for c in pivots], basis, len(column)) != row:
                 return g, sub
     return None
+
+
+def _padded(config: SpaceConfig, basis) -> list:
+    """The flat entries of a row space's basis padded with zero rows to e x f."""
+    return [x for row in basis for x in row] + [config.field.zero] * (config.f * (config.e - len(basis)))
+
+
+@cache
+def _row_space_verdicts(gens: GeneratorSet, budget: int) -> Counter:
+    """{(stratum, dim W, verdict): number of row spaces W}: each row space
+    of :func:`_row_space_strata`, judged once by
+    :meth:`GeneratorSet.vanishes_at` at its basis padded with zero rows.
+    On a span proven GL_e-stable that verdict holds at every matrix with
+    row space W, so the exhaustive cut and the closure check read their
+    sums off these counts.  Kept per set, so the two evaluate each row
+    space once; the budget is part of the key, so it gates every read."""
+    config = gens.config
+    return Counter((c, len(W), gens.vanishes_at(_padded(config, W)))
+                   for W, c in _row_space_strata(config, budget).items())
 
 
 def _instability(moved, config: SpaceConfig) -> str:
@@ -552,14 +506,12 @@ def check_equation_cut(
         mismatches, first = len(misses), (misses[0] if misses else None)
         mode = {"kind": "sampled", "n": len(points), "seed": seed}
     else:
-        moved = _moved_generator(gens, _gl_generators)
+        moved = _moved_generator(gens)
         if moved is None:  # the zero set is a union of row-space classes: sum over row spaces
-            strata, weights, zero = _row_space_strata(config, budget), _space_weights(config), config.field.zero
-            member = {c: closure_leq(c, params, config) for c in set(strata.values())}
+            weights = _space_weights(config)
             n_locus = n_vanish = mismatches = 0
-            for W, c in strata.items():
-                n, m = weights[len(W)], member[c]
-                v = gens.vanishes_at([x for row in W for x in row] + [zero] * (config.f * (config.e - len(W))))
+            for (c, d, v), spaces in _row_space_verdicts(gens, budget).items():
+                n, m = spaces * weights[d], closure_leq(c, params, config)
                 n_locus += n * m
                 n_vanish += n * v
                 mismatches += n * (m != v)
@@ -604,20 +556,6 @@ def check_dimensions(config: SpaceConfig, codim_override=None) -> VerificationRe
     )
 
 
-def _exact_group(config: SpaceConfig, budget: int) -> str | None:
-    """The group ``GL_e x SO_f`` or ``GL_e x Sp_f`` under which the closure
-    check proves stability, when it can: within the budget of the
-    exhaustive checks, on the split standard form.  None elsewhere.  The
-    budget counts matrices, not the proof's cost, so it is a proxy."""
-    try:
-        enumeration_space(config, budget)
-    except BudgetExceeded:
-        return None
-    if not config.form.is_split_standard():
-        return None
-    return f"GL_{config.e} x {'SO' if config.kind == SYMMETRIC else 'Sp'}_{config.f}"
-
-
 def check_closure_order(
     config: SpaceConfig,
     samples: int = 100,
@@ -629,17 +567,17 @@ def check_closure_order(
     """Each stratum's points vanish on another stratum's generators exactly
     when the closure order says they should.
 
-    Within the budget, on the split standard form over F_q, the check is
-    exact: once every upper set's span is proven stable under both halves
-    of GL_e(F_q) x SO(F) or GL_e(F_q) x Sp(F) (:func:`_moved_generator`),
-    its zero set is a union of orbits, so one verdict at
-    ``representative(p)`` decides the pair (p, q) on the whole orbit of
-    the representative, which is every point the sampler draws from.
-    Elsewhere, and with a warning naming the generator and the group
-    element when a span is not stable, ``samples`` seeded orbit points
-    per stratum are judged.  A stratum without generators over this
-    field, or without a representative or orbit points, is left out, with
-    one warning."""
+    Within the budget, on any form over F_q, the check is exhaustive: once
+    every upper set's span is proven GL_e(F_q)-stable
+    (:func:`_moved_generator`), the pair (p, q) passes when the generators
+    of q vanish on every row space of stratum p, read off
+    :func:`_row_space_verdicts`, exactly when the order says p lies in the
+    closure of q.  A failure's witness is the first row space of p, in
+    sweep order, with the wrong verdict.  Elsewhere, and with a warning
+    naming the generator and the group element when a span is not
+    stable, ``samples`` seeded orbit points per stratum are judged.  A
+    stratum without generators over this field, or without a
+    representative or orbit points, is left out, with one warning."""
     if samples < 1:
         raise InvalidParams(f"closure order needs at least one sample per stratum, got {samples}")
     t0 = time.perf_counter()
@@ -648,20 +586,36 @@ def check_closure_order(
     left: dict = {}
     uppers = _per_stratum(config, lambda q: build(q, config), left)
     warnings = []
-    group = _exact_group(config, budget)
-    if group is not None:
-        moved = next(((q, m) for q, gens in uppers.items() for half in (_gl_generators, _isometry_generators)
-                      if (m := _moved_generator(gens, half)) is not None), None)
+    try:
+        space = enumeration_space(config, budget)
+    except BudgetExceeded:
+        space = None
+    if space is not None:
+        moved = next(((q, m) for q, gens in uppers.items() if (m := _moved_generator(gens)) is not None), None)
         if moved is not None:
             warnings.append(f"stratum {moved[0]}: {_instability(moved[1], config)}, so the closure order is sampled")
-            group = None
-    if group is not None:
-        at = _per_stratum(config, lambda p: [representative(p, config).flat()], left)
-        mode, extra, judged = {"kind": "exact", "group": group}, {}, "vanishing at the representative"
+            space = None
+    if space is not None:
+        # a stratum is judged when it has a representative, which the
+        # sampler needs for its orbit points: both modes leave out the same
+        at = _per_stratum(config, lambda p: representative(p, config), left)
+        seen = {q: {(c, v) for c, _, v in _row_space_verdicts(gens, budget)} for q, gens in uppers.items()}
+
+        def first_wrong(p, q, expected):
+            if all(v == expected for c, v in seen[q] if c == p):
+                return None  # the first wrong row space is looked for only on a failure
+            spaces = (_padded(config, W) for W, c in _row_space_strata(config, budget).items() if c == p)
+            return next(x for x in spaces if uppers[q].vanishes_at(x) != expected)
+
+        mode, extra, judged = {"kind": "exhaustive", "space": space}, {}, "vanishing on a row space"
     else:
         at = {}  # stratum with points, in order -> their entries
         for x, c in _sample_points(config, seed, 0, samples, left):
             at.setdefault(c, []).append(x)
+
+        def first_wrong(p, q, expected):
+            return next((x for x in at[p] if _verdict(uppers[q], x) != expected), None)
+
         mode, extra, judged = {"kind": "sampled", "n": samples, "seed": seed}, {"samples_per_stratum": samples}, (
             "sampled vanishing")
     witness = None
@@ -669,7 +623,7 @@ def check_closure_order(
     for p, q in product(at, uppers):
         pairs += 1
         expected = order_fn(p, q, config)
-        bad = next((x for x in at[p] if _verdict(uppers[q], x) != expected), None)
+        bad = first_wrong(p, q, expected)
         if bad is not None:
             witness = {"reason": f"{judged} disagrees with the closure order", "lower": str(p),
                        "upper": str(q), "expected": expected, "matrix": _rows(config, bad)}

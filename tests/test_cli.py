@@ -341,7 +341,8 @@ def test_verify_all_leaves_out_strata_without_representatives(tmp_path, capsys):
      ["(0,0)", "(1,0)", "(1,1)", "(2,1)", "(2,2)"]),
     (("-e", "2", "-f", "4", "--field", "p=3", "--gram", "file:gram.json"), (), (),
      ["(0,0)", "(1,0)", "(1,1)", "(2,1)", "(2,2)"]),
-    # every cut sampled, so each leaves out (2,0,+) and (2,0,-) as well
+    # every cut and the closure order sampled, so each leaves out (2,0,+)
+    # and (2,0,-) as well
     (("-e", "2", "-f", "4", "--field", "p=3", "--gram", "file:gram.json"), (), ("--budget", "0"),
      ["(0,0)", "(1,0)", "(1,1)", "(2,1)", "(2,2)"]),
 ], ids=["identity-Q", "diag-F3", "diag-F3-sampled"])
@@ -356,7 +357,7 @@ def test_single_check_prints_its_verify_all_report(tmp_path, capsys, monkeypatch
     reports = {(r["check"], r["tallies"].get("params")): r for r in map(json.loads, out.splitlines())}
     assert [p for (check, p), r in reports.items()
             if check == "equation-cut" and r["mode"] != {"kind": "skipped"}] == cuts
-    runs = [("dims", "dimensions", None, ()), ("closure", "closure-order", None, samples)]
+    runs = [("dims", "dimensions", None, ()), ("closure", "closure-order", None, (*samples, *budget))]
     runs += [("cut", "equation-cut", p, ("--params", p.strip("()"), *budget)) for p in cuts]
     for check, name, params, options in runs:
         code, out, _ = run(capsys, "verify", check, *form, *options)
@@ -494,17 +495,21 @@ GOLDEN_STDOUT = [
     # (each of its five points classifies to (2,0,+))
     ("sample --kind sym -e 2 -f 4 --field p=7 --gram identity --params 2,0,+ --count 5 --seed 1",
      "646482d347fc0bb7aefcf5edcdde9be1b567690aad9b1c01febfad09b4a80c7f"),
+    # (the verify golden re-recorded when its closure report turned from
+    # sampled to exhaustive: mode {"kind": "exhaustive", "space": 15625},
+    # tallies {"pairs": 25}, every other report unchanged)
     ("verify all --kind sym -e 2 -f 3 --field p=5 --gram identity --format json",
-     "f5f27b6d76411a65e6598d385ce308f2ab877eaaad7c79ee54c2161293fb0a87"),
+     "b3b805b4b7b9ebb58e3d4ef360ebe541b38a12da3c274fe85e9c3863100dbf7d"),
     ("classify --kind sym -e 2 -f 4 --field p=5 --gram identity --in {phi}",
      "b111cb69022665023db668ddc72f729ac10b77f12845bdae9598e1c08c6ff159"),
     # exhaustive cuts, recorded with the point-by-point cut loop: the first
     # exhaustive-f7 invocation, and every stratum's cut over F_9; the
     # first was re-recorded when its closure report turned from sampled to
-    # exact (mode {"kind": "exact", "group": "GL_2 x SO_3"}, tallies
-    # {"pairs": 25}), every other report unchanged
+    # one verdict per representative, and again when it turned to reading
+    # the row-space sweep (mode {"kind": "exhaustive", "space": 117649},
+    # tallies {"pairs": 25}), every other report unchanged
     ("verify all --kind sym -e 2 -f 3 --field p=7 --primes 3,7 --format json",
-     "4439af00fc4a159d87f1cadec4b018d6e71593e27dbf56c564dc48cf4cd75594"),
+     "e866aed5de141961c6f310559b6f953a12de7e7d2eea4b3498ed84ea45f629cc"),
     ("verify cut --kind sym -e 2 -f 3 --field p=3,ext=2 --format json",
      "c5c1ffeb787c2230a32901fb2242a55d57cb72e503534289619ca305afd6dbd5"),
     # sampled cuts, recorded before rebuild_generator became a lookup:
@@ -517,9 +522,13 @@ GOLDEN_STDOUT = [
     # strata left out per check, recorded before one rule caught every
     # StratumUnavailable: on diag(1,1,1,2) over F_3, (2,0,+) and (2,0,-)
     # lack generators and orbit points, and the later message, the pool's,
-    # is the one reported; over Q the identity form has Witt index 0
+    # is the one reported; over Q the identity form has Witt index 0.  The
+    # first was re-recorded when its closure report turned from sampled to
+    # exhaustive (mode {"kind": "exhaustive", "space": 6561}, tallies
+    # {"pairs": 25}, the same two left-out warnings), every other report
+    # unchanged
     ("verify all --kind sym -e 2 -f 4 --field p=3 --gram file:{gram} --format json",
-     "eb901a9782a53981f91865e832da4f50d2d57861f1cb86f464ede29f89322330"),
+     "a07d4f338cc38cfe83197b2127dcc72f4d2b5f7e018354a8e09b717249d8f166"),
     ("verify all --kind sym -e 2 -f 3 --field rationals --gram identity --samples 5 --format json",
      "8282be4c6e978de0f492053bc4a36860300e3aba0d916a4d788aae1d7165de1d"),
     # the largest atlas, recorded while every generator was expanded to
@@ -536,9 +545,11 @@ GOLDEN_STDOUT = [
      "dad30d7c6939d60efe386d7a364ddc0f7e06abd6758bd74b32470d2ebd685b69"),
     # recorded while each subcommand printed its own output: verify's text
     # summary with left-out strata and with sampled-fallback warnings, and
-    # the JSON of the sample, classify and solve-congruence goldens above
+    # the JSON of the sample, classify and solve-congruence goldens above;
+    # the first was re-recorded when its closure line lost
+    # "samples_per_stratum" (exhaustive), every other line unchanged
     ("verify all --kind sym -e 2 -f 4 --field p=3 --gram file:{gram}",
-     "915ee2ede5945c686def655f5d61b54a5f3d10aebd9ac436195aca5a7e6815d0"),
+     "8c95803bc292f5aaac1cf6a4fcd4d942441b26785d6fce3fb46631b5e6b99371"),
     ("verify all --kind sym -e 2 -f 3 --field p=3 --budget 100",
      "f6a36870abdfc61dad7ddbcf067542152ef00aa1dd789060c3e846c3aa2e242a"),
     ("sample --kind sym -e 2 -f 4 --field p=7 --gram identity --params 2,0,+ --count 5 --seed 1 --format json",
@@ -630,11 +641,11 @@ def test_each_check_accepts_only_the_options_it_reads(capsys, check, option):
 
 
 def test_closure_reads_the_budget_and_refuses_primes(capsys):
-    # within the budget on the split form the closure order is exact;
+    # within the budget the closure order reads the row-space sweep;
     # --budget 0 forces sampling, alone or through verify all
     form = ("--kind", "sym", "-e", "2", "-f", "3", "--field", "p=3", "--format", "json")
     code, out, _ = run(capsys, "verify", "closure", *form)
-    assert code == 0 and json.loads(out)["mode"] == {"kind": "exact", "group": "GL_2 x SO_3"}
+    assert code == 0 and json.loads(out)["mode"] == {"kind": "exhaustive", "space": 729}
     code, out, _ = run(capsys, "verify", "closure", *form, "--budget", "0")
     sampled = json.loads(out)
     assert code == 0 and sampled["mode"] == {"kind": "sampled", "n": 100, "seed": 0}

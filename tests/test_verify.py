@@ -3,7 +3,6 @@ import math
 import random
 from collections import Counter
 from itertools import product
-from types import SimpleNamespace
 
 import pytest
 
@@ -16,9 +15,7 @@ from isodet.forms_orbits import (
     classify,
     closure_leq,
     codimension,
-    hyperbolic_swap,
     random_orbit_point,
-    representative,
     split_config,
     valid_params,
 )
@@ -497,6 +494,20 @@ def test_run_all_reads_only_the_row_space_sweep(config, monkeypatch):
     assert [r.to_json() for r in run_all(config)] == expected
 
 
+def test_run_all_judges_each_row_space_once_per_set(monkeypatch, fresh_caches):
+    # the closure check and the cuts read one verdict per (generator set,
+    # row space); the closure check adds no evaluation of its own
+    cfg = split_config(2, 4, "symmetric", F3)
+    fresh_caches(verify, "_row_space_verdicts")
+    calls = []
+    real = GeneratorSet.vanishes_at
+    monkeypatch.setattr(GeneratorSet, "vanishes_at", lambda self, x: calls.append(self) or real(self, x))
+    reports = run_all(cfg)
+    assert all(r.ok for r in reports) and reports[2].mode["kind"] == "exhaustive"
+    sets = {generators_for(p, cfg) for p in valid_params(cfg)}
+    assert Counter(calls) == {gens: len(verify._row_space_strata(cfg)) for gens in sets}
+
+
 def _without(config, params, label):
     gens = generators_for(params, config)
     kept = [g for g in gens if g.label != label]
@@ -509,7 +520,7 @@ def test_stable_mutant_sums_over_row_spaces_and_keeps_the_first_witness():
     cfg = split_config(2, 4, "alternating", F3)
     params = OrbitParams(1, 0)
     gens = _without(cfg, params, ("minor", (0, 1), (0, 2)))
-    assert verify._moved_generator(gens, verify._gl_generators) is None
+    assert verify._moved_generator(gens) is None
     rep = _assert_cut_matches_oracle(params, cfg, gens)
     assert rep.warnings == []
     assert rep.witness["matrix"] == [["0", "0", "1", "0"], ["1", "0", "0", "0"]]
@@ -522,7 +533,7 @@ def test_unstable_mutant_is_cut_matrix_by_matrix():
     cfg = split_config(3, 3, "symmetric", F3)
     params = OrbitParams(1, 1)
     gens = _without(cfg, params, ("minor", (0, 1), (0, 1)))
-    moved, sub = verify._moved_generator(gens, verify._gl_generators)
+    moved, sub = verify._moved_generator(gens)
     assert (moved.label, sub.name, sub.rows) == (("minor", (1, 2), (0, 1)), "g", [[1, 0, 0], [0, 1, 0], [1, 0, 1]])
     rep = _assert_cut_matches_oracle(params, cfg, gens)
     assert rep.tallies["mismatches"] == 48
@@ -538,17 +549,14 @@ STABILITY_CONFIGS += [_diag_1112(F3), _diag_1112(F9)]
 @pytest.mark.parametrize("config", STABILITY_CONFIGS, ids=[
     f"{c.kind[:3]}-e{c.e}f{c.f}-{c.field.order}" for c in STABILITY_CONFIGS[:-2]] + ["diag1112-F3", "diag1112-F9"])
 def test_every_generator_set_is_proven_stable(config):
-    # no golden cut gains a warning: each real set spans a GL_e-stable
-    # space, and on the split form a GL_e x SO/Sp-stable one
-    split = config.form.is_split_standard()
-    halves = (verify._gl_generators, verify._isometry_generators) if split else (verify._gl_generators,)
+    # no golden cut gains a warning, and no closure check falls back to
+    # sampling within the budget: each real set spans a GL_e-stable space
     for params in valid_params(config):
         try:
             gens = generators_for(params, config)
         except StratumUnavailable:
             continue
-        for half in halves:
-            assert verify._moved_generator(gens, half) is None, (str(params), half.__name__)
+        assert verify._moved_generator(gens) is None, str(params)
 
 
 def test_non_homogeneous_mutant_is_unstable():
@@ -559,133 +567,83 @@ def test_non_homogeneous_mutant_is_unstable():
         k = next(i for i, g in enumerate(gens) if g.label == ("minor", (0, 1), (0, 2)))
         one = Polynomial.constant(cfg.field, cfg.e * cfg.f, cfg.field.one)
         gens[k] = Generator(gens[k].label, gens[k].poly + one)
-        moved, sub = verify._moved_generator(GeneratorSet(cfg, gens), verify._gl_generators)
+        moved, sub = verify._moved_generator(GeneratorSet(cfg, gens))
         assert moved.label == ("minor", (0, 1), (0, 2))
         assert sub.rows[1][1] == cfg.field.one and sub.rows[0][0] not in (cfg.field.zero, cfg.field.one)
 
 
-def _group_order(subs, field, n):
-    """The order of the group the substitutions' n x n matrices generate,
-    by closure from the identity; each generator changes at most two rows
-    of a product, so only those are recomputed."""
-    one = tuple(tuple(field.one if j == i else field.zero for j in range(n)) for i in range(n))
-    steps = [[(k, [c for c in row if c != field.zero], [l for l, c in enumerate(row) if c != field.zero])
-              for k, row in enumerate(sub.rows) if tuple(row) != one[k]] for sub in subs]
-    seen, frontier = {one}, [one]
-    while frontier:
-        grown = []
-        for g in frontier:
-            for step in steps:
-                h = list(g)
-                for k, cs, ls in step:
-                    h[k] = tuple(field.lincomb(cs, [g[l] for l in ls], n))
-                h = tuple(h)
-                if h not in seen:
-                    seen.add(h)
-                    grown.append(h)
-        frontier = grown
-    return len(seen)
-
-
-def _isometry_space(field, kind, f):
-    # SpaceConfig refuses f < 3, and the generators read only these fields
-    form = BilinearForm.split(field, kind, f)
-    return SimpleNamespace(e=1, f=f, field=field, form=form, kind=kind)
-
-
-def _reflection(space):
-    # the reflection in a1 - b1, an improper isometry, as a substitution
-    return verify._substitution(space, "B", [list(r) for r in hyperbolic_swap(space.form).data])
-
-
-@pytest.mark.parametrize("kind,f,field,order", [
-    ("symmetric", 3, F3, 24), ("symmetric", 4, F3, 576), ("symmetric", 3, F5, 120), ("symmetric", 3, F7, 336),
-    ("symmetric", 3, F9, 720), ("symmetric", 5, F3, 51840), ("alternating", 4, F3, 51840),
-    ("alternating", 2, F5, 120), ("alternating", 2, F7, 336), ("alternating", 2, F9, 720),
-], ids=["SO3(3)", "SO4+(3)", "SO3(5)", "SO3(7)", "SO3(9)", "SO5(3)", "Sp4(3)", "Sp2(5)", "Sp2(7)", "Sp2(9)"])
-def test_isometry_generators_generate_the_group(kind, f, field, order):
-    # textbook orders: |SO_3(q)| = q(q^2-1), |SO_4^+(3)| = 576,
-    # |SO_5(3)| = |Sp_4(3)| = 51840, |Sp_2(q)| = q(q^2-1); with the
-    # reflection hyperbolic_swap added the symmetric generators give O,
-    # twice SO, so the test tells them apart (below f = 5, where O_5(3)
-    # alone would take ten seconds)
-    space = _isometry_space(field, kind, f)
-    subs = verify._isometry_generators.__wrapped__(space)
-    for sub in subs:  # each is an isometry: B^t K B = K
-        B = Matrix(field, sub.rows, f, f)
-        assert B.T @ space.form.gram @ B == space.form.gram
-    assert _group_order(subs, field, f) == order
-    if kind == "symmetric" and f < 5:
-        assert _group_order(subs + (_reflection(space),), field, f) == 2 * order
-
-
-def test_right_half_catches_a_drop_one_mutant_the_left_half_passes():
+def test_closure_order_catches_a_drop_one_mutant_the_cut_prover_passes():
     # without minor([0,1],[0,1]), the 2-minors of (1,1) still span a
-    # GL_2-stable line each, but an Eichler transformation mixes columns
+    # GL_2-stable line each, so the closure check reads the sweep; the
+    # plane e_0, e_1 of (2,0,+) then meets the zero set of the mutant
     cfg = split_config(2, 4, "symmetric", F3)
     mutant = _without(cfg, OrbitParams(1, 1), ("minor", (0, 1), (0, 1)))
-    assert verify._moved_generator(mutant, verify._gl_generators) is None
-    moved = verify._moved_generator(mutant, verify._isometry_generators)
-    assert (moved[0].label, moved[1].name) == (("minor", (0, 1), (0, 3)), "B")
-    assert moved[1].rows == [[1, 0, 0, 0], [0, 1, 0, 0], [2, 0, 1, 0], [0, 1, 0, 1]]
-    shown = ("stratum (1,1): generator minor([0,1],[0,3]) leaves the span of the set under "
-             "B = [1 0 0 0; 0 1 0 0; 2 0 1 0; 0 1 0 1], so the closure order is sampled")
+    assert verify._moved_generator(mutant) is None
+
     def build(q, config):
         return mutant if q == OrbitParams(1, 1) else generators_for(q, config)
 
     rep = check_closure_order(cfg, samples=5, seed=1, generators_override=build)
-    assert rep.mode == {"kind": "sampled", "n": 5, "seed": 1} and rep.warnings == [shown]
+    assert rep.mode == {"kind": "exhaustive", "space": 3 ** 8} and rep.warnings == []
+    assert rep.witness == {"reason": "vanishing on a row space disagrees with the closure order",
+                           "lower": "(2,0,+)", "upper": "(1,1)", "expected": False,
+                           "matrix": [["1", "0", "0", "0"], ["0", "1", "0", "0"]]}
 
 
-def test_component_sets_are_not_stable_under_the_reflection():
-    # the reflection swaps the two families of maximal isotropic planes,
-    # so it moves each component set, which SO keeps
-    cfg = split_config(2, 4, "symmetric", F3)
+def test_unstable_span_samples_the_closure_order():
+    # the mutant of test_unstable_mutant_is_cut_matrix_by_matrix: its zero
+    # set is no union of row-space classes, so the pairs are sampled
+    cfg = split_config(3, 3, "symmetric", F3)
+    mutant = _without(cfg, OrbitParams(1, 1), ("minor", (0, 1), (0, 1)))
 
-    def with_reflection(config):
-        return verify._isometry_generators(config) + (_reflection(config),)
+    def build(q, config):
+        return mutant if q == OrbitParams(1, 1) else generators_for(q, config)
 
-    for sign in "+-":
-        gens = generators_for(OrbitParams(2, 0, sign), cfg)
-        assert verify._moved_generator(gens, verify._isometry_generators) is None
-        g, sub = verify._moved_generator(gens, with_reflection)
-        assert g.label[0] == "component"
-        assert sub.rows == [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0]]
-
-
-ORACLE_CONFIGS = [split_config(2, 3, "symmetric", F7), split_config(2, 3, "symmetric", F9),
-                  split_config(2, 4, "symmetric", F3), split_config(2, 4, "symmetric", F5),
-                  split_config(2, 4, "alternating", F3), split_config(3, 4, "alternating", F3)]
+    rep = check_closure_order(cfg, samples=5, seed=1, generators_override=build)
+    assert rep.mode == {"kind": "sampled", "n": 5, "seed": 1}
+    assert rep.warnings == ["stratum (1,1): generator minor([1,2],[0,1]) leaves the span of the set under "
+                            "g = [1 0 0; 0 1 0; 1 0 1], so the closure order is sampled"]
 
 
-@pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=["sym-e2f3-F7", "sym-e2f3-F9", "sym-e2f4-F3", "sym-e2f4-F5",
-                                                        "alt-e2f4-F3", "alt-e3f4-F3"])
-def test_exact_closure_order_agrees_with_sampling(config):
+CLOSURE_CONFIGS = [split_config(2, 3, "symmetric", F7), split_config(2, 3, "symmetric", F9),
+                   split_config(2, 4, "symmetric", F3), split_config(2, 4, "symmetric", F5),
+                   split_config(2, 4, "alternating", F3), split_config(3, 4, "alternating", F3),
+                   split_config(3, 3, "symmetric", F3), split_config(4, 3, "symmetric", F3),
+                   split_config(1, 4, "symmetric", F9), split_config(2, 4, "alternating", F5),
+                   SpaceConfig(2, 4, F3, BilinearForm("symmetric", Matrix.identity(F3, 4))),
+                   SpaceConfig(2, 3, F5, BilinearForm("symmetric", Matrix.identity(F5, 3))), _diag_1112(F3)]
+CLOSURE_IDS = ["sym-e2f3-F7", "sym-e2f3-F9", "sym-e2f4-F3", "sym-e2f4-F5", "alt-e2f4-F3", "alt-e3f4-F3",
+               "sym-e3f3-F3", "sym-e4f3-F3", "sym-e1f4-F9", "alt-e2f4-F5", "sym-e2f4-F3-identity",
+               "sym-e2f3-F5-identity", "sym-e2f4-F3-diag1112"]
+
+
+@pytest.mark.parametrize("config", CLOSURE_CONFIGS, ids=CLOSURE_IDS)
+def test_exhaustive_closure_order_agrees_with_sampling(config):
     # budget=0 forces the sampled mode: the same status, pairs and
     # left-out warnings; denying each non-zero stratum its own closure,
-    # both fail at the same pair, the exact mode with the representative
-    # as the witness
-    exact, sampled = check_closure_order(config), check_closure_order(config, budget=0)
-    assert (exact.mode["kind"], sampled.mode["kind"]) == ("exact", "sampled")
-    assert (exact.status, exact.tallies["pairs"], exact.warnings) == (sampled.status, sampled.tallies["pairs"],
-                                                                        sampled.warnings)
+    # both fail at the same pair, the exhaustive witness a row space of
+    # the lower stratum
+    exhaustive, sampled = check_closure_order(config), check_closure_order(config, budget=0)
+    assert (exhaustive.mode["kind"], sampled.mode["kind"]) == ("exhaustive", "sampled")
+    assert (exhaustive.status, exhaustive.tallies["pairs"], exhaustive.warnings) == (
+        sampled.status, sampled.tallies["pairs"], sampled.warnings)
 
     def denied(p, q, cfg):
         return closure_leq(p, q, cfg) != (p == q != OrbitParams(0, 0))
 
-    bad_exact = check_closure_order(config, order_override=denied)
+    bad_exhaustive = check_closure_order(config, order_override=denied)
     bad_sampled = check_closure_order(config, order_override=denied, budget=0)
-    assert bad_exact.status == bad_sampled.status == "fail"
+    assert bad_exhaustive.status == bad_sampled.status == "fail"
     keys = ("lower", "upper", "expected")
-    assert [bad_exact.witness[k] for k in keys] == [bad_sampled.witness[k] for k in keys]
-    lower = next(p for p in valid_params(config) if str(p) == bad_exact.witness["lower"])
-    assert lower.r1 > 0
-    assert bad_exact.witness["matrix"] == verify._rows(config, representative(lower, config).flat())
+    assert [bad_exhaustive.witness[k] for k in keys] == [bad_sampled.witness[k] for k in keys]
+    rows = [[config.field.parse(x) for x in row] for row in bad_exhaustive.witness["matrix"]]
+    assert str(classify(Matrix(config.field, rows, config.e, config.f), config)) == bad_exhaustive.witness["lower"]
 
 
-def test_exact_closure_order_witness_is_the_representative():
+def test_exhaustive_closure_order_witness_is_the_first_wrong_row_space():
     # the pairs of test_closure_order_witness_is_the_first_failing_pair_and_point,
-    # judged once each at the representative of the lower stratum
+    # judged on every row space: the witness is the first row space of the
+    # lower stratum in sweep order, padded with zero rows
     cfg = split_config(2, 4, "symmetric", F3)
     flips = {(OrbitParams(2, 0, "-"), OrbitParams(2, 2)), (OrbitParams(1, 1), OrbitParams(2, 0, "+"))}
 
@@ -693,19 +651,43 @@ def test_exact_closure_order_witness_is_the_representative():
         return closure_leq(p, q, config) != ((p, q) in flips)
 
     bad = check_closure_order(cfg, samples=4, seed=2, order_override=mutated)
-    assert bad.mode == {"kind": "exact", "group": "GL_2 x SO_4"}
+    assert bad.mode == {"kind": "exhaustive", "space": 3 ** 8}
     assert bad.status == "fail" and bad.tallies == {"pairs": 18}
-    assert bad.witness == {"reason": "vanishing at the representative disagrees with the closure order",
+    assert bad.witness == {"reason": "vanishing on a row space disagrees with the closure order",
                            "lower": "(1,1)", "upper": "(2,0,+)", "expected": True,
                            "matrix": [["1", "0", "0", "1"], ["0", "0", "0", "0"]]}
+    first = next(W for W, c in verify._row_space_strata(cfg).items() if c == OrbitParams(1, 1))
+    assert bad.witness["matrix"] == verify._rows(cfg, verify._padded(cfg, first))
+
+
+def test_closure_order_fails_where_the_census_passes(monkeypatch, fresh_caches):
+    # classify patched to swap (1,0) and (1,1): every rank still holds its
+    # matrices, so the census passes, but the generators of (1,0) vanish
+    # on no row space labelled (1,0)
+    cfg = split_config(2, 4, "symmetric", F3)
+    swap = {OrbitParams(1, 0): OrbitParams(1, 1), OrbitParams(1, 1): OrbitParams(1, 0)}
+
+    def relabel(phi, config):
+        params = classify(phi, config)
+        return swap.get(params, params)
+
+    monkeypatch.setattr(verify, "classify", relabel)
+    monkeypatch.setattr(verify, "_CLASS_CACHE", {})
+    fresh_caches(verify, "_row_space_verdicts")
+    assert exhaustive_census(cfg).status == "pass"
+    bad = check_closure_order(cfg)
+    assert bad.status == "fail" and bad.mode["kind"] == "exhaustive"
+    assert (bad.witness["lower"], bad.witness["upper"]) == ("(1,0)", "(1,0)")
 
 
 @pytest.mark.parametrize("config", [split_config(2, 3, "symmetric", F7), split_config(2, 4, "symmetric", F3),
-                                    split_config(2, 4, "alternating", F3), split_config(2, 3, "symmetric", F9)],
-                         ids=["sym-e2f3-F7", "sym-e2f4-F3", "alt-e2f4-F3", "sym-e2f3-F9"])
+                                    split_config(2, 4, "alternating", F3), split_config(2, 3, "symmetric", F9),
+                                    CLOSURE_CONFIGS[-2], _diag_1112(F3)],
+                         ids=["sym-e2f3-F7", "sym-e2f4-F3", "alt-e2f4-F3", "sym-e2f3-F9", "sym-e2f3-F5-identity",
+                              "sym-e2f4-F3-diag1112"])
 def test_run_all_draws_no_orbit_point_within_the_budget(config, monkeypatch):
-    # the closure check is exact and the cuts sweep row spaces, so no
-    # report of run_all reads the sample pool
+    # on any form, the closure check and the cuts read the row-space
+    # sweep, so no report of run_all reads the sample pool
     def unreached(*args, **kwargs):
         raise RuntimeError("run_all drew an orbit point")
 
@@ -713,7 +695,7 @@ def test_run_all_draws_no_orbit_point_within_the_budget(config, monkeypatch):
     monkeypatch.setattr(verify, "random_orbit_point", unreached)
     reports = run_all(config)
     assert all(r.ok for r in reports)
-    assert next(r for r in reports if r.name == "closure-order").mode["kind"] == "exact"
+    assert next(r for r in reports if r.name == "closure-order").mode["kind"] == "exhaustive"
 
 
 def test_check_dimensions_pass_and_mutation():
