@@ -2,9 +2,10 @@
 sampling that tie every formula in the library back to an independent
 check, emitting machine-readable reports.
 
-Every exhaustive check reads the space in one odometer order over the
-entries (row-major, last entry fastest), :func:`_odometer`, so positions,
-tables and witnesses agree between checks.
+Every exhaustive check reads the matrices in one odometer order over the
+entries (row-major, last entry fastest), :func:`_matrices`, so positions,
+tables and witnesses agree between checks: an exhaustive witness is the
+first matrix in that order that the check finds wrong.
 
 The stratum of a matrix depends only on its row space W: r1 = dim W, r2
 is the rank of the form on W, and the sign is read off dim(W meet L0);
@@ -12,38 +13,32 @@ and exactly prod over i < dim W of (q^e - q^i) matrices share W.  So the
 exhaustive checks sweep row spaces, not matrices:
 :func:`_row_space_strata` classifies each reduced row-echelon basis of
 dimension at most min(e, f) once, and the census and the point counts
-sum those weights per stratum.  The per-matrix classification table
-takes its strata from the same classifier and is composed one row at a
-time, since the row space of (v_1, ..., v_e) is the join of
-span(v_1..v_(e-1)) with v_e: one :func:`echelon` per prefix space and
-last row.  Both are cached per configuration, and the budget on q^(ef)
-gates every read.
+sum those weights per stratum.  The per-matrix classification table,
+read by :func:`_matrices` alone, takes its strata from the same
+classifier and is composed one row at a time, since the row space of
+(v_1, ..., v_e) is the join of span(v_1..v_(e-1)) with v_e: one
+:func:`echelon` per prefix space and last row.  Both are cached per
+configuration, and the budget on q^(ef) gates every read.
 
-The exhaustive equation cut sums over row spaces as well, once
+The equation cut and the closure check ask each generator set one
+question, at which points of which stratum it vanishes, and read the
+answer from one source.  Within the budget it is :func:`_verdicts`, the
+matrices per (stratum, verdict), kept per set.  Once
 :func:`_moved_generator` has proven the span of the generators stable
-under generators of GL_e(F_q): the zero set is then a union of row-space
-classes, so the verdict at a basis holds at every matrix with that row
-space.  :func:`_row_space_verdicts` judges each row space once per
-generator set and keeps the counts per (stratum, dim W, verdict).  The
-cut weights those counts by the matrices that share a row space; within
-the same budget, on any form over F_q, the closure check reads them pair
-by pair: the generators of q vanish on every row space of stratum p
-exactly when p lies in the closure of q.  An unstable span is cut matrix
-by matrix, with a warning, by :func:`_per_matrix_cut`: the verdict of
-:meth:`GeneratorSet.vanishes_at` at each matrix against its code in the
-table.  The same sweep finds the first mismatch of a failing cut, so
-witnesses do not depend on which sum counted them.
-
-The sampled checks (cuts and closure order over the budget, over Q, or
-for a span not proven stable) read one labelled sample pool,
-:func:`_sample_points`: seeded uniform and orbit points, each drawn and
-labelled once per process, as flat entry tuples with their stratum.
-:func:`_verdict` judges each such point once per generator set, so the
-closure check and the sampled cuts share verdicts and differ only in how
-they reduce them.  Every per-stratum value is built by
-:func:`_per_stratum`, so a stratum the form or field cannot populate is
-left out with a warning, whether a check runs alone or in
-``run_all``.
+under generators of GL_e(F_q), the zero set is a union of row-space
+classes, so one :meth:`GeneratorSet.vanishes_at` per row space, weighted
+by the matrices that share it, stands for them all; an unstable span is
+judged matrix by matrix, with a warning.  Over the budget or over Q the
+counts are taken over one labelled sample pool, :func:`_sample_points`:
+seeded uniform and orbit points, each drawn and labelled once per
+process and judged once per generator set by :func:`_verdict`.  The cut
+sums the counts against the rank-condition locus; the closure check
+fails the pair (p, q) when the generators of q take, at some point of p,
+the verdict the closure order denies.  Both find a witness with
+:func:`_first_wrong`, the first wrong point of the same source.  Every
+per-stratum value is built by :func:`_per_stratum`, so a stratum the form
+or field cannot populate is left out with a warning, whether a check
+runs alone or in ``run_all``.
 """
 
 from __future__ import annotations
@@ -52,7 +47,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, product
 
 from .equations import GeneratorSet, Polynomial, generators_for
@@ -114,7 +109,7 @@ class VerificationReport(Record):
 # Kept by hand, not by functools.cache: the budget gates every read of the
 # table cache, which perfbench/traced_cli.py also reads by name, and the
 # point cache holds seeded draw streams.
-_CLASS_CACHE: dict = {}  # config -> classification table; ("row-spaces", config) -> row-space strata
+_CLASS_CACHE: dict = {}  # config -> classification table
 _POINT_CACHE: dict = {}  # config -> {seed string: flat entries of an orbit point}
 
 
@@ -129,12 +124,6 @@ def enumeration_space(config: SpaceConfig, budget: int = DEFAULT_BUDGET) -> int:
     return total
 
 
-def _odometer(config: SpaceConfig):
-    """The flat entries of every e x f matrix, in odometer order: row-major,
-    the last entry fastest, each over ``field.elements()``."""
-    return product(config.field.elements(), repeat=config.e * config.f)
-
-
 def _rows(config: SpaceConfig, entries) -> list:
     """A flat entry tuple as the rendered rows of its e x f matrix."""
     render, f = config.field.render, config.f
@@ -145,25 +134,28 @@ def _row_space_strata(config: SpaceConfig, budget: int = DEFAULT_BUDGET) -> dict
     """{W: stratum} over the row spaces of the e x f matrices, that is every
     subspace W of F^f of dimension at most min(e, f), each as its reduced
     row-echelon basis (a tuple of rows), with the stratum ``classify``
-    gives that basis padded with zero rows.  The exhaustive checks
-    classify here and nowhere else.  Cached per configuration; the budget
-    gates every read."""
+    gives that basis padded with zero rows: :func:`_row_space_sweep`,
+    read through the budget, which gates every read."""
     enumeration_space(config, budget)
-    key = ("row-spaces", config)
-    strata = _CLASS_CACHE.get(key)
-    if strata is None:
-        F, e, f = config.field, config.e, config.f
-        zero, elements = F.zero, list(F.elements())
-        strata = _CLASS_CACHE[key] = {}
-        for d in range(min(e, f) + 1):
-            for pivots in combinations(range(f), d):
-                rows = [[zero] * c + [F.one] + [zero] * (f - 1 - c) for c in pivots]
-                free = [(i, j) for i, c in enumerate(pivots) for j in range(c + 1, f) if j not in pivots]
-                for values in product(elements, repeat=len(free)):
-                    for (i, j), x in zip(free, values):
-                        rows[i][j] = x
-                    basis = tuple(map(tuple, rows))
-                    strata[basis] = classify(Matrix(F, [*basis, *[(zero,) * f] * (e - d)], e, f), config)
+    return _row_space_sweep(config)
+
+
+@cache
+def _row_space_sweep(config: SpaceConfig) -> dict:
+    """The row-space strata of :func:`_row_space_strata`, built once per
+    configuration.  The exhaustive checks classify here and nowhere else."""
+    F, e, f = config.field, config.e, config.f
+    zero, elements = F.zero, list(F.elements())
+    strata = {}
+    for d in range(min(e, f) + 1):
+        for pivots in combinations(range(f), d):
+            rows = [[zero] * c + [F.one] + [zero] * (f - 1 - c) for c in pivots]
+            free = [(i, j) for i, c in enumerate(pivots) for j in range(c + 1, f) if j not in pivots]
+            for values in product(elements, repeat=len(free)):
+                for (i, j), x in zip(free, values):
+                    rows[i][j] = x
+                basis = tuple(map(tuple, rows))
+                strata[basis] = classify(Matrix(F, [*basis, *[(zero,) * f] * (e - d)], e, f), config)
     return strata
 
 
@@ -234,6 +226,17 @@ def classification_table(config: SpaceConfig, budget: int = DEFAULT_BUDGET):
     return result
 
 
+def _matrices(config: SpaceConfig, budget: int = DEFAULT_BUDGET):
+    """(flat entries, stratum) of every e x f matrix in odometer order:
+    row-major, the last entry fastest, each over ``field.elements()``,
+    labelled by :func:`classification_table`, which nothing else in this
+    module reads.  Lazy: the table is built or read only when the first
+    matrix is asked for."""
+    classes, codes = classification_table(config, budget)
+    for code, x in zip(codes, product(config.field.elements(), repeat=config.e * config.f)):
+        yield x, classes[code]
+
+
 def _compile_for_prime(gens: GeneratorSet, p: int):
     """The generator set itself: :func:`_all_vanish_prime` reads its verdict."""
     return gens
@@ -247,12 +250,6 @@ def _all_vanish_prime(compiled, vals, p) -> bool:
 def _verdict(gens: GeneratorSet, entries) -> bool:
     """Whether ``gens`` vanishes at a sample-pool point, judged once per set and point."""
     return gens.vanishes_at(entries)
-
-
-def _vanishing(gens: GeneratorSet, points) -> list:
-    """Whether every generator vanishes, at each labelled point ``(flat
-    entries, stratum)`` of ``points``: :func:`_verdict`."""
-    return [_verdict(gens, x) for x, _ in points]
 
 
 class Substitution(Record):
@@ -329,23 +326,43 @@ def _moved_generator(gens: GeneratorSet):
     return None
 
 
-def _padded(config: SpaceConfig, basis) -> list:
-    """The flat entries of a row space's basis padded with zero rows to e x f."""
-    return [x for row in basis for x in row] + [config.field.zero] * (config.f * (config.e - len(basis)))
-
-
 @cache
-def _row_space_verdicts(gens: GeneratorSet, budget: int) -> Counter:
-    """{(stratum, dim W, verdict): number of row spaces W}: each row space
-    of :func:`_row_space_strata`, judged once by
-    :meth:`GeneratorSet.vanishes_at` at its basis padded with zero rows.
-    On a span proven GL_e-stable that verdict holds at every matrix with
-    row space W, so the exhaustive cut and the closure check read their
-    sums off these counts.  Kept per set, so the two evaluate each row
-    space once; the budget is part of the key, so it gates every read."""
+def _verdicts(gens: GeneratorSet, budget: int) -> Counter:
+    """{(stratum, verdict): number of matrices} of the space of ``gens``,
+    where verdict is :meth:`GeneratorSet.vanishes_at`.  On a span proven
+    GL_e-stable (:func:`_moved_generator`) the verdict at a row space's
+    basis, padded with zero rows, holds at every matrix with that row
+    space, so each row space of :func:`_row_space_strata` is judged once
+    and weighted by :func:`_space_weights`; otherwise each matrix of
+    :func:`_matrices` is judged.  Kept per set, so the cut and the closure
+    check judge each point once; the budget is part of the key, so it
+    gates every read."""
     config = gens.config
-    return Counter((c, len(W), gens.vanishes_at(_padded(config, W)))
-                   for W, c in _row_space_strata(config, budget).items())
+    if _moved_generator(gens) is not None:
+        return Counter((c, gens.vanishes_at(x)) for x, c in _matrices(config, budget))
+    weights, zero, verdicts = _space_weights(config), config.field.zero, Counter()
+    for W, c in _row_space_strata(config, budget).items():
+        padded = [x for row in W for x in row] + [zero] * (config.f * (config.e - len(W)))
+        verdicts[c, gens.vanishes_at(padded)] += weights[len(W)]
+    return verdicts
+
+
+def _first_wrong(verdict, expected, points):
+    """The first (entries, stratum) of ``points`` where ``expected(stratum)``
+    is not None and differs from ``verdict(entries)``, or None."""
+    return next(((x, c) for x, c in points if (m := expected(c)) is not None and m != verdict(x)), None)
+
+
+def _judged(gens: GeneratorSet, budget: int, pool):
+    """(counts, verdict, points) for ``gens``: the {(stratum, verdict):
+    points} a check reduces, the verdict at one point, and the points in
+    the order its witness is looked for.  Within the budget (``pool`` is
+    None) :func:`_verdicts`, vanishes_at and :func:`_matrices`; otherwise
+    the labelled sample ``pool``, each point judged by :func:`_verdict`."""
+    if pool is None:
+        return _verdicts(gens, budget), gens.vanishes_at, _matrices(gens.config, budget)
+    verdict = partial(_verdict, gens)
+    return Counter((c, verdict(x)) for x, c in pool), verdict, pool
 
 
 def _instability(moved, config: SpaceConfig) -> str:
@@ -354,29 +371,6 @@ def _instability(moved, config: SpaceConfig) -> str:
     g, sub = moved
     shown = "; ".join(" ".join(map(config.field.render, row)) for row in sub.rows)
     return f"generator {g.label_text()} leaves the span of the set under {sub.name} = [{shown}]"
-
-
-def _per_matrix_cut(params: OrbitParams, gens: GeneratorSet, config: SpaceConfig, budget: int, first_only: bool):
-    """(locus, vanishing, mismatches, first) of the cut at every matrix, in
-    odometer order: :meth:`GeneratorSet.vanishes_at` against the codes of
-    :func:`classification_table`.  ``first`` is (entries, in locus) of
-    the first mismatch, or None; with ``first_only`` the sweep stops
-    there, and the counts cover only the matrices read."""
-    classes, codes = classification_table(config, budget)
-    member = [closure_leq(c, params, config) for c in classes]
-    n_locus = n_vanish = mismatches = 0
-    first = None
-    for code, x in zip(codes, _odometer(config)):
-        m, v = member[code], gens.vanishes_at(x)
-        n_locus += m
-        n_vanish += v
-        if m != v:
-            mismatches += 1
-            if first is None:
-                first = (x, m)
-                if first_only:
-                    break
-    return n_locus, n_vanish, mismatches, first
 
 
 def _per_stratum(config: SpaceConfig, build, left: dict) -> dict:
@@ -448,7 +442,7 @@ def exhaustive_census(
     (:func:`_stratum_sizes`); every matrix must land in an admissible
     stratum, and the strata of each rank r1 must together hold
     :func:`_rank_count` matrices.  A stray matrix is reported as the
-    first in odometer order, read off :func:`classification_table`."""
+    first in odometer order, read off :func:`_matrices`."""
     t0 = time.perf_counter()
     space = enumeration_space(config, budget)
     sizes = _stratum_sizes(config, budget)
@@ -459,10 +453,8 @@ def exhaustive_census(
     witness = None
     off = next((r for r, cnt in enumerate(by_rank) if cnt != _rank_count(config, r)), None)
     if any(c not in expected for c in sizes):
-        classes, codes = classification_table(config, budget)
-        stray = next(i for i, c in enumerate(classes) if c in sizes and c not in expected)
-        matrix = next(x for code, x in zip(codes, _odometer(config)) if code == stray)
-        witness = {"reason": "matrix classified outside the admissible strata", "params": str(classes[stray]),
+        matrix, stray = next((x, c) for x, c in _matrices(config, budget) if c not in expected)
+        witness = {"reason": "matrix classified outside the admissible strata", "params": str(stray),
                    "matrix": _rows(config, matrix)}
     elif off is not None:
         witness = {"reason": "strata of rank r1 do not hold every matrix of that rank", "r1": off,
@@ -484,45 +476,42 @@ def check_equation_cut(
     generators_override: GeneratorSet | None = None,
 ) -> VerificationReport:
     """Set-theoretic check that the stratum's generators cut exactly the
-    rank-condition locus.  Exhaustive within budget; otherwise falls back
-    to seeded sampling (uniform matrices plus points of every stratum)
-    with a warning, leaving out, with a warning each, the strata without
-    orbit points.  A stratum the space does not admit raises InvalidParams
-    before anything is built or read."""
+    rank-condition locus: the counts of the generator set's one source
+    (:func:`_judged`), summed against the locus.  Exhaustive within
+    budget, where a failure's witness is the first wrong matrix in
+    odometer order, and a span not proven GL_e-stable is judged matrix by
+    matrix, with a warning; otherwise falls back to seeded sampling
+    (uniform matrices plus points of every stratum) with a warning,
+    leaving out, with a warning each, the strata without orbit points.  A
+    stratum the space does not admit raises InvalidParams before anything
+    is built or read."""
     require_valid(params, config)
     t0 = time.perf_counter()
     gens = generators_override if generators_override is not None else generators_for(params, config)
-    warnings = []
+    warnings, pool = [], None
     try:
         space = enumeration_space(config, budget)
     except BudgetExceeded as exc:
         warnings.append(f"{exc}; falling back to sampled mode")
         left: dict = {}
-        points = _sample_points(config, seed, samples, max(1, samples // 20), left)
+        pool = _sample_points(config, seed, samples, max(1, samples // 20), left)
         warnings += _left_out(config, left)
-        verdicts = [(x, closure_leq(c, params, config), v) for (x, c), v in zip(points, _vanishing(gens, points))]
-        n_locus, n_vanish = sum(m for _, m, _ in verdicts), sum(v for _, _, v in verdicts)
-        misses = [(x, m) for x, m, v in verdicts if m != v]  # (entries, in locus)
-        mismatches, first = len(misses), (misses[0] if misses else None)
-        mode = {"kind": "sampled", "n": len(points), "seed": seed}
+        mode = {"kind": "sampled", "n": len(pool), "seed": seed}
     else:
-        moved = _moved_generator(gens)
-        if moved is None:  # the zero set is a union of row-space classes: sum over row spaces
-            weights = _space_weights(config)
-            n_locus = n_vanish = mismatches = 0
-            for (c, d, v), spaces in _row_space_verdicts(gens, budget).items():
-                n, m = spaces * weights[d], closure_leq(c, params, config)
-                n_locus += n * m
-                n_vanish += n * v
-                mismatches += n * (m != v)
-            first = _per_matrix_cut(params, gens, config, budget, True)[3] if mismatches else None
-        else:
+        if (moved := _moved_generator(gens)) is not None:
             warnings.append(f"{_instability(moved, config)}, so the cut is evaluated matrix by matrix")
-            n_locus, n_vanish, mismatches, first = _per_matrix_cut(params, gens, config, budget, False)
         mode = {"kind": "exhaustive", "space": space}
+    counts, verdict, points = _judged(gens, budget, pool)
+    member = {c: closure_leq(c, params, config) for c, _ in counts}
+    n_locus = n_vanish = mismatches = 0
+    for (c, v), n in counts.items():
+        n_locus += n * member[c]
+        n_vanish += n * v
+        mismatches += n * (member[c] != v)
+    first = _first_wrong(verdict, member.get, points) if mismatches else None
     witness = None if first is None else {
-        "reason": "zero set disagrees with the rank-condition locus", "in_locus": first[1],
-        "generators_vanish": not first[1], "matrix": _rows(config, first[0]),
+        "reason": "zero set disagrees with the rank-condition locus", "in_locus": member[first[1]],
+        "generators_vanish": not member[first[1]], "matrix": _rows(config, first[0]),
     }
     status = "pass" if mismatches == 0 else "fail"
     tallies = {"params": str(params), "generators": len(gens), "locus": n_locus, "vanishing": n_vanish,
@@ -567,17 +556,17 @@ def check_closure_order(
     """Each stratum's points vanish on another stratum's generators exactly
     when the closure order says they should.
 
-    Within the budget, on any form over F_q, the check is exhaustive: once
-    every upper set's span is proven GL_e(F_q)-stable
-    (:func:`_moved_generator`), the pair (p, q) passes when the generators
-    of q vanish on every row space of stratum p, read off
-    :func:`_row_space_verdicts`, exactly when the order says p lies in the
-    closure of q.  A failure's witness is the first row space of p, in
-    sweep order, with the wrong verdict.  Elsewhere, and with a warning
-    naming the generator and the group element when a span is not
-    stable, ``samples`` seeded orbit points per stratum are judged.  A
-    stratum without generators over this field, or without a
-    representative or orbit points, is left out, with one warning."""
+    Each upper set's counts come from its one source (:func:`_judged`),
+    as in the cut, and the pair (p, q) fails when the generators of q take,
+    at some point of stratum p, a verdict other than whether the order
+    puts p in the closure of q.  Within the budget, on any form over F_q,
+    the check is exhaustive, and a failure's witness is the first wrong
+    matrix of p in odometer order; a span not proven GL_e(F_q)-stable
+    (:func:`_moved_generator`) is judged matrix by matrix, with a warning
+    naming the generator and the group element.  Elsewhere ``samples``
+    seeded orbit points per stratum are judged.  A stratum without
+    generators over this field, or without a representative or orbit
+    points, is left out, with one warning."""
     if samples < 1:
         raise InvalidParams(f"closure order needs at least one sample per stratum, got {samples}")
     t0 = time.perf_counter()
@@ -585,46 +574,29 @@ def check_closure_order(
     build = generators_override if generators_override is not None else generators_for
     left: dict = {}
     uppers = _per_stratum(config, lambda q: build(q, config), left)
-    warnings = []
     try:
         space = enumeration_space(config, budget)
     except BudgetExceeded:
-        space = None
-    if space is not None:
-        moved = next(((q, m) for q, gens in uppers.items() if (m := _moved_generator(gens)) is not None), None)
-        if moved is not None:
-            warnings.append(f"stratum {moved[0]}: {_instability(moved[1], config)}, so the closure order is sampled")
-            space = None
-    if space is not None:
-        # a stratum is judged when it has a representative, which the
-        # sampler needs for its orbit points: both modes leave out the same
-        at = _per_stratum(config, lambda p: representative(p, config), left)
-        seen = {q: {(c, v) for c, _, v in _row_space_verdicts(gens, budget)} for q, gens in uppers.items()}
-
-        def first_wrong(p, q, expected):
-            if all(v == expected for c, v in seen[q] if c == p):
-                return None  # the first wrong row space is looked for only on a failure
-            spaces = (_padded(config, W) for W, c in _row_space_strata(config, budget).items() if c == p)
-            return next(x for x in spaces if uppers[q].vanishes_at(x) != expected)
-
-        mode, extra, judged = {"kind": "exhaustive", "space": space}, {}, "vanishing on a row space"
-    else:
-        at = {}  # stratum with points, in order -> their entries
-        for x, c in _sample_points(config, seed, 0, samples, left):
-            at.setdefault(c, []).append(x)
-
-        def first_wrong(p, q, expected):
-            return next((x for x in at[p] if _verdict(uppers[q], x) != expected), None)
-
+        pool, warnings = _sample_points(config, seed, 0, samples, left), []
+        lowers = dict.fromkeys(c for _, c in pool)
         mode, extra, judged = {"kind": "sampled", "n": samples, "seed": seed}, {"samples_per_stratum": samples}, (
             "sampled vanishing")
+    else:
+        # a stratum is judged when it has a representative, which the
+        # sampler needs for its orbit points: both modes leave out the same
+        pool, lowers = None, _per_stratum(config, lambda p: representative(p, config), left)
+        warnings = [f"stratum {q}: {_instability(moved, config)}, so it is judged matrix by matrix"
+                    for q, gens in uppers.items() if (moved := _moved_generator(gens)) is not None]
+        mode, extra, judged = {"kind": "exhaustive", "space": space}, {}, "vanishing at a matrix"
+    sources = {q: _judged(gens, budget, pool) for q, gens in uppers.items()}
     witness = None
     pairs = 0
-    for p, q in product(at, uppers):
+    for p, q in product(lowers, uppers):
         pairs += 1
         expected = order_fn(p, q, config)
-        bad = first_wrong(p, q, expected)
-        if bad is not None:
+        counts, verdict, points = sources[q]
+        if any(c == p and v != expected for c, v in counts):
+            bad, _ = _first_wrong(verdict, lambda c: expected if c == p else None, points)
             witness = {"reason": f"{judged} disagrees with the closure order", "lower": str(p),
                        "upper": str(q), "expected": expected, "matrix": _rows(config, bad)}
             break

@@ -125,13 +125,24 @@ def test_verify_leaves_out_strata_in_one_place():
 
 def test_verify_classifies_in_two_places():
     # every exhaustive check reads row spaces classified once by
-    # _row_space_strata; only the sample pool's uniform draws classify too
+    # _row_space_sweep; only the sample pool's uniform draws classify too
     tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
     callers = [
         getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "classify"
     ]
-    assert callers == ["_row_space_strata", "_sample_points"]
+    assert callers == ["_row_space_sweep", "_sample_points"]
+
+
+def test_verify_reads_the_matrix_table_in_one_place():
+    # every per-matrix read (a stray census matrix, an unstable span, the
+    # first wrong matrix of a failing check) goes through _matrices
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    callers = [
+        getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "classification_table"
+    ]
+    assert callers == ["_matrices"]
 
 
 def test_verify_reads_one_vanishing_verdict():

@@ -31,7 +31,6 @@ from isodet import forms_orbits, verify
 from isodet.linalg import Matrix, echelon, random_matrix
 from isodet.verify import (
     _growth_exponent,
-    _vanishing,
     check_closure_order,
     check_dimensions,
     check_equation_cut,
@@ -87,7 +86,7 @@ def test_census_mutation_detects_missing_class():
     assert rep.witness["matrix"] == [["0", "0", "0", "1"], ["0", "1", "0", "0"]]
 
 
-def test_census_counts_each_rank_by_its_closed_form(monkeypatch):
+def test_census_counts_each_rank_by_its_closed_form(monkeypatch, fresh_caches):
     # (1,1) relabelled (2,1): every matrix still lands in an admissible
     # stratum, but rank 1 keeps only the 128 matrices of (1,0)
     cfg = split_config(2, 4, "symmetric", F3)
@@ -98,6 +97,7 @@ def test_census_counts_each_rank_by_its_closed_form(monkeypatch):
 
     monkeypatch.setattr(verify, "classify", relabel)
     monkeypatch.setattr(verify, "_CLASS_CACHE", {})
+    fresh_caches(verify, "_row_space_sweep")
     rep = exhaustive_census(cfg)
     assert rep.status == "fail"
     assert rep.witness == {"reason": "strata of rank r1 do not hold every matrix of that rank",
@@ -232,7 +232,7 @@ def test_evaluator_agrees_with_generator_set(kind, field):
     seen = set()
     for params in valid_params(cfg):
         gens = generators_for(params, cfg)
-        answers = _vanishing(gens, [(phi.flat(), None) for phi in points])
+        answers = [verify._verdict(gens, phi.flat()) for phi in points]
         expected = [all(g.poly.evaluate(phi.flat()) == field.zero for g in gens) for phi in points]
         assert answers == expected, str(params)
         seen.update(answers)
@@ -450,25 +450,23 @@ def test_point_counts_match_the_table():
 
 
 @pytest.mark.parametrize("config", ROW_SPACE_CONFIGS[-2:], ids=ROW_SPACE_IDS[-2:])
-def test_row_space_cut_matches_the_per_matrix_cut(config):
-    # every real generator set is proven stable, so each cut sums over row
-    # spaces, with no warning; over F_9 the per-point oracle would take
-    # minutes, so the per-matrix cut, vanishes_at at every matrix against
-    # the classification table, stands in for it
+def test_row_space_verdicts_match_the_matrices(config):
+    # every real generator set is proven stable, so its verdicts are
+    # counted once per row space, with no warning; over F_9 the per-point
+    # oracle would take minutes, so the count taken matrix by matrix,
+    # vanishes_at at every matrix against its stratum, stands in for it
     for params in valid_params(config):
         try:
             gens = generators_for(params, config)
         except StratumUnavailable:
             continue
+        assert verify._moved_generator(gens) is None, str(params)
+        by_matrix = Counter((c, gens.vanishes_at(x)) for x, c in verify._matrices(config))
+        assert verify._verdicts(gens, verify.DEFAULT_BUDGET) == by_matrix, str(params)
         rep = check_equation_cut(params, config)
         assert rep.warnings == [] and rep.status == "pass", str(params)
         if config.field.order == 3:
             assert (rep.tallies, rep.witness) == _per_point_cut(params, config, gens)
-        else:
-            locus, vanishing, mismatches, first = verify._per_matrix_cut(params, gens, config, 10**7, False)
-            assert rep.tallies == {"params": str(params), "generators": len(gens), "locus": locus,
-                                   "vanishing": vanishing, "mismatches": mismatches}
-            assert first is None
 
 
 @pytest.mark.parametrize(
@@ -482,14 +480,13 @@ def test_row_space_cut_matches_the_per_matrix_cut(config):
     ids=["sym-e2f3-F7", "sym-e2f4-F3", "alt-e2f4-F3", "sym-e2f3-F9"],
 )
 def test_run_all_reads_only_the_row_space_sweep(config, monkeypatch):
-    # every real generator set is proven stable, so no report of run_all
-    # reads the per-matrix table or the per-matrix cut
+    # every real generator set is proven stable and every check passes, so
+    # no report of run_all reads the per-matrix table
     expected = [r.to_json() for r in run_all(config)]
 
     def unreached(*args, **kwargs):
-        raise RuntimeError("run_all reached the per-matrix path")
+        raise RuntimeError("run_all read the per-matrix table")
 
-    monkeypatch.setattr(verify, "_per_matrix_cut", unreached)
     monkeypatch.setattr(verify, "classification_table", unreached)
     assert [r.to_json() for r in run_all(config)] == expected
 
@@ -498,7 +495,7 @@ def test_run_all_judges_each_row_space_once_per_set(monkeypatch, fresh_caches):
     # the closure check and the cuts read one verdict per (generator set,
     # row space); the closure check adds no evaluation of its own
     cfg = split_config(2, 4, "symmetric", F3)
-    fresh_caches(verify, "_row_space_verdicts")
+    fresh_caches(verify, "_verdicts")
     calls = []
     real = GeneratorSet.vanishes_at
     monkeypatch.setattr(GeneratorSet, "vanishes_at", lambda self, x: calls.append(self) or real(self, x))
@@ -585,14 +582,15 @@ def test_closure_order_catches_a_drop_one_mutant_the_cut_prover_passes():
 
     rep = check_closure_order(cfg, samples=5, seed=1, generators_override=build)
     assert rep.mode == {"kind": "exhaustive", "space": 3 ** 8} and rep.warnings == []
-    assert rep.witness == {"reason": "vanishing on a row space disagrees with the closure order",
+    assert rep.witness == {"reason": "vanishing at a matrix disagrees with the closure order",
                            "lower": "(2,0,+)", "upper": "(1,1)", "expected": False,
-                           "matrix": [["1", "0", "0", "0"], ["0", "1", "0", "0"]]}
+                           "matrix": [["0", "1", "0", "0"], ["1", "0", "0", "0"]]}
 
 
-def test_unstable_span_samples_the_closure_order():
+def test_unstable_span_is_judged_matrix_by_matrix_in_the_closure_order():
     # the mutant of test_unstable_mutant_is_cut_matrix_by_matrix: its zero
-    # set is no union of row-space classes, so the pairs are sampled
+    # set is no union of row-space classes, so each matrix is judged; a
+    # sample of 5 orbit points per stratum misses the matrix below
     cfg = split_config(3, 3, "symmetric", F3)
     mutant = _without(cfg, OrbitParams(1, 1), ("minor", (0, 1), (0, 1)))
 
@@ -600,9 +598,13 @@ def test_unstable_span_samples_the_closure_order():
         return mutant if q == OrbitParams(1, 1) else generators_for(q, config)
 
     rep = check_closure_order(cfg, samples=5, seed=1, generators_override=build)
-    assert rep.mode == {"kind": "sampled", "n": 5, "seed": 1}
+    assert rep.mode == {"kind": "exhaustive", "space": 3 ** 9}
+    assert rep.status == "fail" and rep.tallies == {"pairs": 21}
+    assert rep.witness == {"reason": "vanishing at a matrix disagrees with the closure order",
+                           "lower": "(2,1)", "upper": "(1,1)", "expected": False,
+                           "matrix": [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "0"]]}
     assert rep.warnings == ["stratum (1,1): generator minor([1,2],[0,1]) leaves the span of the set under "
-                            "g = [1 0 0; 0 1 0; 1 0 1], so the closure order is sampled"]
+                            "g = [1 0 0; 0 1 0; 1 0 1], so it is judged matrix by matrix"]
 
 
 CLOSURE_CONFIGS = [split_config(2, 3, "symmetric", F7), split_config(2, 3, "symmetric", F9),
@@ -621,8 +623,8 @@ CLOSURE_IDS = ["sym-e2f3-F7", "sym-e2f3-F9", "sym-e2f4-F3", "sym-e2f4-F5", "alt-
 def test_exhaustive_closure_order_agrees_with_sampling(config):
     # budget=0 forces the sampled mode: the same status, pairs and
     # left-out warnings; denying each non-zero stratum its own closure,
-    # both fail at the same pair, the exhaustive witness a row space of
-    # the lower stratum
+    # both fail at the same pair, the exhaustive witness a matrix of the
+    # lower stratum
     exhaustive, sampled = check_closure_order(config), check_closure_order(config, budget=0)
     assert (exhaustive.mode["kind"], sampled.mode["kind"]) == ("exhaustive", "sampled")
     assert (exhaustive.status, exhaustive.tallies["pairs"], exhaustive.warnings) == (
@@ -640,10 +642,10 @@ def test_exhaustive_closure_order_agrees_with_sampling(config):
     assert str(classify(Matrix(config.field, rows, config.e, config.f), config)) == bad_exhaustive.witness["lower"]
 
 
-def test_exhaustive_closure_order_witness_is_the_first_wrong_row_space():
+def test_exhaustive_closure_order_witness_is_the_first_wrong_matrix():
     # the pairs of test_closure_order_witness_is_the_first_failing_pair_and_point,
-    # judged on every row space: the witness is the first row space of the
-    # lower stratum in sweep order, padded with zero rows
+    # judged on every matrix: the witness is the first matrix of the lower
+    # stratum in odometer order
     cfg = split_config(2, 4, "symmetric", F3)
     flips = {(OrbitParams(2, 0, "-"), OrbitParams(2, 2)), (OrbitParams(1, 1), OrbitParams(2, 0, "+"))}
 
@@ -653,11 +655,11 @@ def test_exhaustive_closure_order_witness_is_the_first_wrong_row_space():
     bad = check_closure_order(cfg, samples=4, seed=2, order_override=mutated)
     assert bad.mode == {"kind": "exhaustive", "space": 3 ** 8}
     assert bad.status == "fail" and bad.tallies == {"pairs": 18}
-    assert bad.witness == {"reason": "vanishing on a row space disagrees with the closure order",
+    assert bad.witness == {"reason": "vanishing at a matrix disagrees with the closure order",
                            "lower": "(1,1)", "upper": "(2,0,+)", "expected": True,
-                           "matrix": [["1", "0", "0", "1"], ["0", "0", "0", "0"]]}
-    first = next(W for W, c in verify._row_space_strata(cfg).items() if c == OrbitParams(1, 1))
-    assert bad.witness["matrix"] == verify._rows(cfg, verify._padded(cfg, first))
+                           "matrix": [["0", "0", "0", "0"], ["0", "1", "1", "0"]]}
+    first = next(x for x, c in verify._matrices(cfg) if c == OrbitParams(1, 1))
+    assert bad.witness["matrix"] == verify._rows(cfg, first)
 
 
 def test_closure_order_fails_where_the_census_passes(monkeypatch, fresh_caches):
@@ -673,7 +675,7 @@ def test_closure_order_fails_where_the_census_passes(monkeypatch, fresh_caches):
 
     monkeypatch.setattr(verify, "classify", relabel)
     monkeypatch.setattr(verify, "_CLASS_CACHE", {})
-    fresh_caches(verify, "_row_space_verdicts")
+    fresh_caches(verify, "_row_space_sweep", "_verdicts")
     assert exhaustive_census(cfg).status == "pass"
     bad = check_closure_order(cfg)
     assert bad.status == "fail" and bad.mode["kind"] == "exhaustive"
