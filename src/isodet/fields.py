@@ -6,7 +6,9 @@ A scalar is a plain immutable payload:
 * quadratic ext    -- a pair ``(a, b)`` encoding ``a + b*w`` with ``w**2 = d``
                       for a fixed public non-residue ``d``,
 * rationals        -- a ``fractions.Fraction`` (always reduced, positive
-                      denominator).
+                      denominator); only :class:`RationalField` knows the
+                      type, and it imports ``fractions`` when it is built,
+                      so a finite-field process never loads it.
 
 The :class:`Field` object owns all arithmetic on the payloads.  Payloads are
 canonical, so ``==`` is semantic equality and the natural payload ordering
@@ -20,7 +22,6 @@ Characteristic two is rejected globally: the symmetric theory needs
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import reduce
 from math import isqrt
 from operator import mul
@@ -64,8 +65,8 @@ class Field:
     and the finite-field ``sqrt`` are written here once from those, and
     the rationals bring their own sqrt.  A field overrides one of them,
     with the same values (for ``random_row``, the same draws), only where
-    that pays on the benchmarks: F_p overrides ``dot``, ``axpy`` (which
-    ``lincomb`` runs on), ``random_row`` and ``polyval``.
+    that pays on a run that calls it: F_p overrides ``dot``, ``axpy``
+    (which ``lincomb`` runs on), ``random_row`` and ``polyval``.
     """
 
     kind: str = ""
@@ -214,12 +215,16 @@ class PrimeField(Field):
     def random(self, rng):
         return rng.randrange(self.p)
 
-    # The overrides, on native ints with few % p.  CPU medians with and
-    # without each, on a 2-vCPU host: verify all sym e2f3/F_7 0.12 ->
-    # 0.17 s (axpy); sym e3f6/F_7 1.36 -> 2.38 s (polyval), and 0.81 ->
-    # 0.93 s with one % p per factor rather than per term (p = 32003:
-    # 1.21 -> 1.33 s).  Both verify all runs of the exhaustive-f7
-    # benchmark, in process: 87 -> 96 ms (dot), 87 -> 97 ms (random_row).
+    # The overrides, on native ints with few % p.  CPU medians of 10
+    # alternating fresh runs with and without each, on a 2-vCPU host, on
+    # sampled sym e3f6/F_7 runs, which call all four:
+    # `sample --params 2,1 --count 3000` 0.67 -> 0.85 s (dot), 0.75 s
+    # (axpy), 0.77 s (random_row); `verify all` 1.30 -> 2.07 s (polyval),
+    # 1.37 s (axpy), and 1.33 -> 1.52 s with one % p per factor rather
+    # than per term in polyval (p = 32003: 1.72 -> 1.86 s; 8 runs).  None
+    # shows on perfbench: the two exhaustive-f7 processes call dot / axpy /
+    # polyval 1420 / 192 / 862 and 2052 / 353 / 2154 times and random_row
+    # never, and the atlas-f7 ones call none of them.
 
     def dot(self, u, v):
         return sum(map(mul, u, v)) % self.p
@@ -341,6 +346,9 @@ class RationalField(Field):
     kind = "rationals"
 
     def __init__(self):
+        from fractions import Fraction
+
+        self.fraction = Fraction
         self.zero = Fraction(0)
         self.one = Fraction(1)
 
@@ -362,10 +370,10 @@ class RationalField(Field):
         return 1 / a
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return self.fraction(n)
 
     def random(self, rng):
-        return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+        return self.fraction(rng.randint(-20, 20), rng.randint(1, 12))
 
     def sqrt(self, x):
         """Exact square root when x is the square of a rational, else None.
@@ -378,10 +386,10 @@ class RationalField(Field):
         rn, rd = isqrt(num), isqrt(den)
         if rn * rn != num or rd * rd != den:
             return None
-        return Fraction(rn, rd)
+        return self.fraction(rn, rd)
 
     def parse(self, s: str):
-        return Fraction(s)
+        return self.fraction(s)
 
     def render(self, a) -> str:
         return str(a)

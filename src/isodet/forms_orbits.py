@@ -147,12 +147,13 @@ class BilinearForm:
             raise InvalidForm("alternating form needs a skew Gram matrix with zero diagonal")
         self.kind = kind
         self.gram = gram
+        self._hash = hash((kind, gram))  # taken once: the Gram never changes, and caches hash the form per lookup
         zero = gram.field.zero
         # the non-zero entries of each column of K, as (rows, values)
         self._kcols = [([i for i, k in enumerate(col) if k != zero], [k for k in col if k != zero])
                        for col in zip(*gram.data)]
-        # per-draw lookups stay on the object: a cache keyed by the form hashes its Gram per draw
-        self._reps: dict = {}  # OrbitParams -> non-zero rows of its representative
+        # kept on the object, not by functools.cache: it is read once per vector drawn, and a
+        # cache keyed by the form would hash its key in Python on each read
         self._reflections: dict = {}  # bounded: vector v -> (v, v K, reflection scalar), see _isometry_rows
 
     @property
@@ -206,7 +207,7 @@ class BilinearForm:
         return isinstance(other, BilinearForm) and self.kind == other.kind and self.gram == other.gram
 
     def __hash__(self):
-        return hash((self.kind, self.gram))
+        return self._hash
 
     # ------------------------------------------------------------ geometry
 
@@ -463,19 +464,17 @@ def representative(params: OrbitParams, config: SpaceConfig) -> Matrix:
     its hyperbolic partner, moving the row space to the other family.
     """
     require_valid(params, config)
-    rows = _representative_rows(params, config)
+    rows = _representative_rows(params, config.form)
     zero_row = (config.field.zero,) * config.f
     return Matrix(config.field, [*rows, *[zero_row] * (config.e - len(rows))], config.e, config.f)
 
 
-def _representative_rows(params: OrbitParams, config: SpaceConfig) -> tuple:
+@cache  # the rows do not depend on e
+def _representative_rows(params: OrbitParams, form: BilinearForm) -> tuple:
     """The r1 non-zero rows of :func:`representative` for admissible
-    ``params``, cached on the form (they do not depend on e)."""
-    cached = config.form._reps.get(params)
-    if cached is not None:
-        return cached
-    F = config.field
-    hb = config.form.hyperbolic_basis()
+    ``params`` on ``form``."""
+    F = form.field
+    hb = form.hyperbolic_basis()
     k = params.r1 - params.r2
     if k > hb.witt:
         raise InsufficientWittIndex(f"need {k} hyperbolic pairs, form has {hb.witt}")
@@ -483,7 +482,7 @@ def _representative_rows(params: OrbitParams, config: SpaceConfig) -> tuple:
     if params.sign is not None:
         if params.sign == "-":
             rows[-1] = hb.pairs[k - 1][1]
-    elif config.kind == ALTERNATING:
+    elif form.kind == ALTERNATING:
         npairs = params.r2 // 2
         if k + npairs > hb.witt:
             raise InsufficientWittIndex(
@@ -502,8 +501,7 @@ def _representative_rows(params: OrbitParams, config: SpaceConfig) -> tuple:
                 f"form supports at most {len(pool)} orthogonal anisotropic rows"
             )
         rows.extend(pool[: params.r2])
-    config.form._reps[params] = rows = tuple(rows)
-    return rows
+    return tuple(rows)
 
 
 # --------------------------------------------------------------------------
@@ -755,7 +753,7 @@ def random_orbit_point(params: OrbitParams, config: SpaceConfig, seed=None) -> M
     draws nothing."""
     require_valid(params, config)
     F, e, f = config.field, config.e, config.f
-    rep = _representative_rows(params, config)
+    rep = _representative_rows(params, config.form)
     if not rep:
         return Matrix.zeros(F, e, f)
     rng = random.Random(seed)

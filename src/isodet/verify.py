@@ -46,7 +46,6 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations, product
 
@@ -254,11 +253,11 @@ def _verdict(gens: GeneratorSet, entries) -> bool:
 
 class Substitution(Record):
     """A generator g of GL_e acting on the left, Phi -> g Phi, as a sparse
-    substitution of the coordinates x_ij of Phi: ``name`` and ``rows``
-    show the element, and ``images`` maps each variable it moves to its
-    image, x_ij -> sum_l g_il x_lj, for :meth:`Polynomial.substitute`."""
+    substitution of the coordinates x_ij of Phi: ``rows`` show the
+    element, and ``images`` maps each variable it moves to its image,
+    x_ij -> sum_l g_il x_lj, for :meth:`Polynomial.substitute`."""
 
-    __slots__ = ("name", "rows", "images")
+    __slots__ = ("rows", "images")
 
 
 @cache
@@ -287,7 +286,7 @@ def _gl_generators(config: SpaceConfig) -> tuple:
         for k in range(f):
             terms = [Polynomial.variable(F, e * f, l * f + k).scale(c) for l, c in enumerate(rows[i]) if c != F.zero]
             images[i * f + k] = sum(terms[1:], terms[0])
-        out.append(Substitution("g", rows, images))
+        out.append(Substitution(rows, images))
     return tuple(out)
 
 
@@ -370,7 +369,7 @@ def _instability(moved, config: SpaceConfig) -> str:
     :func:`_moved_generator` result."""
     g, sub = moved
     shown = "; ".join(" ".join(map(config.field.render, row)) for row in sub.rows)
-    return f"generator {g.label_text()} leaves the span of the set under {sub.name} = [{shown}]"
+    return f"generator {g.label_text()} leaves the span of the set under g = [{shown}]"
 
 
 def _per_stratum(config: SpaceConfig, build, left: dict) -> dict:
@@ -607,16 +606,22 @@ def check_closure_order(
 
 def _growth_exponent(n1: int, n2: int, q1: int, q2: int) -> int:
     """The integer nearest log(n2/n1) / log(q2/q1), exactly: the k with
-    b^(2k-1) <= r^2 < b^(2k+1) for r = n2/n1, b = q2/q1 (both inverted
-    when b < 1).  Distinct primes never make r^2 an odd power of b."""
-    r, b = Fraction(n2, n1), Fraction(q2, q1)
-    if b < 1:
-        r, b = 1 / r, 1 / b
-    r2 = r * r
+    b^(2k-1) <= r^2 < b^(2k+1) for r = n2/n1, b = q2/q1 (the primes and
+    their counts swapped when q2 < q1, so b > 1).  Each r^2 >= b^m is
+    decided on integers, cross-multiplied.  Distinct primes never make
+    r^2 an odd power of b."""
+    if q2 < q1:
+        n1, n2, q1, q2 = n2, n1, q2, q1
+
+    def at_least(m: int) -> bool:  # r^2 >= b^m
+        if m < 0:
+            return n2 * n2 * q2 ** -m >= n1 * n1 * q1 ** -m
+        return n2 * n2 * q1 ** m >= n1 * n1 * q2 ** m
+
     k = 0
-    while r2 >= b ** (2 * k + 1):
+    while at_least(2 * k + 1):
         k += 1
-    while r2 < b ** (2 * k - 1):
+    while not at_least(2 * k - 1):
         k -= 1
     return k
 

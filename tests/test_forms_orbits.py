@@ -36,6 +36,7 @@ from isodet.forms_orbits import (
     tangent_dimension,
     valid_params,
 )
+from isodet import forms_orbits
 from isodet.linalg import Matrix, random_matrix
 
 F5 = field_create("prime", 5)
@@ -743,6 +744,16 @@ def test_reflection_cache_is_kept_only_over_small_spaces():
         for s in range(40):
             random_isometry(small, seed=s)
         assert 0 < len(small._reflections) <= F.order ** f
+
+
+def test_representative_rows_are_kept_once_per_stratum_and_form():
+    # equal forms share them, whatever e, so a split form built per
+    # configuration derives each stratum's rows once
+    params = OrbitParams(2, 1)
+    rows = forms_orbits._representative_rows(params, split_config(2, 4, "symmetric", F7).form)
+    assert forms_orbits._representative_rows(params, split_config(3, 4, "symmetric", F7).form) is rows
+    assert representative(params, split_config(3, 4, "symmetric", F7)).data[:2] == rows
+    assert not hasattr(BilinearForm.split(F7, "symmetric", 4), "_reps")
 
 
 def test_value_types_behave_as_frozen_records():

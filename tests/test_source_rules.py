@@ -6,7 +6,9 @@ reproducible per seed, and a stratum the form or field cannot populate is
 caught as ``StratumUnavailable``, never as one of its subclasses.  Only
 ``fields.py`` tests a field's kind; every other module reaches payloads
 through the ``Field`` methods, and in ``linalg.py`` only the Pfaffian's
-own expansion adds or subtracts entries.  The CLI
+own expansion adds or subtracts entries.  Only
+``RationalField`` imports ``fractions``, so no finite-field run loads
+exact rationals.  The CLI
 loads neither ``dataclasses`` nor ``inspect``, and only its ``verify``
 command loads ``verify.py``: every CLI process pays for the modules it
 imports; and it has one way out, ``dispatch``, which alone
@@ -225,6 +227,38 @@ def test_no_dataclasses_import():
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses":
             found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_only_rational_field_imports_fractions():
+    # the rational type is RationalField's alone, imported when a field is
+    # built, so a finite-field process never loads fractions
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            found += [(path.name, getattr(top, "name", "<module>")) for node in ast.walk(top)
+                      if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+                      or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)]
+    assert found == [("fields.py", "RationalField")]
+
+
+def test_finite_field_runs_load_no_exact_rationals():
+    # -S, as below; atlas and verify over F_7 leave fractions (and the
+    # decimal and numbers it imports) unloaded, and a rationals field loads it
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = (
+        "import contextlib, io, sys, isodet.cli\n"
+        "form = ['--kind', 'sym', '--field', 'p=7']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = [isodet.cli.main(['atlas', *form, '-e', '4', '-f', '8']),\n"
+        "              isodet.cli.main(['verify', 'all', *form, '-e', '2', '-f', '3', '--primes', '3,7'])]\n"
+        "rationals = {'fractions', 'decimal', 'numbers'}\n"
+        "loaded = sorted(rationals & set(sys.modules))\n"
+        "from isodet.fields import field_create\n"
+        "field_create('rationals')\n"
+        "print(status, loaded, 'fractions' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[0, 0] [] True"
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
