@@ -11,7 +11,10 @@ own expansion adds or subtracts entries.  Only
 exact rationals.  The CLI
 loads neither ``dataclasses`` nor ``inspect``, and only its ``verify``
 command loads ``verify.py``: every CLI process pays for the modules it
-imports; and it has one way out, ``dispatch``, which alone
+imports.  The package ``__init__.py`` imports nothing, so each name has one
+import path, its module, and importing a module loads only its own imports;
+it states the version that ``pyproject.toml`` declares.  The CLI has one way
+out, ``dispatch``, which alone
 picks the output format and writes stdout or ``--out``.  A ``verify``
 option that is not given is not set, so only the library states defaults.
 Only ``forms_orbits.py`` calls ``params_valid``: every other module refuses
@@ -28,6 +31,7 @@ module-level dict, and ``verify.py`` only its two hand-kept caches."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -271,8 +275,8 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 
 def test_only_the_verify_command_loads_verify():
-    # an atlas run leaves the harness uncompiled; the package still hands
-    # out the harness's names, from the module itself
+    # an atlas run leaves the harness uncompiled, and the package does not
+    # hand out the harness's names
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     code = (
         "import contextlib, io, sys, isodet.cli\n"
@@ -280,10 +284,47 @@ def test_only_the_verify_command_loads_verify():
         "    status = isodet.cli.main(['atlas', '--kind', 'sym', '-e', '2', '-f', '4', '--field', 'p=7'])\n"
         "loaded = 'isodet.verify' in sys.modules\n"
         "import isodet\n"
-        "print(status, loaded, isodet.run_all is isodet.verify.run_all)"
+        "print(status, loaded, hasattr(isodet, 'run_all'))"
     )
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "0 False True"
+    assert out.stdout.strip() == "0 False False"
+
+
+def test_a_module_import_loads_only_what_the_module_imports():
+    # -S, as above; the package re-exports nothing, so importing one module
+    # compiles that module and its own imports only
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = "import sys, {0}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'isodet'))"
+    loaded = {}
+    for module in ("isodet", "isodet.fields", "isodet.forms_orbits"):
+        out = subprocess.run([sys.executable, "-S", "-c", code.format(module)],
+                             env=env, capture_output=True, text=True, check=True)
+        loaded[module] = ast.literal_eval(out.stdout.strip())
+    assert loaded["isodet"] == ["isodet"]
+    assert loaded["isodet.fields"] == ["isodet", "isodet.errors", "isodet.fields"]
+    assert "isodet.equations" not in loaded["isodet.forms_orbits"]
+
+
+def test_package_namespace_is_its_modules():
+    # one import path per name: __init__.py imports nothing and hands out
+    # nothing on first use
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    found = [type(node).__name__ for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             or isinstance(node, ast.FunctionDef) and node.name == "__getattr__"]
+    assert found == []
+
+
+def test_one_statement_of_the_version():
+    # requires-python >= 3.10 rules out tomllib, so the project table is
+    # read with a pattern
+    pyproject = (SRC.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S).group(1)
+    declared = re.search(r'^version\s*=\s*"([^"]+)"', project, re.M).group(1)
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    stated = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+              and [ast.unparse(t) for t in node.targets] == ["__version__"]]
+    assert stated == [declared]
 
 
 def _cli_output(node):
