@@ -410,10 +410,7 @@ class MinorTable:
 
 def poly_det(grid) -> Polynomial:
     """Determinant of a square grid of polynomials."""
-    n = len(grid)
-    if n == 0:
-        raise DimensionMismatch("empty grid has no well-defined ring")
-    idx = tuple(range(n))
+    idx = tuple(range(len(grid)))
     return MinorTable(grid).minor(idx, idx)
 
 
@@ -423,8 +420,6 @@ def poly_pfaffian(grid) -> Polynomial:
     n = len(grid)
     if n % 2 != 0:
         raise OddDimension("Pfaffian needs even size")
-    if n == 0:
-        raise DimensionMismatch("empty grid has no well-defined ring")
     return MinorTable(grid).pfaffian(tuple(range(n)))
 
 

@@ -472,7 +472,9 @@ def representative(params: OrbitParams, config: SpaceConfig) -> Matrix:
 @cache  # the rows do not depend on e
 def _representative_rows(params: OrbitParams, form: BilinearForm) -> tuple:
     """The r1 non-zero rows of :func:`representative` for admissible
-    ``params`` on ``form``."""
+    ``params`` on ``form``.  Only k = r1 - r2 > witt is refused:
+    admissibility, 2 r1 - r2 <= f, leaves an alternating form (witt f/2)
+    enough pairs, and the symmetric pool f - 2k >= r2 rows."""
     F = form.field
     hb = form.hyperbolic_basis()
     k = params.r1 - params.r2
@@ -483,12 +485,7 @@ def _representative_rows(params: OrbitParams, form: BilinearForm) -> tuple:
         if params.sign == "-":
             rows[-1] = hb.pairs[k - 1][1]
     elif form.kind == ALTERNATING:
-        npairs = params.r2 // 2
-        if k + npairs > hb.witt:
-            raise InsufficientWittIndex(
-                f"need {k + npairs} hyperbolic pairs, form has {hb.witt}"
-            )
-        for j in range(k, k + npairs):
+        for j in range(k, k + params.r2 // 2):
             rows.append(hb.pairs[j][0])
             rows.append(hb.pairs[j][1])
     else:
@@ -496,10 +493,6 @@ def _representative_rows(params: OrbitParams, form: BilinearForm) -> tuple:
         for a, b in hb.pairs[k:]:
             pool += (tuple(F.axpy(F.one, b, a)), tuple(F.axpy(F.neg(F.one), b, a)))
         pool.extend(hb.anisotropic)
-        if params.r2 > len(pool):
-            raise InsufficientWittIndex(
-                f"form supports at most {len(pool)} orthogonal anisotropic rows"
-            )
         rows.extend(pool[: params.r2])
     return tuple(rows)
 

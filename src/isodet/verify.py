@@ -11,14 +11,15 @@ The stratum of a matrix depends only on its row space W: r1 = dim W, r2
 is the rank of the form on W, and the sign is read off dim(W meet L0);
 and exactly prod over i < dim W of (q^e - q^i) matrices share W.  So the
 exhaustive checks sweep row spaces, not matrices:
-:func:`_row_space_strata` classifies each reduced row-echelon basis of
+:func:`_row_space_sweep` classifies each reduced row-echelon basis of
 dimension at most min(e, f) once, and the census and the point counts
 sum those weights per stratum.  The per-matrix classification table,
 read by :func:`_matrices` alone, takes its strata from the same
 classifier and is composed one row at a time, since the row space of
 (v_1, ..., v_e) is the join of span(v_1..v_(e-1)) with v_e: one
 :func:`echelon` per prefix space and last row.  Both are cached per
-configuration, and the budget on q^(ef) gates every read.
+configuration; each check reads the budget once; the per-matrix table
+keeps its own gate.
 
 The equation cut and the closure check ask each generator set one
 question, at which points of which stratum it vanishes, and read the
@@ -105,9 +106,10 @@ class VerificationReport(Record):
 # --------------------------------------------------------------------------
 # exhaustive classification of a full matrix space, cached per config
 
-# Kept by hand, not by functools.cache: the budget gates every read of the
-# table cache, which perfbench/traced_cli.py also reads by name, and the
-# point cache holds seeded draw streams.
+# Kept by hand, not by functools.cache: classification_table gates every
+# read of the table cache on its budget, cached or not, and
+# perfbench/traced_cli.py reads that cache by name; the point cache holds
+# seeded draw streams.
 _CLASS_CACHE: dict = {}  # config -> classification table
 _POINT_CACHE: dict = {}  # config -> {seed string: flat entries of an orbit point}
 
@@ -129,20 +131,13 @@ def _rows(config: SpaceConfig, entries) -> list:
     return [[render(v) for v in entries[i * f : (i + 1) * f]] for i in range(config.e)]
 
 
-def _row_space_strata(config: SpaceConfig, budget: int = DEFAULT_BUDGET) -> dict:
+@cache
+def _row_space_sweep(config: SpaceConfig) -> dict:
     """{W: stratum} over the row spaces of the e x f matrices, that is every
     subspace W of F^f of dimension at most min(e, f), each as its reduced
     row-echelon basis (a tuple of rows), with the stratum ``classify``
-    gives that basis padded with zero rows: :func:`_row_space_sweep`,
-    read through the budget, which gates every read."""
-    enumeration_space(config, budget)
-    return _row_space_sweep(config)
-
-
-@cache
-def _row_space_sweep(config: SpaceConfig) -> dict:
-    """The row-space strata of :func:`_row_space_strata`, built once per
-    configuration.  The exhaustive checks classify here and nowhere else."""
+    gives that basis padded with zero rows, built once per configuration.
+    The exhaustive checks classify here and nowhere else."""
     F, e, f = config.field, config.e, config.f
     zero, elements = F.zero, list(F.elements())
     strata = {}
@@ -167,10 +162,10 @@ def _space_weights(config: SpaceConfig) -> list:
     return weights
 
 
-def _stratum_sizes(config: SpaceConfig, budget: int = DEFAULT_BUDGET) -> dict:
+def _stratum_sizes(config: SpaceConfig) -> dict:
     """{stratum: number of e x f matrices in it}, summed over row spaces."""
     weights, sizes = _space_weights(config), {}
-    for space, params in _row_space_strata(config, budget).items():
+    for space, params in _row_space_sweep(config).items():
         sizes[params] = sizes.get(params, 0) + weights[len(space)]
     return sizes
 
@@ -178,22 +173,23 @@ def _stratum_sizes(config: SpaceConfig, budget: int = DEFAULT_BUDGET) -> dict:
 def classification_table(config: SpaceConfig, budget: int = DEFAULT_BUDGET):
     """(classes, codes): stratum labels and, for every matrix in odometer
     order, the index of its stratum in ``classes``.  Raises
-    BudgetExceeded when the space exceeds the budget, cached or not.
+    BudgetExceeded when the space exceeds the budget, cached or not: the
+    one gate of the per-matrix table, apart from each check's own.
 
     The row space of (v_1, ..., v_e) is span(v_1..v_(e-1)) + v_e, so the
     table is composed one row at a time: each distinct prefix subspace S,
     as its reduced row-echelon basis, gets one row of the bases of S + v,
     one :func:`echelon` per last row v in odometer order.  Each distinct
     prefix of e-1 rows keeps one row of stratum codes, as bytes.  Each row
-    space takes its stratum from :func:`_row_space_strata`; strata outside
+    space takes its stratum from :func:`_row_space_sweep`; strata outside
     ``valid_params`` are appended in order of first occurrence in odometer
     order.
     """
-    strata = _row_space_strata(config, budget)
+    enumeration_space(config, budget)
     cached = _CLASS_CACHE.get(config)
     if cached is not None:
         return cached
-    F, e, f = config.field, config.e, config.f
+    F, e, f, strata = config.field, config.e, config.f, _row_space_sweep(config)
     vectors = list(product(F.elements(), repeat=f))
 
     @cache
@@ -326,21 +322,17 @@ def _moved_generator(gens: GeneratorSet):
 
 
 @cache
-def _verdicts(gens: GeneratorSet, budget: int) -> Counter:
+def _verdicts(gens: GeneratorSet) -> Counter:
     """{(stratum, verdict): number of matrices} of the space of ``gens``,
-    where verdict is :meth:`GeneratorSet.vanishes_at`.  On a span proven
-    GL_e-stable (:func:`_moved_generator`) the verdict at a row space's
-    basis, padded with zero rows, holds at every matrix with that row
-    space, so each row space of :func:`_row_space_strata` is judged once
-    and weighted by :func:`_space_weights`; otherwise each matrix of
-    :func:`_matrices` is judged.  Kept per set, so the cut and the closure
-    check judge each point once; the budget is part of the key, so it
-    gates every read."""
+    where verdict is :meth:`GeneratorSet.vanishes_at`, for a span that
+    :func:`_moved_generator` has proven GL_e-stable: the verdict at a row
+    space's basis, padded with zero rows, holds at every matrix with that
+    row space, so each row space of :func:`_row_space_sweep` is judged
+    once and weighted by :func:`_space_weights`.  Kept per set, so the cut
+    and the closure check judge each row space once."""
     config = gens.config
-    if _moved_generator(gens) is not None:
-        return Counter((c, gens.vanishes_at(x)) for x, c in _matrices(config, budget))
     weights, zero, verdicts = _space_weights(config), config.field.zero, Counter()
-    for W, c in _row_space_strata(config, budget).items():
+    for W, c in _row_space_sweep(config).items():
         padded = [x for row in W for x in row] + [zero] * (config.f * (config.e - len(W)))
         verdicts[c, gens.vanishes_at(padded)] += weights[len(W)]
     return verdicts
@@ -356,10 +348,15 @@ def _judged(gens: GeneratorSet, budget: int, pool):
     """(counts, verdict, points) for ``gens``: the {(stratum, verdict):
     points} a check reduces, the verdict at one point, and the points in
     the order its witness is looked for.  Within the budget (``pool`` is
-    None) :func:`_verdicts`, vanishes_at and :func:`_matrices`; otherwise
-    the labelled sample ``pool``, each point judged by :func:`_verdict`."""
+    None) :func:`_verdicts` of a proven span, else (only hand-made
+    overrides are unproven) vanishes_at counted over :func:`_matrices`,
+    and the matrices; otherwise the labelled sample ``pool``, each point
+    judged by :func:`_verdict`."""
     if pool is None:
-        return _verdicts(gens, budget), gens.vanishes_at, _matrices(gens.config, budget)
+        matrices = partial(_matrices, gens.config, budget)
+        if _moved_generator(gens) is None:
+            return _verdicts(gens), gens.vanishes_at, matrices()
+        return Counter((c, gens.vanishes_at(x)) for x, c in matrices()), gens.vanishes_at, matrices()
     verdict = partial(_verdict, gens)
     return Counter((c, verdict(x)) for x, c in pool), verdict, pool
 
@@ -444,7 +441,7 @@ def exhaustive_census(
     first in odometer order, read off :func:`_matrices`."""
     t0 = time.perf_counter()
     space = enumeration_space(config, budget)
-    sizes = _stratum_sizes(config, budget)
+    sizes = _stratum_sizes(config)
     expected = set(valid_params_override if valid_params_override is not None else valid_params(config))
     by_rank = [0] * (min(config.e, config.f) + 1)
     for c, cnt in sizes.items():
@@ -653,7 +650,7 @@ def point_count_dimension_estimate(
         raise BudgetExceeded("need at least two admissible primes within budget")
     counts = {}
     for q, cfg_q in admissible:
-        counts[q] = sum(n for c, n in _stratum_sizes(cfg_q, budget).items() if closure_leq(c, params, cfg_q))
+        counts[q] = sum(n for c, n in _stratum_sizes(cfg_q).items() if closure_leq(c, params, cfg_q))
     dim_fn = dim_override if dim_override is not None else dimension
     dim = dim_fn(params, config)
     qs = [q for q, _ in admissible]

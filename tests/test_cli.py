@@ -98,6 +98,25 @@ def test_atlas_raises_what_is_not_an_unavailable_stratum(capsys, monkeypatch, fr
     assert json.loads(err) == {"error": "ConsistencyCheckFailed", "message": "synthetic"}
 
 
+def test_atlas_marks_a_stratum_without_generators(tmp_path, capsys):
+    # diag(1,1,1,2) over F_3: the half-form involution has no eigenvalue in
+    # the field, so the signed strata have no generators, and their cells
+    # name the StratumUnavailable class
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps(GOLDEN_GRAM))
+    argv = ("atlas", "--kind", "sym", "-e", "2", "-f", "4", "--field", "p=3", "--gram", f"file:{gram}")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    for sign in "+-":
+        assert [row["generators"] for row in rows if row["params"] == {"r1": 2, "r2": 0, "sign": sign}] \
+            == [{"unavailable": "EigenvalueNotInField"}]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    for label in ("(2,0,+)", "(2,0,-)"):
+        assert next(l for l in out.splitlines() if l.startswith(label)).split()[-1] == "EigenvalueNotInField"
+
+
 def test_large_prime_field_runs_and_too_large_is_refused(capsys):
     # 2^61 - 1 is decided by Miller-Rabin at once; a modulus above the
     # proven bound is refused with a typed error, never guessed
@@ -145,6 +164,15 @@ def test_equations_export(tmp_path, capsys):
                        "--field", "p=5", "--params", "2,0,+")
     assert code == 0
     assert "component" in out
+
+
+def test_equations_names_variables_with_a_separator_past_nine_columns(capsys):
+    # x{r}{c} would be ambiguous once e or f reaches 10, so the names read x{r}_{c}
+    code, out, _ = run(capsys, "equations", "--kind", "alt", "-e", "1", "-f", "10", "--field", "p=7",
+                       "--params", "0,0")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[2] == "minor([0],[0]): x1_1" and lines[-1] == "minor([0],[9]): x1_10"
 
 
 def test_equations_empty_set_ends_with_its_header(tmp_path, capsys):
@@ -758,6 +786,15 @@ def test_malformed_input_file_is_domain_error(tmp_path, capsys, prefix, content,
     assert out == ""
     diagnostic = json.loads(err.splitlines()[-1])
     assert diagnostic["error"] == "MalformedInput"
+
+
+@pytest.mark.parametrize("prefix,as_gram", [(CLASSIFY, False), (GRAM_ATLAS, True)], ids=["classify", "gram"])
+def test_missing_input_file_is_file_not_found(tmp_path, capsys, prefix, as_gram):
+    path = tmp_path / "missing.json"
+    code, out, err = run(capsys, *prefix, f"file:{path}" if as_gram else str(path))
+    assert (code, out) == (1, "")
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "FileNotFound" and str(path) in diagnostic["message"]
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import pytest
 
 from isodet.errors import (
     ConsistencyCheckFailed,
+    InsufficientWittIndex,
     InvalidForm,
     InvalidParams,
     SignUndefinedForForm,
@@ -329,12 +330,54 @@ def test_classify_zero():
     assert classify(Matrix.zeros(F5, 2, 4), cfg) == OrbitParams(0, 0)
 
 
+def _random_forms(field, rng):
+    """A random diagonal symmetric form for f = 3..8 and a random
+    non-degenerate alternating one for even f."""
+    def draw():
+        while field.is_zero(x := field.random(rng)):
+            pass
+        return x
+
+    zero = field.zero
+    for f in range(3, 9):
+        yield BilinearForm("symmetric", Matrix(field, [[draw() if i == j else zero for j in range(f)]
+                                                        for i in range(f)], f, f))
+        if f % 2:
+            continue
+        while True:
+            rows = [[zero] * f for _ in range(f)]
+            for i in range(f):
+                for j in range(i + 1, f):
+                    rows[i][j] = field.random(rng)
+                    rows[j][i] = field.neg(rows[i][j])
+            gram = Matrix(field, rows, f, f)
+            if not field.is_zero(gram.det()):
+                yield BilinearForm("alternating", gram)
+                break
+
+
 def test_classify_representative_roundtrip_all_grids():
     for field in (F7, Q):
         for cfg in grid_configs(field):
             for p in valid_params(cfg):
                 rep = representative(p, cfg)
                 assert classify(rep, cfg) == p, (cfg.kind, cfg.e, cfg.f, str(p))
+    # on random forms, split or not, a stratum either round-trips or is
+    # refused for want of hyperbolic pairs, and for nothing else
+    rng = random.Random(38)
+    for field in (field_create("prime", 3), F5, field_create("quadratic-extension", 3), Q):
+        for form in _random_forms(field, rng):
+            witt = form.hyperbolic_basis().witt
+            for e in sorted({1, 2, 3, form.f}):
+                cfg = SpaceConfig(e, form.f, field, form)
+                for p in valid_params(cfg):
+                    label = (field.descriptor(), form.kind, e, form.f, str(p))
+                    try:
+                        rep = representative(p, cfg)
+                    except InsufficientWittIndex:
+                        assert p.r1 - p.r2 > witt, label
+                        continue
+                    assert classify(rep, cfg) == p, label
 
 
 def test_classify_sign_examples():

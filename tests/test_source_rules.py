@@ -25,7 +25,10 @@ cannot populate whether it runs alone or in ``run_all``.  ``verify.py``
 calls ``classify`` in two places only: the row-space classifier of the
 exhaustive checks and the uniform draws of the sample pool.  ``verify.py``
 never calls ``polyval``: every vanishing verdict goes through
-``GeneratorSet.vanishes_at``.  A value derived once per process is kept
+``GeneratorSet.vanishes_at``.  Each check of ``verify.py`` reads the
+budget once, where it picks its mode, and the per-matrix table keeps its
+own gate: ``enumeration_space`` has one call site in each, and no cached
+function takes a budget.  A value derived once per process is kept
 by ``functools.cache``: ``equations.py`` and ``forms_orbits.py`` bind no
 module-level dict, and ``verify.py`` only its two hand-kept caches."""
 
@@ -151,6 +154,24 @@ def test_verify_reads_the_matrix_table_in_one_place():
     assert callers == ["_matrices"]
 
 
+def test_verify_gates_the_budget_where_each_check_picks_its_mode():
+    # a budget in a cache key would only re-run a gate the check has run;
+    # the per-matrix table keeps its own, cached or not
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    cached = [
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        and any(ast.unparse(d) in ("cache", "functools.cache") for d in fn.decorator_list)
+        and "budget" in {a.arg for a in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs)}
+    ]
+    assert cached == []
+    callers = [
+        getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "enumeration_space"
+    ]
+    assert callers == ["classification_table", "exhaustive_census", "check_equation_cut", "check_closure_order",
+                       "point_count_dimension_estimate"]
+
+
 def test_verify_reads_one_vanishing_verdict():
     # no evaluator of verify's own: each cut, exhaustive or sampled, and
     # the closure check read GeneratorSet.vanishes_at
@@ -182,8 +203,9 @@ def _module_dicts(filename):
 
 
 def test_process_caches_are_functools_caches():
-    # the classification cache stays by hand because the budget gates each
-    # read, and the point cache because it holds seeded draw streams
+    # the classification cache stays by hand because classification_table
+    # gates each read on its budget, cached or not, and the point cache
+    # because it holds seeded draw streams
     assert _module_dicts("equations.py") == []
     assert _module_dicts("forms_orbits.py") == []
     assert _module_dicts("verify.py") == ["_CLASS_CACHE", "_POINT_CACHE"]

@@ -463,7 +463,7 @@ def test_row_space_verdicts_match_the_matrices(config):
             continue
         assert verify._moved_generator(gens) is None, str(params)
         by_matrix = Counter((c, gens.vanishes_at(x)) for x, c in verify._matrices(config))
-        assert verify._verdicts(gens, verify.DEFAULT_BUDGET) == by_matrix, str(params)
+        assert verify._verdicts(gens) == by_matrix, str(params)
         rep = check_equation_cut(params, config)
         assert rep.warnings == [] and rep.status == "pass", str(params)
         if config.field.order == 3:
@@ -503,7 +503,11 @@ def test_run_all_judges_each_row_space_once_per_set(monkeypatch, fresh_caches):
     reports = run_all(cfg)
     assert all(r.ok for r in reports) and reports[2].mode["kind"] == "exhaustive"
     sets = {generators_for(p, cfg) for p in valid_params(cfg)}
-    assert Counter(calls) == {gens: len(verify._row_space_strata(cfg)) for gens in sets}
+    assert Counter(calls) == {gens: len(verify._row_space_sweep(cfg)) for gens in sets}
+    # a cut under another budget reads the same verdict tables
+    calls.clear()
+    assert all(check_equation_cut(p, cfg, budget=10**8).ok for p in valid_params(cfg))
+    assert calls == []
 
 
 def _without(config, params, label):
